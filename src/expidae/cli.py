@@ -145,7 +145,8 @@ def _cmd_solve(args) -> int:
         save_trajectory_binary(trajectory, args.dump_state)
     print(
         f"solve {args.problem} scheme={args.scheme} steps={diag.steps} "
-        f"max_constraint_residual={diag.max_constraint_residual:.3e} -> {args.out}"
+        f"max_constraint_residual={diag.max_constraint_residual:.3e} "
+        f"repairs={diag.repairs} max_basis={diag.max_basis_size} -> {args.out}"
     )
     return EXIT_OK
 

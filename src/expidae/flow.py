@@ -18,6 +18,7 @@ result is projected back onto the kernel of B to kill round-off drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,27 @@ def _arnoldi_extend(op, V, H, j):
     return hnext
 
 
+def _arnoldi_steps(op, x0, beta, r_max):
+    """Arnoldi iteration from x0 / beta, yielding after every step.
+
+    Yields (V, H, r, h_next, breakdown) after step r.  V and H are the
+    iteration's storage of shapes (n, r_cap + 1) and (r_cap + 1, r_cap);
+    their first r columns and leading r x r block are final.  A happy
+    breakdown (h_next at round-off relative to H_r) is the last yield.
+    """
+    r_cap = min(r_max, op.n)
+    V = np.empty((op.n, r_cap + 1))
+    H = np.zeros((r_cap + 1, r_cap))
+    V[:, 0] = x0 / beta
+    for j in range(r_cap):
+        hnext = _arnoldi_extend(op, V, H, j)
+        r = j + 1
+        breakdown = hnext <= BREAKDOWN_RTOL * max(np.linalg.norm(H[:r, :r]), 1.0)
+        yield V, H, r, hnext, breakdown
+        if breakdown:
+            return
+
+
 def arnoldi(op: DaeOperator, x0, r_max: int):
     """Orthonormal Krylov basis of span{x0, X x0, ...} and its Hessenberg matrix.
 
@@ -124,42 +146,51 @@ def arnoldi(op: DaeOperator, x0, r_max: int):
     beta = np.linalg.norm(x0)
     if beta == 0.0:
         raise ZeroInitialVector("Arnoldi started from the zero vector")
-    r_max = min(r_max, op.n)
-    V = np.empty((op.n, r_max + 1))
-    H = np.zeros((r_max + 1, r_max))
-    V[:, 0] = x0 / beta
-    r = r_max
-    hnext = 0.0
-    for j in range(r_max):
-        hnext = _arnoldi_extend(op, V, H, j)
-        hscale = np.linalg.norm(H[: j + 1, : j + 1])
-        if hnext <= BREAKDOWN_RTOL * max(hscale, 1.0):
-            r = j + 1
-            hnext = 0.0
-            break
-    return V[:, :r].copy(), H[:r, :r].copy(), float(hnext)
+    if r_max < 1:
+        raise ValueError("Arnoldi needs r_max >= 1")
+    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_max):
+        pass
+    return V[:, :r].copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
+
+
+def _next_check(r, estimate, previous, tol):
+    """Basis size of the next error check after a failed check at ``r``.
+
+    Adaptive checkpointing after Niesen & Wright's phipm: while the
+    estimate falls, extrapolate its log-linear decay since the previous
+    failed check ``previous = (r', e')`` and check half way to ``tol``,
+    at most doubling r; otherwise check after the next step.  A failed
+    estimate exceeds ``tol > 0``, so both logarithms are finite.
+    """
+    if previous is not None and estimate < previous[1]:
+        r_prev, e_prev = previous
+        rate = (math.log(estimate) - math.log(e_prev)) / (r - r_prev)
+        gap = 0.5 * (math.log(tol) - math.log(estimate)) / rate
+        return r + max(1, int(min(gap, r)))
+    return r + 1
 
 
 def _krylov_shot(op, x0, beta, dt, tol, r_max):
     """Single Krylov approximation of exp(X dt) x0.
 
-    Returns (state, basis_size, estimate, exact) or None when the basis
-    cap is exhausted before the error estimate meets ``tol``.
+    The error estimate beta |h_{r+1,r} [exp(dt H_r)]_{r,1}| costs one
+    dense exponential, so it is evaluated only at check points: r = 1,
+    the points ``_next_check`` picks, a happy breakdown and the basis
+    cap.  Returns (state, basis_size, estimate, exact) or None when the
+    basis cap is exhausted before the error estimate meets ``tol``.
     """
     r_cap = min(r_max, op.n)
-    V = np.empty((op.n, r_cap + 1))
-    H = np.zeros((r_cap + 1, r_cap))
-    V[:, 0] = x0 / beta
-    for j in range(r_cap):
-        hnext = _arnoldi_extend(op, V, H, j)
-        r = j + 1
-        Hr = H[:r, :r]
-        exact = hnext <= BREAKDOWN_RTOL * max(np.linalg.norm(Hr), 1.0)
-        eHt = expm(dt * Hr)
+    check, failed = 1, None
+    for V, H, r, hnext, exact in _arnoldi_steps(op, x0, beta, r_max):
+        if r < check and r < r_cap and not exact:
+            continue
+        eHt = expm(dt * H[:r, :r])
         estimate = 0.0 if exact else beta * abs(hnext * eHt[r - 1, 0])
         if exact or estimate <= tol:
             state = beta * (V[:, :r] @ eHt[:, 0])
             return state, r, estimate, exact
+        check = _next_check(r, estimate, failed, tol)
+        failed = (r, estimate)
     return None
 
 
@@ -201,6 +232,8 @@ def flow(
     x0 = as_vector(x0, op.n, "x0")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
+    if not tol > 0:
+        raise ValueError("flow tolerance must be positive")
     norm0 = np.linalg.norm(x0)
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * max(norm0, 1e-300):

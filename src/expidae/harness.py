@@ -7,13 +7,17 @@ observed order as the least-squares slope of log(error) versus
 log(step size).  References are produced by the second-order scheme at
 a much finer step and validated by comparing against a run with half
 that step; they are cached on disk keyed by problem, config, final
-time and reference step.
+time, reference step and numerics revision.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +39,14 @@ __all__ = [
     "fit_order",
 ]
 
+log = logging.getLogger(__name__)
+
 NORMS = ("energy", "h1", "l2")
+
+# Part of the reference-cache key.  Bump it in every change that alters
+# computed states, even at round-off, so that no cache written by an
+# older revision is served.
+NUMERICS_REVISION = 2
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -159,8 +170,41 @@ def local_orders(taus, errors) -> tuple:
 def _cache_key(problem: Problem, t_end, tau_ref, scheme, snapshot_tau) -> str:
     return (
         f"{problem.name}|{problem.config!r}|t_end={t_end!r}|tau_ref={tau_ref!r}"
-        f"|snap={snapshot_tau!r}|{scheme!r}"
+        f"|snap={snapshot_tau!r}|{scheme!r}|rev={NUMERICS_REVISION}"
     )
+
+
+def _read_cache(path: Path, key: str):
+    """(times, states, check_states) stored under ``key``, or None on a miss.
+
+    A missing file, another key, or a file that cannot be read (for
+    instance one truncated by an interrupted writer) is a miss; the
+    last is logged.
+    """
+    if not path.exists():
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if str(data["key"]) != key:
+                return None
+            return data["times"], data["states"], data["check_states"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        log.warning("reference cache %s is unreadable, rebuilding: %s", path, exc)
+        return None
+
+
+def _write_cache(path: Path, key: str, times, states, check_states) -> None:
+    """Write through a temporary file and rename, so that no reader sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, key=np.str_(key), times=times, states=states,
+                     check_states=check_states)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _snapshot_run(problem, scheme, t_end, tau, stride):
@@ -200,27 +244,17 @@ def build_reference(
     if cache_dir is not None:
         digest = hashlib.sha256(key.encode()).hexdigest()[:20]
         cache_path = Path(cache_dir) / f"ref-{problem.name}-{digest}.npz"
-        if cache_path.exists():
-            with np.load(cache_path, allow_pickle=False) as data:
-                if str(data["key"]) == key:
-                    return ReferenceSolution(
-                        problem.name, key, t_end, scheme.scheme, tau_ref,
-                        data["times"], data["states"], data["check_states"],
-                        from_cache=True,
-                    )
+        cached = _read_cache(cache_path, key)
+        if cached is not None:
+            return ReferenceSolution(
+                problem.name, key, t_end, scheme.scheme, tau_ref, *cached, from_cache=True
+            )
 
     times, states = _snapshot_run(problem, scheme, t_end, tau_ref, stride)
     _, check_states = _snapshot_run(problem, scheme, t_end, tau_ref / 2, 2 * stride)
 
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            cache_path,
-            key=np.str_(key),
-            times=times,
-            states=states,
-            check_states=check_states,
-        )
+        _write_cache(cache_path, key, times, states, check_states)
     return ReferenceSolution(
         problem.name, key, t_end, scheme.scheme, tau_ref, times, states, check_states
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, NonFinite, OrderTooHigh, SingularMatrix
 
@@ -19,99 +20,20 @@ __all__ = ["expm", "phi", "polyrhs_solution"]
 
 MAX_PHI_ORDER = 4
 
-# Norm thresholds for the Pade degrees of the scaling-and-squaring
-# exponential (classical double-precision values).
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0),
-    (13, 5.371920351148152e0),
-)
-
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
-}
-
-
-def _pade_uv(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    b = _PADE_B[degree]
-    n = a.shape[0]
-    eye = np.eye(n)
-    a2 = a @ a
-    if degree == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
-            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        return u, v
-    powers = [eye, a2]
-    while 2 * len(powers) < degree + 1:
-        powers.append(powers[-1] @ a2)
-    u_poly = sum(b[2 * j + 1] * powers[j] for j in range((degree + 1) // 2))
-    v = sum(b[2 * j] * powers[j] for j in range(degree // 2 + 1))
-    return a @ u_poly, v
-
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade approximant."""
+    """Matrix exponential (SciPy's scaling-and-squaring Pade algorithm).
+
+    Raises ``DimensionMismatch`` for a non-square argument and
+    ``NonFinite`` for non-finite input or an overflowing result.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expm needs a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite("expm input has non-finite entries")
-
-    norm1 = np.linalg.norm(a, 1) if a.size else 0.0
-    squarings = 0
-    degree = 13
-    for deg, theta in _PADE_THETA:
-        if norm1 <= theta:
-            degree = deg
-            break
-    else:
-        squarings = max(0, int(math.ceil(math.log2(norm1 / _PADE_THETA[-1][1]))))
-    scaled = a / (2.0**squarings)
-
-    u, v = _pade_uv(scaled, degree)
-    try:
-        result = np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:
-        raise NonFinite(f"Pade denominator singular: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
+        result = scipy.linalg.expm(a)
     if not np.isfinite(result).all():
         raise NonFinite("matrix exponential overflowed")
     return result

@@ -27,6 +27,32 @@ class TestSolve:
         assert lines[0] == "step,t,constraint_residual,solution_norm"
         assert len(lines) == 12  # header + initial + 10 steps
 
+    def test_summary_shows_repairs_and_max_basis(self, tmp_path, capsys, monkeypatch):
+        import expidae.cli as cli_mod
+        from expidae.integrators import integrate
+
+        seen = []
+
+        def integrate_and_keep(*args, **kwargs):
+            traj, diag = integrate(*args, **kwargs)
+            seen.append(diag)
+            return traj, diag
+
+        monkeypatch.setattr(cli_mod, "integrate", integrate_and_keep)
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "toy", "--tau", "0.05", "--t-end", "0.5",
+                "--scheme", "second-order", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        (diag,) = seen
+        summary = capsys.readouterr().out
+        assert diag.max_basis_size > 0
+        assert f" repairs={diag.repairs} " in summary
+        assert f" max_basis={diag.max_basis_size} " in summary
+
     def test_mesh_flag_fraction(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(
@@ -126,6 +152,23 @@ class TestConverge:
         cfg.write_text("wibble = 3\n")
         code = main(["converge", "--config", str(cfg)])
         assert code == 2
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path, caplog):
+        cache = tmp_path / "cache"
+        argv = [
+            "converge", "--problem", "toy", "--taus", "0.1,0.05",
+            "--t-end", "0.5", "--scheme", "exp-euler", "--norm", "l2",
+            "--ref-tau", str(0.05 / 16), "--cache-dir", str(cache),
+            "--out", str(tmp_path / "conv.csv"),
+        ]
+        assert main(argv) == 0
+        (cached,) = cache.glob("*.npz")
+        complete = cached.read_bytes()
+        cached.write_bytes(complete[: len(complete) // 2])
+        assert main(argv) == 0
+        assert "unreadable" in caplog.text
+        assert cached.read_bytes() == complete
+        assert [p.name for p in cache.iterdir()] == [cached.name]
 
     def test_coarse_reference_rejected(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from conftest import kernel_reduction_flow, make_operator, random_constrained
 from expidae.errors import InconsistentState, NoConvergence, ZeroInitialVector
 from expidae.flow import DaeOperator, arnoldi, flow
 from expidae.phi import expm
+from expidae.problems import build_problem
 
 
 class TestApply:
@@ -207,3 +210,53 @@ class TestFlow:
         op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             flow(op, np.ones(2), -1.0)
+
+
+def _count_expm(monkeypatch):
+    """Record the dimension of every expm call the flow module makes."""
+    flow_mod = sys.modules["expidae.flow"]
+    dims = []
+    original = flow_mod.expm
+
+    def counted(a):
+        dims.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(flow_mod, "expm", counted)
+    return dims
+
+
+class TestCheckSchedule:
+    def test_nonsym_shot_checks_rarely_and_accepts_the_every_step_basis(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=64)
+        op = prob.system.flow_op
+        tol = 1e-10
+        dims = _count_expm(monkeypatch)
+        result = flow(op, prob.u0, 1 / 2560, tol=tol)
+        assert result.substeps == 1
+        assert 2 * len(dims) < result.basis_size
+        assert dims[-1] == result.basis_size
+        assert result.residual_estimate <= tol
+
+        scheduled = len(dims)
+        monkeypatch.setattr(sys.modules["expidae.flow"], "_next_check", lambda r, *_: r + 1)
+        every_step = flow(op, prob.u0, 1 / 2560, tol=tol)
+        assert len(dims) - scheduled == every_step.basis_size
+        assert every_step.basis_size == result.basis_size
+        np.testing.assert_array_equal(every_step.state, result.state)
+
+    def test_unconverged_shot_checks_at_the_cap_before_halving(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 30
+        M, A, B = random_constrained(rng, n, 2)
+        skew = rng.standard_normal((n, n))
+        skew = skew - skew.T
+        A = A + 60.0 * skew / np.linalg.norm(skew, 2)
+        op = make_operator(M, A, B)
+        x0 = op.project(rng.standard_normal(n))
+        dims = _count_expm(monkeypatch)
+        result = flow(op, x0, 1.0, tol=1e-10, r_max=20)
+        assert result.substeps > 1
+        first_shot = dims[: dims.index(1, 1)]
+        assert first_shot[-1] == 20
+        assert len(first_shot) < 20

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from expidae import harness
 from expidae.errors import NegativeEnergy, SelfCheckFailed
 from expidae.harness import (
     ConvergenceTable,
@@ -99,6 +100,15 @@ class TestBuildReference:
         assert second.from_cache
         np.testing.assert_array_equal(first.states, second.states)
         np.testing.assert_array_equal(first.check_states, second.check_states)
+
+    def test_other_numerics_revision_is_rebuilt(self, tmp_path, monkeypatch):
+        prob = toy_problem()
+        monkeypatch.setattr(harness, "NUMERICS_REVISION", harness.NUMERICS_REVISION - 1)
+        build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path)
+        monkeypatch.undo()
+        rebuilt = build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path)
+        assert not rebuilt.from_cache
+        assert build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path).from_cache
 
     def test_snapshot_grid(self, tmp_path):
         prob = toy_problem()
