@@ -36,14 +36,7 @@ from .integrators import (
     second_order_family_step,
     second_order_step,
 )
-from .linalg import (
-    SaddleFactorization,
-    assemble_saddle,
-    kernel_project,
-    read_matrix_market,
-    saddle_solve,
-    spmv,
-)
+from .linalg import SaddleFactorization, kernel_project
 from .phi import expm, phi, polyrhs_solution
 from .problems import (
     DynBcConfig,

@@ -75,7 +75,9 @@ class DaeOperator:
     def apply(self, x0) -> np.ndarray:
         """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
         x0 = as_vector(x0, self.n, "x0")
-        y, _ = self._saddle.solve(-(self.stiffness @ x0), self._zero_dual)
+        # Unrefined: no constraint residual is read from an Arnoldi
+        # vector, and flow() ends with a refined projection.
+        y, _ = self._saddle.solve(-(self.stiffness @ x0), self._zero_dual, refine=False)
         return y
 
     def multiplier_at(self, x) -> np.ndarray:
@@ -119,19 +121,23 @@ def _arnoldi_steps(op, x0, beta, r_max):
     Yields (V, H, r, h_next, breakdown) after step r.  V and H are the
     iteration's storage of shapes (n, r_cap + 1) and (r_cap + 1, r_cap);
     their first r columns and leading r x r block are final.  A happy
-    breakdown (h_next at round-off relative to H_r) is the last yield.
+    breakdown (h_next at round-off relative to the Frobenius norm of
+    H_r) is the last yield.
     """
     r_cap = min(r_max, op.n)
     V = np.empty((op.n, r_cap + 1))
     H = np.zeros((r_cap + 1, r_cap))
     V[:, 0] = x0 / beta
+    sumsq = 0.0  # squared Frobenius norm of the finished entries of H
     for j in range(r_cap):
         hnext = _arnoldi_extend(op, V, H, j)
         r = j + 1
-        breakdown = hnext <= BREAKDOWN_RTOL * max(np.linalg.norm(H[:r, :r]), 1.0)
+        sumsq += H[:r, j] @ H[:r, j]
+        breakdown = hnext <= BREAKDOWN_RTOL * max(math.sqrt(sumsq), 1.0)
         yield V, H, r, hnext, breakdown
         if breakdown:
             return
+        sumsq += hnext * hnext
 
 
 def arnoldi(op: DaeOperator, x0, r_max: int):

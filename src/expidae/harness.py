@@ -132,6 +132,8 @@ class ConvergenceTable:
     max_constraint_residual: float
     self_check_gap: float | None = None
     sample: str = "final"
+    tau_ref: float | None = None        # None for an exact reference
+    flow_tol: float | None = None
 
     def __post_init__(self):
         taus = np.asarray(self.taus)
@@ -365,29 +367,48 @@ def run_convergence(
         max_constraint_residual=max_residual,
         self_check_gap=gap,
         sample=sample,
+        tau_ref=tau_ref if ref is not None else None,
+        flow_tol=scheme.flow_tol,
     )
 
 
+def _number(value) -> str:
+    """17 significant digits, which float() reads back exactly; '' for None."""
+    return "" if value is None else format(value, ".17g")
+
+
 def emit_csv(table: ConvergenceTable, path) -> None:
-    """Write the table with a '#'-prefixed metadata block and 17-digit rows."""
+    """Write the table with a '#'-prefixed metadata block and 17-digit rows.
+
+    The metadata carries the study's own evidence: the reference scale,
+    the largest constraint residual, the reference self-check gap, the
+    reference step and the flow tolerance.  Nothing in the file depends
+    on whether the reference came from the cache.
+    """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# problem={table.problem}\n")
         fh.write(f"# scheme={table.scheme}\n")
         fh.write(f"# norm={table.norm}\n")
-        fh.write(f"# h={'' if table.h is None else format(table.h, '.17g')}\n")
+        fh.write(f"# h={_number(table.h)}\n")
         fh.write(f"# sample={table.sample}\n")
-        fh.write(f"# fitted_order={table.fitted_order:.17g}\n")
+        fh.write(f"# fitted_order={_number(table.fitted_order)}\n")
+        fh.write(f"# reference_scale={_number(table.reference_scale)}\n")
+        fh.write(f"# max_constraint_residual={_number(table.max_constraint_residual)}\n")
+        fh.write(f"# self_check_gap={_number(table.self_check_gap)}\n")
+        fh.write(f"# tau_ref={_number(table.tau_ref)}\n")
+        fh.write(f"# flow_tol={_number(table.flow_tol)}\n")
         fh.write("tau,error,local_order\n")
         for i, (tau, err) in enumerate(zip(table.taus, table.errors)):
             order = table.local_orders[i]
-            order_txt = "" if order is None else format(order, ".17g")
-            fh.write(f"{tau:.17g},{err:.17g},{order_txt}\n")
+            fh.write(f"{tau:.17g},{err:.17g},{_number(order)}\n")
 
 
 def read_convergence_csv(path):
     """Parse a file written by :func:`emit_csv`.
 
     Returns (metadata dict, list of (tau, error, local_order or None)).
+    Metadata values are the strings as written: ``float()`` recovers a
+    number exactly, and an empty value stands for None.
     """
     meta = {}
     rows = []

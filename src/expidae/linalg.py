@@ -22,13 +22,9 @@ from .errors import DimensionMismatch, SingularSaddle
 
 __all__ = [
     "canonical_csr",
-    "spmv",
     "SaddleFactorization",
-    "assemble_saddle",
-    "saddle_solve",
     "kernel_project",
     "require_spd",
-    "read_matrix_market",
 ]
 
 # Relative pivot threshold below which a factorization is declared singular.
@@ -60,26 +56,25 @@ def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def spmv(matrix, v) -> np.ndarray:
-    """Sparse matrix-vector product with dimension checking."""
-    v = as_vector(v, name="spmv operand")
-    if matrix.shape[1] != v.shape[0]:
-        raise DimensionMismatch(
-            f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, vector has length {v.shape[0]}"
-        )
-    return matrix @ v
-
-
 class SaddleFactorization:
     """Sparse LU factorization of ``[[S, B^T], [B, 0]]``.
 
     The factorization is computed once (fill-reducing column ordering,
     partial pivoting) and reused for every solve; it is read-only after
     construction, so concurrent solves against one factorization are
-    fine.  Solves perform one step of iterative refinement when the
-    first residual is not already at round-off.  The object keeps
-    references to S and B so residuals and projections can be formed
-    without re-assembly.
+    fine.  The object keeps references to S and B so residuals and
+    projections can be formed without re-assembly.
+
+    By default a solve forms its residual and makes one step of
+    iterative refinement when that residual is not already at
+    round-off.  LU with partial pivoting is backward stable, so the
+    step only pays on ill-conditioned blocks (it fires on about half
+    the stiffness solves of the ``nonsym`` problem and moves them by
+    ~1e-14).  Lifts, kernel solves and projections keep it, because
+    their results feed constraint residuals.  ``refine=False`` returns
+    the direct solution and forms no residual: the Arnoldi steps of the
+    Krylov flow use it, since the flow projects its endpoint with a
+    refined solve.
 
     Raises SingularSaddle if the block matrix is structurally singular
     or a pivot falls below ``PIVOT_RTOL`` times the largest entry,
@@ -121,12 +116,20 @@ class SaddleFactorization:
                 f"pivot {pivots.min():.3e} below threshold {pivot_rtol * scale:.3e}"
             )
 
-    def solve(self, rhs_primal, rhs_constraint) -> tuple[np.ndarray, np.ndarray]:
-        """Solve S x + B^T mult = rhs_primal, B x = rhs_constraint."""
+    def solve(
+        self, rhs_primal, rhs_constraint, refine: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve S x + B^T mult = rhs_primal, B x = rhs_constraint.
+
+        With ``refine=False`` the direct LU solution is returned
+        without forming the residual.
+        """
         rp = as_vector(rhs_primal, self.n, "rhs_primal")
         rc = as_vector(rhs_constraint, self.m, "rhs_constraint")
         rhs = np.concatenate([rp, rc]) if self.m else rp
         sol = self._lu.solve(rhs)
+        if not refine:
+            return sol[: self.n], sol[self.n :]
         # One refinement pass if the direct solve left a visible residual.
         res = rhs - self._block @ sol
         rhs_scale = np.linalg.norm(rhs)
@@ -141,16 +144,6 @@ class SaddleFactorization:
             r1 = r1 + self.B.T @ mult
         r2 = self.B @ x - rhs_constraint if self.m else np.zeros(0)
         return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
-
-
-def assemble_saddle(S, B) -> SaddleFactorization:
-    """Factor the saddle block built from S (n x n) and B (m x n)."""
-    return SaddleFactorization(S, B)
-
-
-def saddle_solve(fact: SaddleFactorization, rhs_primal, rhs_constraint):
-    """Functional wrapper around :meth:`SaddleFactorization.solve`."""
-    return fact.solve(rhs_primal, rhs_constraint)
 
 
 def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:
@@ -201,59 +194,3 @@ def require_spd(mat, name: str = "matrix", rtol: float = 1e-12) -> None:
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"{name} is not positive definite: {exc}") from exc
 
-
-def read_matrix_market(path) -> sp.csr_matrix:
-    """Read a real Matrix Market coordinate file.
-
-    Supports the ``general`` and ``symmetric`` qualifiers; entries use
-    1-based indices.  Returns a canonical CSR matrix.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().lower().split()
-        if len(header) != 5 or header[0] != "%%matrixmarket":
-            raise ValueError("not a Matrix Market file")
-        _, obj, fmt, field, symmetry = header
-        if obj != "matrix" or fmt != "coordinate":
-            raise ValueError(f"unsupported Matrix Market layout: {obj} {fmt}")
-        if field != "real":
-            raise ValueError(f"unsupported field type: {field}")
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"unsupported symmetry: {symmetry}")
-
-        size_line = None
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
-        if size_line is None:
-            raise ValueError("missing size line")
-        nrows, ncols, nnz = (int(tok) for tok in size_line.split())
-
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if k >= nnz:
-                raise ValueError("more entries than declared")
-            i_tok, j_tok, v_tok = stripped.split()
-            rows[k] = int(i_tok) - 1
-            cols[k] = int(j_tok) - 1
-            vals[k] = float(v_tok)
-            k += 1
-        if k != nnz:
-            raise ValueError(f"expected {nnz} entries, found {k}")
-
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    return canonical_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))

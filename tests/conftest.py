@@ -1,4 +1,4 @@
-"""Shared helpers: random constrained instances and dense oracles."""
+"""Shared helpers: random constrained instances, dense oracles and call counters."""
 
 import numpy as np
 import pytest
@@ -38,6 +38,33 @@ def kernel_reduction_flow(M, A, B, x0, t):
         basis = np.eye(M.shape[0])
     reduced = np.linalg.solve(basis.T @ M @ basis, basis.T @ A @ basis)
     return basis @ (expm(-t * reduced) @ (basis.T @ x0))
+
+
+class CountingLU:
+    """Stands in for a SuperLU object and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+class ProductSpy:
+    """Stands in for a sparse matrix and counts products with it."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.mat @ other
 
 
 @pytest.fixture(scope="session")

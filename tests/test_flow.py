@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import kernel_reduction_flow, make_operator, random_constrained
+from conftest import ProductSpy, kernel_reduction_flow, make_operator, random_constrained
 from expidae.errors import InconsistentState, NoConvergence, ZeroInitialVector
 from expidae.flow import DaeOperator, arnoldi, flow
+from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
 
@@ -78,6 +79,26 @@ class TestArnoldi:
         op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))
         with pytest.raises(ZeroInitialVector):
             arnoldi(op, np.zeros(2), 3)
+
+    def test_steps_form_no_residual_and_match_refined_steps(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=64)
+        op = prob.system.flow_op
+        spy = ProductSpy(op._saddle._block)
+        monkeypatch.setattr(op._saddle, "_block", spy)
+        V, H, h_next = arnoldi(op, prob.u0, 20)
+        assert H.shape == (20, 20)
+        assert spy.products == 0
+
+        solve = SaddleFactorization.solve
+        monkeypatch.setattr(
+            SaddleFactorization, "solve",
+            lambda self, rhs_p, rhs_c, refine=True: solve(self, rhs_p, rhs_c),
+        )
+        V_ref, H_ref, h_next_ref = arnoldi(op, prob.u0, 20)
+        assert spy.products == 20
+        np.testing.assert_array_equal(V, V_ref)
+        np.testing.assert_array_equal(H, H_ref)
+        assert h_next == h_next_ref
 
 
 class TestFlow:

@@ -135,6 +135,9 @@ class TestRunConvergence:
         assert all(np.diff(table.errors) < 0)
         assert table.local_orders[0] is None
         assert len(table.local_orders) == 4
+        assert table.tau_ref is None
+        assert table.self_check_gap is None
+        assert table.flow_tol == 1e-12
 
     def test_toy_against_integrated_reference(self, tmp_path):
         prob = toy_problem()
@@ -149,6 +152,8 @@ class TestRunConvergence:
             cache_dir=tmp_path,
         )
         assert table.fitted_order == pytest.approx(2.0, abs=0.15)
+        assert table.tau_ref == 0.025 / 16
+        assert table.flow_tol == SchemeConfig().flow_tol
         assert table.self_check_gap is not None
         assert table.self_check_gap <= 0.01 * min(table.errors)
 
@@ -243,6 +248,30 @@ class TestCsv:
             assert err == e_exp
             if o_exp is not None:
                 assert order == o_exp
+
+    def test_evidence_metadata_round_trips(self, tmp_path):
+        table = ConvergenceTable(
+            problem="nonsym", scheme="exp-euler", norm="h1", h=1 / 32,
+            taus=(0.05, 0.025), errors=(0.1, 0.05), local_orders=(None, 1.0),
+            fitted_order=1.0, reference_scale=0.1 + 0.2,
+            max_constraint_residual=1 / 3 * 1e-15, self_check_gap=2 / 3 * 1e-7,
+            tau_ref=0.05 / 128, flow_tol=1e-10,
+        )
+        path = tmp_path / "meta.csv"
+        emit_csv(table, path)
+        meta, _ = read_convergence_csv(path)
+        for key in ("reference_scale", "max_constraint_residual", "self_check_gap",
+                    "tau_ref", "flow_tol"):
+            assert float(meta[key]) == getattr(table, key)
+
+    def test_missing_evidence_is_empty(self, tmp_path):
+        # An exact reference has no reference step and no self check.
+        path = tmp_path / "exact.csv"
+        emit_csv(self.sample_table(2), path)
+        meta, _ = read_convergence_csv(path)
+        assert meta["self_check_gap"] == ""
+        assert meta["tau_ref"] == ""
+        assert float(meta["reference_scale"]) == 2.0
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

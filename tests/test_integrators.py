@@ -1,12 +1,23 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_constrained, random_spd
-from expidae.errors import InconsistentInitialData, NonFinite
-from expidae.flow import flow
+from conftest import CountingLU, random_constrained, random_spd
+from expidae.errors import (
+    ExpidaeError,
+    InconsistentInitialData,
+    NonFinite,
+    SingularSaddle,
+)
+from expidae.flow import DaeOperator, flow
 from expidae.integrators import (
+    SCHEME_IDS,
     ConstrainedSystem,
     SchemeConfig,
     StepState,
@@ -20,8 +31,9 @@ from expidae.integrators import (
     second_order_family_step,
     second_order_step,
 )
+from expidae.linalg import SaddleFactorization
 from expidae.phi import polyrhs_solution
-from expidae.problems import ToyConfig, build_toy
+from expidae.problems import ToyConfig, build_problem, build_toy
 
 
 def make_system(M, A, B, forcing=None, g=None, gdot=None, symmetric=True):
@@ -43,8 +55,6 @@ class TestConstrainedSystem:
             make_system(np.diag([1.0, -1.0]), np.eye(2), np.zeros((0, 2)))
 
     def test_rejects_rank_deficient_constraint(self):
-        from expidae.errors import SingularSaddle
-
         B = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularSaddle):
             make_system(np.eye(3), np.eye(3), B)
@@ -340,3 +350,162 @@ class TestTrajectoryExport:
         data = np.frombuffer(raw[16:], dtype="<f8").reshape(count, n)
         np.testing.assert_array_equal(data[0], traj[0].u)
         np.testing.assert_array_equal(data[-1], traj[-1].u)
+
+
+class TestSolveCounts:
+    """Deterministic count gate: saddle and SuperLU solves of one step."""
+
+    def test_second_order_step_of_nonsym(self, monkeypatch):
+        linalg_mod = sys.modules["expidae.linalg"]
+        integ_mod = sys.modules["expidae.integrators"]
+        lus = []
+        raw_splu = linalg_mod.splu
+
+        def counting_splu(*args, **kwargs):
+            lus.append(CountingLU(raw_splu(*args, **kwargs)))
+            return lus[-1]
+
+        monkeypatch.setattr(linalg_mod, "splu", counting_splu)
+        prob = build_problem("nonsym", n_cells=64)
+        sys_, tau = prob.system, 1 / 2560
+        # The first step leaves the lifts of g and g' at t1 on its state.
+        state = second_order_step(sys_, StepState(0.0, prob.u0), tau)
+
+        counts = Counter()
+        arnoldi_lu_solves = []
+
+        def lu_solves():
+            return sum(lu.solves for lu in lus)
+
+        def count(owner, attr, name):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(SaddleFactorization, "solve", "saddle solves")
+        count(integ_mod, "lift_constraint", "lifts")
+        count(integ_mod, "kernel_solve", "kernel solves")
+        count(DaeOperator, "project", "projections")
+        apply = DaeOperator.apply
+
+        def counted_apply(self, x0):
+            before = lu_solves()
+            y = apply(self, x0)
+            arnoldi_lu_solves.append(lu_solves() - before)
+            return y
+
+        monkeypatch.setattr(DaeOperator, "apply", counted_apply)
+        second_order_step(sys_, state, tau)
+
+        assert (counts["lifts"], counts["kernel solves"], counts["projections"]) == (2, 3, 2)
+        assert counts["saddle solves"] == len(arnoldi_lu_solves) + 2 + 3 + 2
+        assert len(arnoldi_lu_solves) > 0
+        assert set(arnoldi_lu_solves) == {1}
+
+
+def random_system(rng, n, m, forcing=None, g=None, gdot=None):
+    """Random non-symmetric system and a consistent initial value."""
+    M, A, B = random_constrained(rng, n, m, symmetric=False)
+    sys_ = make_system(M, A, B, forcing=forcing, g=g, gdot=gdot, symmetric=False)
+    u0 = lift_constraint(sys_, sys_.g(0.0)) + sys_.flow_op.project(rng.standard_normal(n))
+    return sys_, u0
+
+
+class TestIntegrateProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.sampled_from(("exp-euler", "second-order", "second-order-family")),
+    )
+    def test_constraint_residual_bound(self, n, m, seed, scheme):
+        rng = np.random.default_rng(seed)
+        g0, g1 = rng.standard_normal(m), rng.standard_normal(m)
+        c = rng.standard_normal(n)
+        sys_, u0 = random_system(
+            rng, n, m,
+            forcing=lambda t, x: c * np.cos(t) + 0.5 * np.sin(x),
+            g=lambda t: g0 * np.cos(t) + g1 * np.sin(t),
+            gdot=lambda t: -g0 * np.sin(t) + g1 * np.cos(t),
+        )
+        config = SchemeConfig(scheme=scheme, c2=0.5)
+        traj, diag = integrate(sys_, config, u0, 0.0, 0.2, 0.05)
+        assert len(diag.constraint_residuals) == 4
+        assert diag.max_constraint_residual <= 1e-9
+        for state in traj:
+            assert sys_.constraint_residual(state.t, state.u) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.floats(0.01, 1.0),
+    )
+    def test_euler_half_steps_agree_for_constant_data(self, n, m, seed, tau):
+        # Exponential Euler is exact for constant f and g, so halving the
+        # step only changes the result by the flow tolerance.
+        rng = np.random.default_rng(seed)
+        c, g0 = rng.standard_normal(n), rng.standard_normal(m)
+        sys_, u0 = random_system(rng, n, m, forcing=lambda t, x: c, g=lambda t: g0)
+        config = SchemeConfig(scheme="exp-euler")
+        one, _ = integrate(sys_, config, u0, 0.0, tau, tau)
+        two, _ = integrate(sys_, config, u0, 0.0, tau, tau / 2)
+        assert len(one) == 2 and len(two) == 3
+        u1, u2 = one[-1].u, two[-1].u
+        assert np.linalg.norm(u1 - u2) <= 1e-8 * np.linalg.norm(u2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(6, 12), st.integers(2, 3), st.integers(0, 10_000))
+    def test_rank_deficient_constraint_raises_singular_saddle(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        M, A, B = random_constrained(rng, n, m, symmetric=False)
+        B[-1] = rng.standard_normal(m - 1) @ B[:-1]
+        with pytest.raises(SingularSaddle):
+            sys_ = make_system(M, A, B, symmetric=False)
+            integrate(sys_, SchemeConfig(), np.zeros(n), 0.0, 0.1, 0.05)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 1), st.integers(0, 10_000))
+    def test_non_spd_mass_is_a_configuration_error(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        _, A, B = random_constrained(rng, n, m)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = rng.uniform(0.5, 2.0, n)
+        eigs[rng.integers(n)] = -rng.uniform(0.1, 2.0)
+        M = (q * eigs) @ q.T
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError) as info:
+            sys_ = make_system(M, A, B)
+            integrate(sys_, SchemeConfig(), np.zeros(n), 0.0, 0.1, 0.05)
+        assert not isinstance(info.value, ExpidaeError)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(4, 12),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.sampled_from((np.nan, np.inf, -np.inf)),
+        st.sampled_from(SCHEME_IDS),
+    )
+    def test_non_finite_forcing_raises(self, n, m, seed, bad_step, bad_value, scheme):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(n)
+        bad = rng.integers(n)
+        t_bad = bad_step * 0.05
+
+        def forcing(t, x):
+            f = c.copy()
+            if t >= t_bad - 1e-12:
+                f[bad] = bad_value
+            return f
+
+        sys_, u0 = random_system(rng, n, m, forcing=forcing)
+        with pytest.raises(NonFinite):
+            integrate(sys_, SchemeConfig(scheme=scheme), u0, 0.0, 0.2, 0.05)

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingLU, ProductSpy
 from expidae.errors import DimensionMismatch, SingularSaddle
 from expidae.linalg import (
-    assemble_saddle,
+    SaddleFactorization,
+    as_vector,
     canonical_csr,
     kernel_project,
-    read_matrix_market,
     require_spd,
-    saddle_solve,
-    spmv,
 )
 
 
@@ -52,40 +52,44 @@ class TestCanonicalCsr:
 
 
 class TestSpmv:
+    """Products of canonical CSR matrices with validated vectors."""
+
     def test_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(spmv(sp.eye(3, format="csr"), v), v)
+        assert np.array_equal(canonical_csr(sp.eye(3)) @ v, v)
 
     def test_zero_matrix(self):
-        out = spmv(sp.csr_matrix((2, 2)), np.ones(2))
+        out = canonical_csr(sp.csr_matrix((2, 2))) @ np.ones(2)
         assert np.array_equal(out, np.zeros(2))
 
     def test_hand_computed(self):
         mat = canonical_csr(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(spmv(mat, np.ones(2)), np.array([3.0, 7.0]))
+        assert np.array_equal(mat @ np.ones(2), np.array([3.0, 7.0]))
 
     def test_dimension_mismatch(self):
+        # The library validates operands with as_vector before forming products.
+        mat = canonical_csr(sp.eye(3))
         with pytest.raises(DimensionMismatch):
-            spmv(sp.eye(3, format="csr"), np.ones(4))
+            as_vector(np.ones(4), mat.shape[1], "operand")
 
 
 class TestAssembleSaddle:
     def test_identity_with_single_constraint(self):
         # block [[1,0,1],[0,1,0],[1,0,0]], rhs (0,0,1) -> x=(1,0), nu=-1
-        fact = assemble_saddle(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
+        fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
         x, nu = fact.solve(np.zeros(2), np.array([1.0]))
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(nu, [-1.0], atol=1e-14)
 
     def test_empty_constraint_equals_plain_solve(self):
-        fact = assemble_saddle(canonical_csr([[2.0]]), sp.csr_matrix((0, 1)))
+        fact = SaddleFactorization(canonical_csr([[2.0]]), sp.csr_matrix((0, 1)))
         x, nu = fact.solve(np.array([4.0]), np.zeros(0))
         np.testing.assert_allclose(x, [2.0])
         assert nu.size == 0
 
     def test_zero_s_invertible_block(self):
         # [[0,1],[1,0]] with rhs (1,2) -> x=2, nu=1
-        fact = assemble_saddle(sp.csr_matrix((1, 1)), canonical_csr([[1.0]]))
+        fact = SaddleFactorization(sp.csr_matrix((1, 1)), canonical_csr([[1.0]]))
         x, nu = fact.solve(np.array([1.0]), np.array([2.0]))
         np.testing.assert_allclose(x, [2.0], atol=1e-14)
         np.testing.assert_allclose(nu, [1.0], atol=1e-14)
@@ -93,23 +97,23 @@ class TestAssembleSaddle:
     def test_rank_deficient_constraint_rejected(self):
         B = canonical_csr([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularSaddle):
-            assemble_saddle(sp.eye(3, format="csr"), B)
+            SaddleFactorization(sp.eye(3, format="csr"), B)
 
     def test_singular_s_on_kernel_rejected(self):
         # S vanishes on ker B = span{e2}
         S = canonical_csr(np.diag([1.0, 0.0]))
         B = canonical_csr([[1.0, 0.0]])
         with pytest.raises(SingularSaddle):
-            assemble_saddle(S, B)
+            SaddleFactorization(S, B)
 
     def test_too_many_constraints_rejected(self):
         with pytest.raises(DimensionMismatch):
-            assemble_saddle(sp.eye(2, format="csr"), sp.eye(3, 2, format="csr"))
+            SaddleFactorization(sp.eye(2, format="csr"), sp.eye(3, 2, format="csr"))
 
 
 class TestSaddleSolve:
     def test_homogeneous(self):
-        fact = assemble_saddle(sp.eye(3, format="csr"), canonical_csr([[1.0, 1.0, 0.0]]))
+        fact = SaddleFactorization(sp.eye(3, format="csr"), canonical_csr([[1.0, 1.0, 0.0]]))
         x, nu = fact.solve(np.zeros(3), np.zeros(1))
         assert np.linalg.norm(x) == 0.0
         assert np.linalg.norm(nu) == 0.0
@@ -122,8 +126,8 @@ class TestSaddleSolve:
         B = rng.standard_normal((m, n))
         rhs_p = rng.standard_normal(n)
         rhs_c = rng.standard_normal(m)
-        fact = assemble_saddle(canonical_csr(S), canonical_csr(B))
-        x, nu = saddle_solve(fact, rhs_p, rhs_c)
+        fact = SaddleFactorization(canonical_csr(S), canonical_csr(B))
+        x, nu = fact.solve(rhs_p, rhs_c)
         dense = np.linalg.solve(dense_saddle(S, B), np.concatenate([rhs_p, rhs_c]))
         np.testing.assert_allclose(np.concatenate([x, nu]), dense, rtol=1e-10)
         r1 = np.linalg.norm(S @ x + B.T @ nu - rhs_p)
@@ -140,13 +144,13 @@ class TestSaddleSolve:
         S = rng.standard_normal((n, n))
         S = S @ S.T + n * np.eye(n)
         B = rng.standard_normal((m, n))
-        fact = assemble_saddle(canonical_csr(S), canonical_csr(B))
+        fact = SaddleFactorization(canonical_csr(S), canonical_csr(B))
         x, _ = fact.solve(np.zeros(n), rng.standard_normal(m))
         kernel = scipy_null_space(B)
         assert np.linalg.norm(kernel.T @ (S @ x)) <= 1e-10 * np.linalg.norm(S @ x)
 
     def test_dimension_mismatch(self):
-        fact = assemble_saddle(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
+        fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
         with pytest.raises(DimensionMismatch):
             fact.solve(np.zeros(3), np.zeros(1))
 
@@ -157,12 +161,46 @@ class TestSaddleSolve:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         S = (q * rng.uniform(0.5, 2.0, n)) @ q.T
         B = rng.standard_normal((m, n))
-        fact = assemble_saddle(canonical_csr(S), canonical_csr(B))
+        fact = SaddleFactorization(canonical_csr(S), canonical_csr(B))
         rhs_p = rng.standard_normal(n)
         rhs_c = rng.standard_normal(m)
         x, nu = fact.solve(rhs_p, rhs_c)
         dense = np.linalg.solve(dense_saddle(S, B), np.concatenate([rhs_p, rhs_c]))
         np.testing.assert_allclose(np.concatenate([x, nu]), dense, atol=1e-9, rtol=1e-9)
+
+
+class TestRefinement:
+    def ill_conditioned(self):
+        # cond(S) ~ 1e10: the direct solve leaves a residual well above round-off.
+        rng = np.random.default_rng(0)
+        n = 8
+        S = scipy.linalg.hilbert(n) + 1e-10 * np.eye(n)
+        B = rng.standard_normal((2, n))
+        fact = SaddleFactorization(canonical_csr(S), canonical_csr(B))
+        return fact, rng.standard_normal(n), rng.standard_normal(2)
+
+    def test_default_solve_checks_and_refines(self):
+        fact, rhs_p, rhs_c = self.ill_conditioned()
+        rhs = np.concatenate([rhs_p, rhs_c])
+        direct = fact._lu.solve(rhs)
+        res = rhs - fact._block @ direct
+        assert np.linalg.norm(res) > 1e-13 * np.linalg.norm(rhs)
+        refined = direct + fact._lu.solve(res)
+
+        fact._lu = CountingLU(fact._lu)
+        x, nu = fact.solve(rhs_p, rhs_c)
+        assert fact._lu.solves == 2
+        assert np.array_equal(np.concatenate([x, nu]), refined)
+
+    def test_unrefined_solve_is_the_direct_solution(self):
+        fact, rhs_p, rhs_c = self.ill_conditioned()
+        direct = fact._lu.solve(np.concatenate([rhs_p, rhs_c]))
+        fact._lu = CountingLU(fact._lu)
+        fact._block = ProductSpy(fact._block)
+        x, nu = fact.solve(rhs_p, rhs_c, refine=False)
+        assert fact._lu.solves == 1
+        assert fact._block.products == 0
+        assert np.array_equal(np.concatenate([x, nu]), direct)
 
 
 def scipy_null_space(B):
@@ -173,7 +211,7 @@ def scipy_null_space(B):
 
 class TestKernelProject:
     def setup_method(self):
-        self.fact = assemble_saddle(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
+        self.fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
 
     def test_euclidean_projection(self):
         out = kernel_project(self.fact, np.array([1.0, 1.0]))
@@ -189,7 +227,7 @@ class TestKernelProject:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         M = (q * rng.uniform(0.5, 2.0, n)) @ q.T
         B = rng.standard_normal((m, n))
-        fact = assemble_saddle(canonical_csr(M), canonical_csr(B))
+        fact = SaddleFactorization(canonical_csr(M), canonical_csr(B))
         x = rng.standard_normal(n)
         p1 = kernel_project(fact, x)
         p2 = kernel_project(fact, p1)
@@ -214,36 +252,3 @@ class TestRequireSpd:
         mat = sp.diags([-np.ones(n - 1), 2.05 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
         require_spd(mat)
 
-
-class TestMatrixMarket:
-    def test_general_round_trip(self, tmp_path):
-        path = tmp_path / "gen.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n"
-            "% comment line\n"
-            "3 3 4\n"
-            "1 1 2.0\n"
-            "2 3 -1.5\n"
-            "3 1 4.0\n"
-            "3 3 1.0\n"
-        )
-        mat = read_matrix_market(path)
-        expected = np.array([[2.0, 0, 0], [0, 0, -1.5], [4.0, 0, 1.0]])
-        np.testing.assert_array_equal(mat.toarray(), expected)
-
-    def test_symmetric_mirrors_off_diagonal(self, tmp_path):
-        path = tmp_path / "sym.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real symmetric\n"
-            "2 2 2\n"
-            "1 1 3.0\n"
-            "2 1 -1.0\n"
-        )
-        mat = read_matrix_market(path)
-        np.testing.assert_array_equal(mat.toarray(), [[3.0, -1.0], [-1.0, 0.0]])
-
-    def test_rejects_complex(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n")
-        with pytest.raises(ValueError):
-            read_matrix_market(path)
