@@ -19,6 +19,7 @@ result is projected back onto the kernel of B to kill round-off drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,11 @@ CONSISTENCY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class KrylovFlowResult:
-    """Flow endpoint together with Arnoldi diagnostics."""
+    """Flow endpoint together with Arnoldi diagnostics.
+
+    ``checks`` counts the error-estimate evaluations, one dense
+    exponential of the Hessenberg matrix each, over all substeps.
+    """
 
     state: np.ndarray
     basis_size: int
@@ -46,6 +51,7 @@ class KrylovFlowResult:
     substeps: int
     exact: bool = False
     multiplier: np.ndarray | None = None
+    checks: int = 0
 
 
 class DaeOperator:
@@ -176,31 +182,43 @@ def _next_check(r, estimate, previous, tol):
     return r + 1
 
 
-def _krylov_shot(op, x0, beta, dt, tol, r_max):
+def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     """Single Krylov approximation of exp(X dt) x0.
 
     The error estimate beta |h_{r+1,r} [exp(dt H_r)]_{r,1}| costs one
-    dense exponential, so it is evaluated only at check points: r = 1,
-    the points ``_next_check`` picks, a happy breakdown and the basis
-    cap.  Returns (state, basis_size, estimate, exact) or None when the
-    basis cap is exhausted before the error estimate meets ``tol``.
+    dense exponential, so it is evaluated only at check points: r =
+    ``first_check``, the points ``_next_check`` picks after a failed
+    check, a happy breakdown and the basis cap.  Where the first check
+    goes decides only how many exponentials and Arnoldi steps the shot
+    spends: a basis is accepted only when its full estimate meets
+    ``tol``.  Returns (checks, shot) with ``checks`` the number of
+    estimates evaluated and ``shot`` either (state, basis_size,
+    estimate, exact) or None when the basis cap is exhausted before the
+    error estimate meets ``tol``.
     """
     r_cap = min(r_max, op.n)
-    check, failed = 1, None
+    check, failed, checks = first_check, None, 0
     for V, H, r, hnext, exact in _arnoldi_steps(op, x0, beta, r_max):
         if r < check and r < r_cap and not exact:
             continue
+        checks += 1
         eHt = expm(dt * H[:r, :r])
         estimate = 0.0 if exact else beta * abs(hnext * eHt[r - 1, 0])
         if exact or estimate <= tol:
             state = beta * (V[:, :r] @ eHt[:, 0])
-            return state, r, estimate, exact
+            return checks, (state, r, estimate, exact)
         check = _next_check(r, estimate, failed, tol)
         failed = (r, estimate)
-    return None
+    return checks, None
 
 
-def _flow_recursive(op, x0, dt, tol, r_max, budget, depth):
+def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
+    """Flow over dt, halving the interval when a shot exhausts the cap.
+
+    Returns (state, basis_size, estimate, substeps, exact, checks).  Only
+    the shot over the whole interval uses ``basis_hint``: it makes its
+    first check at ``basis_hint - 1``.  The halves start cold at r = 1.
+    """
     if budget[0] <= 0:
         raise NoConvergence("flow substep limit exceeded")
     if depth > 16:
@@ -208,15 +226,17 @@ def _flow_recursive(op, x0, dt, tol, r_max, budget, depth):
     beta = np.linalg.norm(x0)
     if beta == 0.0:
         budget[0] -= 1
-        return x0.copy(), 0, 0.0, 1, True
-    shot = _krylov_shot(op, x0, beta, dt, tol, r_max)
+        return x0.copy(), 0, 0.0, 1, True, 0
+    first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
+    checks, shot = _krylov_shot(op, x0, beta, dt, tol, r_max, first_check)
     if shot is not None:
         state, r, estimate, exact = shot
         budget[0] -= 1
-        return state, r, estimate, 1, exact
-    xa, ra, ea, sa, exa = _flow_recursive(op, x0, dt / 2, tol / 2, r_max, budget, depth + 1)
-    xb, rb, eb, sb, exb = _flow_recursive(op, xa, dt / 2, tol / 2, r_max, budget, depth + 1)
-    return xb, max(ra, rb), ea + eb, sa + sb, exa and exb
+        return state, r, estimate, 1, exact, checks
+    half = (dt / 2, tol / 2, r_max, budget, depth + 1)
+    xa, ra, ea, sa, exa, ca = _flow_recursive(op, x0, *half)
+    xb, rb, eb, sb, exb, cb = _flow_recursive(op, xa, *half)
+    return xb, max(ra, rb), ea + eb, sa + sb, exa and exb, checks + ca + cb
 
 
 def flow(
@@ -227,6 +247,7 @@ def flow(
     r_max: int = DEFAULT_BASIS_CAP,
     substep_limit: int = DEFAULT_SUBSTEP_LIMIT,
     recover_multiplier: bool = False,
+    basis_hint: int | None = None,
 ) -> KrylovFlowResult:
     """Approximate exp(X t) x0 for the homogeneous constrained system.
 
@@ -234,12 +255,22 @@ def flow(
     the error estimate of the returned result is below ``tol`` (the
     estimate carries the norm of x0 as a factor).  The endpoint is
     projected onto the kernel of B.
+
+    ``basis_hint``, a positive integer such as the basis a similar flow
+    accepted, moves the first error check of the shot over the whole
+    interval to ``min(basis_hint - 1, cap)`` instead of 1; ``None``
+    starts the check schedule cold.  Acceptance is unchanged, so a wrong
+    hint costs Arnoldi steps or exponentials but never accuracy.
     """
     x0 = as_vector(x0, op.n, "x0")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not tol > 0:
         raise ValueError("flow tolerance must be positive")
+    if basis_hint is not None and (
+        not isinstance(basis_hint, numbers.Integral) or basis_hint < 1
+    ):
+        raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
     norm0 = np.linalg.norm(x0)
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * max(norm0, 1e-300):
@@ -251,9 +282,9 @@ def flow(
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0, True, mult)
 
     budget = [substep_limit]
-    state, basis, estimate, substeps, exact = _flow_recursive(
-        op, x0, t, tol, r_max, budget, 0
+    state, basis, estimate, substeps, exact, checks = _flow_recursive(
+        op, x0, t, tol, r_max, budget, 0, basis_hint
     )
     state = op.project(state)
     mult = op.multiplier_at(state) if recover_multiplier else None
-    return KrylovFlowResult(state, basis, estimate, substeps, exact, mult)
+    return KrylovFlowResult(state, basis, estimate, substeps, exact, mult, checks)

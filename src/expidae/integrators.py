@@ -151,12 +151,22 @@ class ConstrainedSystem:
 
 @dataclass
 class StepState:
-    """Approximation at one time level, with reusable constraint lifts."""
+    """Approximation at one time level, with what the next step can reuse.
+
+    ``lift_g`` and ``lift_gdot`` are the constraint lifts at ``t``.
+    ``flow_bases`` holds the accepted Krylov basis size of each flow of
+    the step that produced this state, in call order, with 0 for a flow
+    that halved its interval; the next step starts the error checks of
+    its flow in the same slot there (see ``flow``'s ``basis_hint``).
+    It is empty for an initial state, whose step runs the cold check
+    schedule.
+    """
 
     t: float
     u: np.ndarray
     lift_g: np.ndarray | None = None
     lift_gdot: np.ndarray | None = None
+    flow_bases: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -192,10 +202,12 @@ class Diagnostics:
     repairs: int = 0
     rhs_evaluations: int = 0
     flow_substeps: int = 0
+    flow_checks: int = 0
     max_basis_size: int = 0
 
     def record_flow(self, result):
         self.flow_substeps += result.substeps
+        self.flow_checks += result.checks
         self.max_basis_size = max(self.max_basis_size, result.basis_size)
 
 
@@ -221,7 +233,14 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
     return w
 
 
-def _run_flow(sys, z0, tau, config, diag):
+def _run_flow(sys, z0, tau, config, diag, state, slot):
+    """Flow z0 over tau, warm-started from flow ``slot`` of the step that made ``state``.
+
+    Returns the endpoint and the basis size to record in that slot of the
+    next state's ``flow_bases``: the accepted one, or 0 if the flow halved.
+    """
+    bases = state.flow_bases
+    hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
     result = krylov_flow(
         sys.flow_op,
         z0,
@@ -229,10 +248,11 @@ def _run_flow(sys, z0, tau, config, diag):
         tol=config.flow_tol,
         r_max=config.basis_cap,
         substep_limit=config.substep_limit,
+        basis_hint=hint,
     )
     if diag is not None:
         diag.record_flow(result)
-    return result.state
+    return result.state, result.basis_size if result.substeps == 1 else 0
 
 
 def _lift_g(sys, state, t):
@@ -281,10 +301,10 @@ def exponential_euler_step(
     if diag is not None:
         diag.rhs_evaluations += 1
     w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_end = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag)
+    z_end, basis = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag, state, 0)
     u1 = lift_g1 + z_end + w
     u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1)
+    return StepState(t1, u1, lift_g=lift_g1, flow_bases=(basis,))
 
 
 def second_order_step(
@@ -303,7 +323,7 @@ def second_order_step(
 
     f0 = sys.load(t0, state.u)
     w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_end = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag)
+    z_end, basis0 = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag, state, 0)
     u_euler = lift_g1 + z_end + w
 
     f1 = sys.load(t1, u_euler)
@@ -311,10 +331,10 @@ def second_order_step(
         diag.rhs_evaluations += 2
     w_prime = kernel_solve(sys, f1 - sys.mass @ lift_gd1 - f0 + sys.mass @ lift_gd0)
     w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    z2_end = _run_flow(sys, w_second, tau, config, diag)
+    z2_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
     u1 = u_euler + z2_end - w_second + w_prime
     u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1)
+    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1, flow_bases=(basis0, basis1))
 
 
 def second_order_family_step(
@@ -343,7 +363,7 @@ def second_order_family_step(
 
     f0 = sys.load(t0, state.u)
     w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_stage = _run_flow(sys, state.u - lift_g0 - w, c2 * tau, config, diag)
+    z_stage, basis0 = _run_flow(sys, state.u - lift_g0 - w, c2 * tau, config, diag, state, 0)
     u_stage = z_stage + w + lift_g_stage
 
     f_stage = sys.load(t_stage, u_stage)
@@ -353,10 +373,11 @@ def second_order_family_step(
         sys, (f_stage - f0 - sys.mass @ (lift_gd_stage - lift_gd0)) / c2
     )
     w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    z_end = _run_flow(sys, state.u - lift_g0 - w + w_second, tau, config, diag)
+    z0 = state.u - lift_g0 - w + w_second
+    z_end, basis1 = _run_flow(sys, z0, tau, config, diag, state, 1)
     u1 = z_end + w + w_prime - w_second + lift_g1
     u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1)
+    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1, flow_bases=(basis0, basis1))
 
 
 def alt_euler_step(
@@ -387,13 +408,13 @@ def alt_euler_step(
     defect = sys.flow_op.constraint_defect(z0)
     if defect > 1e-12 * (1.0 + np.linalg.norm(z0)):
         z0 = sys.flow_op.project(z0)
-    z_end = _run_flow(sys, z0, tau, config, diag)
+    z_end, basis = _run_flow(sys, z0, tau, config, diag, state, 0)
     u1 = z_end + w_bar
     if diag is not None:
         res = sys.constraint_residual(t1, u1)
         diag.constraint_residuals.append(res)
         diag.max_constraint_residual = max(diag.max_constraint_residual, res)
-    return StepState(t1, u1)
+    return StepState(t1, u1, flow_bases=(basis,))
 
 
 def _step_function(config: SchemeConfig):

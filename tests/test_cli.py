@@ -52,6 +52,8 @@ class TestSolve:
         assert diag.max_basis_size > 0
         assert f" repairs={diag.repairs} " in summary
         assert f" max_basis={diag.max_basis_size} " in summary
+        assert diag.flow_checks > 0
+        assert f" checks={diag.flow_checks} " in summary
 
     def test_mesh_flag_fraction(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -3,9 +3,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ProductSpy, kernel_reduction_flow, make_operator, random_constrained
-from expidae.errors import InconsistentState, NoConvergence, ZeroInitialVector
+from expidae.errors import ExpidaeError, InconsistentState, NoConvergence, ZeroInitialVector
 from expidae.flow import DaeOperator, arnoldi, flow
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
@@ -281,3 +283,65 @@ class TestCheckSchedule:
         first_shot = dims[: dims.index(1, 1)]
         assert first_shot[-1] == 20
         assert len(first_shot) < 20
+
+
+def _random_flow_problem(n, m, seed):
+    rng = np.random.default_rng(seed)
+    M, A, B = random_constrained(rng, n, m, symmetric=bool(seed % 2))
+    op = make_operator(M, A, B)
+    return op, op.project(rng.standard_normal(n))
+
+
+class TestBasisHint:
+    """A hint moves the first error check of a flow, never its acceptance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(8, 40),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.integers(10, 40),
+        st.data(),
+    )
+    def test_any_hint_meets_tol_and_matches_the_cold_flow(self, n, m, seed, r_max, data):
+        op, x0 = _random_flow_problem(n, m, seed)
+        hint = data.draw(st.integers(1, r_max + 5), label="basis_hint")
+        tol = 1e-10
+        cold = flow(op, x0, 1.0, tol=tol, r_max=r_max)
+        warm = flow(op, x0, 1.0, tol=tol, r_max=r_max, basis_hint=hint)
+        assert warm.residual_estimate <= tol
+        assert np.linalg.norm(warm.state - cold.state) <= 1e-8 * np.linalg.norm(cold.state)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(8, 40), st.integers(0, 3), st.integers(0, 10_000), st.integers(10, 40),
+           st.integers(1, 100))
+    def test_hint_above_the_cap_clamps_to_the_cap(self, n, m, seed, r_max, excess):
+        op, x0 = _random_flow_problem(n, m, seed)
+        r_cap = min(r_max, n)
+        with pytest.MonkeyPatch.context() as mp:
+            dims = _count_expm(mp)
+            above = flow(op, x0, 1.0, r_max=r_max, basis_hint=r_cap + excess)
+            checks_above = list(dims)
+            del dims[:]
+            # Hint r_cap + 1 puts the first check exactly at the cap.
+            at_cap = flow(op, x0, 1.0, r_max=r_max, basis_hint=r_cap + 1)
+        assert checks_above == dims
+        assert checks_above[0] <= r_cap
+        assert above.checks == len(checks_above)
+        np.testing.assert_array_equal(above.state, at_cap.state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(max_value=0),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=3),
+            st.just(3.0),
+        )
+    )
+    def test_invalid_hint_is_a_configuration_error(self, hint):
+        op = make_operator(np.eye(3), np.eye(3), np.zeros((0, 3)))
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError) as info:
+            flow(op, np.ones(3), 1.0, basis_hint=hint)
+        assert not isinstance(info.value, ExpidaeError)

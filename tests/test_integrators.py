@@ -323,6 +323,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             SchemeConfig(theta=1.5)
 
+    def test_repeated_calls_are_bit_identical_and_start_cold(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=64)
+        cold_step, _, _ = _flows_of_run(monkeypatch, prob, 1, cold=True)
+        first_flows, first, _ = _flows_of_run(monkeypatch, prob, 10)
+        second_flows, second, _ = _flows_of_run(monkeypatch, prob, 10)
+        # Basis hints travel on the step states only: each call starts cold.
+        assert first_flows[:2] == second_flows[:2] == cold_step
+        assert first_flows == second_flows
+        assert len(first) == len(second) == 11
+        for a, b in zip(first, second):
+            assert a.t == b.t
+            assert np.array_equal(a.u, b.u)
+
 
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path):
@@ -405,6 +418,60 @@ class TestSolveCounts:
         assert counts["saddle solves"] == len(arnoldi_lu_solves) + 2 + 3 + 2
         assert len(arnoldi_lu_solves) > 0
         assert set(arnoldi_lu_solves) == {1}
+
+    def test_warm_started_flows_of_nonsym_check_at_most_twice(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=64)
+        warm, _, diag = _flows_of_run(monkeypatch, prob, 20)
+        cold, _, _ = _flows_of_run(monkeypatch, prob, 20, cold=True)
+        assert len(warm) == len(cold) == 40
+        # From step 2 on every flow has a hint from the step before.
+        assert max(expms for expms, _ in warm[2:]) <= 2
+        assert sum(steps for _, steps in warm) <= sum(steps for _, steps in cold) + len(warm)
+        assert diag.flow_checks == sum(expms for expms, _ in warm)
+
+    def test_warm_start_costs_dynbc_no_arnoldi_steps(self, monkeypatch):
+        prob = build_problem("dynbc", n_cells=32)
+        warm, _, diag = _flows_of_run(monkeypatch, prob, 20)
+        cold, _, _ = _flows_of_run(monkeypatch, prob, 20, cold=True)
+        assert sum(steps for _, steps in warm) == sum(steps for _, steps in cold)
+        assert sum(expms for expms, _ in warm) < sum(expms for expms, _ in cold)
+        assert diag.flow_checks == sum(expms for expms, _ in warm)
+
+
+def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
+    """Second-order ``integrate`` from 0 over ``nsteps`` steps of ``tau``.
+
+    Returns (flows, trajectory, diagnostics), where ``flows`` holds the
+    (expm calls, Arnoldi steps) of each flow.  ``cold=True`` drops the
+    basis hints, which runs the cold check schedule.
+    """
+    flow_mod = sys.modules["expidae.flow"]
+    integ_mod = sys.modules["expidae.integrators"]
+    totals = Counter()
+    flows = []
+    expm, apply, krylov_flow = flow_mod.expm, DaeOperator.apply, integ_mod.krylov_flow
+
+    def counted_expm(a):
+        totals["expm"] += 1
+        return expm(a)
+
+    def counted_apply(self, x0):
+        totals["arnoldi"] += 1
+        return apply(self, x0)
+
+    def counted_flow(*args, basis_hint=None, **kwargs):
+        before = totals.copy()
+        result = krylov_flow(*args, basis_hint=None if cold else basis_hint, **kwargs)
+        flows.append((totals["expm"] - before["expm"], totals["arnoldi"] - before["arnoldi"]))
+        return result
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flow_mod, "expm", counted_expm)
+        mp.setattr(DaeOperator, "apply", counted_apply)
+        mp.setattr(integ_mod, "krylov_flow", counted_flow)
+        config = SchemeConfig(scheme="second-order")
+        traj, diag = integrate(prob.system, config, prob.u0, 0.0, nsteps * tau, tau)
+    return flows, traj, diag
 
 
 def random_system(rng, n, m, forcing=None, g=None, gdot=None):
