@@ -11,7 +11,7 @@ with consistent initial value has solution z(t) = exp(X t) z0 for a
 
 exp(X t) z0 is approximated in the Krylov subspace built by the Arnoldi
 iteration, using the dense exponential of the small Hessenberg matrix.
-If the basis cap is reached before the generalized-residual estimate
+If the basis cap is reached before Saad's a-posteriori error estimate
 meets the tolerance, the interval is halved recursively.  The accepted
 result is projected back onto the kernel of B to kill round-off drift.
 """
@@ -41,8 +41,9 @@ CONSISTENCY_RTOL = 1e-8
 class KrylovFlowResult:
     """Flow endpoint together with Arnoldi diagnostics.
 
-    ``checks`` counts the error-estimate evaluations, one dense
-    exponential of the Hessenberg matrix each, over all substeps.
+    ``checks`` counts the error-estimate evaluations over all substeps,
+    each one dense exponential of the Hessenberg matrix bordered to
+    (r+1) x (r+1).
     """
 
     state: np.ndarray
@@ -185,8 +186,12 @@ def _next_check(r, estimate, previous, tol):
 def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     """Single Krylov approximation of exp(X dt) x0.
 
-    The error estimate beta |h_{r+1,r} [exp(dt H_r)]_{r,1}| costs one
-    dense exponential, so it is evaluated only at check points: r =
+    Each check is one dense exponential of the bordered matrix
+    [[dt H_r, e_1], [0, 0]], whose first column holds exp(dt H_r) e_1
+    (the state) and whose last holds phi_1(dt H_r) e_1.  The latter
+    gives Saad's first-term estimate of the absolute endpoint error,
+    beta dt |h_{r+1,r} [phi_1(dt H_r)]_{r,1}| (SIAM J. Numer. Anal. 29,
+    1992).  Checks are made only at check points: r =
     ``first_check``, the points ``_next_check`` picks after a failed
     check, a happy breakdown and the basis cap.  Where the first check
     goes decides only how many exponentials and Arnoldi steps the shot
@@ -202,10 +207,13 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
         if r < check and r < r_cap and not exact:
             continue
         checks += 1
-        eHt = expm(dt * H[:r, :r])
-        estimate = 0.0 if exact else beta * abs(hnext * eHt[r - 1, 0])
+        bordered = np.zeros((r + 1, r + 1))
+        bordered[:r, :r] = dt * H[:r, :r]
+        bordered[0, r] = 1.0
+        E = expm(bordered)  # [[exp(dt H_r), phi_1(dt H_r) e_1], [0, 1]]
+        estimate = 0.0 if exact else beta * dt * abs(hnext * E[r - 1, r])
         if exact or estimate <= tol:
-            state = beta * (V[:, :r] @ eHt[:, 0])
+            state = beta * (V[:, :r] @ E[:r, 0])
             return checks, (state, r, estimate, exact)
         check = _next_check(r, estimate, failed, tol)
         failed = (r, estimate)
@@ -252,8 +260,9 @@ def flow(
     """Approximate exp(X t) x0 for the homogeneous constrained system.
 
     ``x0`` must satisfy the constraint (relative defect below 1e-8);
-    the error estimate of the returned result is below ``tol`` (the
-    estimate carries the norm of x0 as a factor).  The endpoint is
+    ``tol`` bounds the estimated absolute error of the endpoint, summed
+    over the substeps (the estimate carries the norm of x0 as a factor).
+    ``r_max`` and ``substep_limit`` must be at least 1.  The endpoint is
     projected onto the kernel of B.
 
     ``basis_hint``, a positive integer such as the basis a similar flow
@@ -267,6 +276,8 @@ def flow(
         raise ValueError("flow time must be nonnegative")
     if not tol > 0:
         raise ValueError("flow tolerance must be positive")
+    if r_max < 1 or substep_limit < 1:
+        raise ValueError("flow needs r_max >= 1 and substep_limit >= 1")
     if basis_hint is not None and (
         not isinstance(basis_hint, numbers.Integral) or basis_hint < 1
     ):

@@ -190,6 +190,8 @@ class SchemeConfig:
             raise ValueError("theta must lie in [0, 1]")
         if self.flow_tol <= 0.0 or self.consistency_tol <= 0.0:
             raise ValueError("tolerances must be positive")
+        if self.basis_cap < 1 or self.substep_limit < 1:
+            raise ValueError("basis_cap and substep_limit must be at least 1")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ProductSpy, kernel_reduction_flow, make_operator, random_constrained
 from expidae.errors import ExpidaeError, InconsistentState, NoConvergence, ZeroInitialVector
-from expidae.flow import DaeOperator, arnoldi, flow
+from expidae.flow import DEFAULT_TOL, DaeOperator, arnoldi, flow
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
@@ -234,15 +234,58 @@ class TestFlow:
         with pytest.raises(ValueError):
             flow(op, np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("limits", [{"r_max": 0}, {"r_max": -3}, {"substep_limit": 0}])
+    def test_basis_cap_and_substep_limit_below_one_are_configuration_errors(self, limits):
+        op = make_operator(np.eye(3), np.eye(3), np.zeros((0, 3)))
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError) as info:
+            flow(op, np.ones(3), 1.0, **limits)
+        assert not isinstance(info.value, ExpidaeError)
+
+    @pytest.mark.parametrize("n_cells", [32, 64])
+    @pytest.mark.parametrize("t", [0.01, 0.05])
+    def test_stiff_nonsym_flow_is_not_accepted_at_one_vector(self, n_cells, t):
+        # On these stiff shots the one-vector endpoint is about 0 while the
+        # exact flow is O(1): an estimate that underflows there accepts it.
+        op = build_problem("nonsym", n_cells=n_cells).system.flow_op
+        M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
+        x0 = op.project(np.random.default_rng(0).standard_normal(op.n))
+        result = flow(op, x0, t)
+        exact = kernel_reduction_flow(M, A, B, x0, t)
+        assert np.linalg.norm(result.state - exact) <= 10 * DEFAULT_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(8, 40),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.floats(0.0, 4.0),
+        st.sampled_from([1e-3, 1e-2, 1.0]),
+    )
+    def test_endpoint_error_is_within_ten_tol(self, n, m, seed, log_scale, t):
+        rng = np.random.default_rng(seed)
+        M, A, B = random_constrained(rng, n, m, symmetric=bool(seed % 2))
+        A = 10.0**log_scale * A
+        op = make_operator(M, A, B)
+        x0 = op.project(rng.standard_normal(n))
+        tol = 1e-10
+        result = flow(op, x0, t, tol=tol)
+        exact = kernel_reduction_flow(M, A, B, x0, t)
+        assert np.linalg.norm(result.state - exact) <= 10 * tol
+
 
 def _count_expm(monkeypatch):
-    """Record the dimension of every expm call the flow module makes."""
+    """Record the basis size of every error check the flow module makes.
+
+    Each check takes the exponential of the Hessenberg matrix bordered
+    by one row and column, so the basis size is one below its dimension.
+    """
     flow_mod = sys.modules["expidae.flow"]
     dims = []
     original = flow_mod.expm
 
     def counted(a):
-        dims.append(a.shape[0])
+        dims.append(a.shape[0] - 1)
         return original(a)
 
     monkeypatch.setattr(flow_mod, "expm", counted)

@@ -323,6 +323,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             SchemeConfig(theta=1.5)
 
+    @pytest.mark.parametrize("field", ["basis_cap", "substep_limit"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_basis_cap_and_substep_limit_below_one_rejected(self, field, value):
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError) as info:
+            SchemeConfig(**{field: value})
+        assert not isinstance(info.value, ExpidaeError)
+
     def test_repeated_calls_are_bit_identical_and_start_cold(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=64)
         cold_step, _, _ = _flows_of_run(monkeypatch, prob, 1, cold=True)
@@ -428,6 +436,18 @@ class TestSolveCounts:
         assert max(expms for expms, _ in warm[2:]) <= 2
         assert sum(steps for _, steps in warm) <= sum(steps for _, steps in cold) + len(warm)
         assert diag.flow_checks == sum(expms for expms, _ in warm)
+
+    def test_first_flow_of_nonsym_accepts_at_most_25_vectors(self):
+        prob = build_problem("nonsym", n_cells=64)
+        result = flow(prob.system.flow_op, prob.u0, 1 / 2560)
+        assert result.substeps == 1
+        assert result.basis_size <= 25
+
+    @pytest.mark.parametrize("name, n_cells, max_steps", [("nonsym", 64, 650), ("dynbc", 32, 200)])
+    def test_arnoldi_steps_of_20_second_order_steps(self, monkeypatch, name, n_cells, max_steps):
+        flows, _, _ = _flows_of_run(monkeypatch, build_problem(name, n_cells=n_cells), 20)
+        assert len(flows) == 40
+        assert sum(steps for _, steps in flows) <= max_steps
 
     def test_warm_start_costs_dynbc_no_arnoldi_steps(self, monkeypatch):
         prob = build_problem("dynbc", n_cells=32)
