@@ -10,7 +10,6 @@ from .errors import (
     NonFinite,
     OrderTooHigh,
     SelfCheckFailed,
-    SingularMatrix,
     SingularSaddle,
     ZeroInitialVector,
 )

@@ -21,10 +21,6 @@ class OrderTooHigh(ExpidaeError):
     """Requested phi-function order exceeds the supported range."""
 
 
-class SingularMatrix(ExpidaeError):
-    """Matrix inversion required by the phi recursion failed."""
-
-
 class ZeroInitialVector(ExpidaeError):
     """Arnoldi iteration started from the zero vector."""
 

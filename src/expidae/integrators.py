@@ -12,12 +12,13 @@ problem, evaluated by the Krylov flow:
 
     u_{n+1} = lift(g_{n+1}) + exp(X tau)(u_n - lift(g_n) - w_n) + w_n.
 
-The second-order scheme appends two more kernel solves (w', w'') and a
-second flow started from w''; the one-parameter variant replaces the
-embedded Euler predictor by an internal stage at t_n + c2 tau.  The
-alternative first-order scheme solves a single stationary problem with
-a theta-blend of g_n and g_{n+1} on the constraint row and flows the
-(projected) remainder.
+The second-order schemes form a one-parameter family: an internal
+stage at t_n + c2 tau, two more kernel solves (w', w'') and a second
+flow.  The second-order scheme is its member c2 = 1, whose stage is
+the Euler predictor at t_{n+1} and whose second flow starts from w''
+alone; both run through one routine.  The alternative first-order
+scheme solves a single stationary problem with a theta-blend of g_n and
+g_{n+1} on the constraint row and flows the (projected) remainder.
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -212,6 +213,10 @@ class Diagnostics:
         self.flow_checks += result.checks
         self.max_basis_size = max(self.max_basis_size, result.basis_size)
 
+    def record_residual(self, res):
+        self.constraint_residuals.append(res)
+        self.max_constraint_residual = max(self.max_constraint_residual, res)
+
 
 def lift_constraint(sys: ConstrainedSystem, rhs_g) -> np.ndarray:
     """A-orthogonal lift of constraint data into the state space.
@@ -281,8 +286,7 @@ def _finish_step(sys, t1, u1, lift_g1, config, diag):
             diag.repairs += 1
         res = sys.constraint_residual(t1, u1)
     if diag is not None:
-        diag.constraint_residuals.append(res)
-        diag.max_constraint_residual = max(diag.max_constraint_residual, res)
+        diag.record_residual(res)
     return u1
 
 
@@ -316,27 +320,8 @@ def second_order_step(
     config: SchemeConfig = SchemeConfig(),
     diag: Diagnostics | None = None,
 ) -> StepState:
-    """One step of the second-order scheme (Euler predictor + phi_2 correction)."""
-    t0, t1 = state.t, state.t + tau
-    lift_g0 = _lift_g(sys, state, t0)
-    lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g1 = lift_constraint(sys, sys.g(t1))
-    lift_gd1 = lift_constraint(sys, sys.gdot(t1))
-
-    f0 = sys.load(t0, state.u)
-    w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_end, basis0 = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag, state, 0)
-    u_euler = lift_g1 + z_end + w
-
-    f1 = sys.load(t1, u_euler)
-    if diag is not None:
-        diag.rhs_evaluations += 2
-    w_prime = kernel_solve(sys, f1 - sys.mass @ lift_gd1 - f0 + sys.mass @ lift_gd0)
-    w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    z2_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
-    u1 = u_euler + z2_end - w_second + w_prime
-    u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1, flow_bases=(basis0, basis1))
+    """One step of the second-order scheme: the family member with c2 = 1."""
+    return second_order_family_step(sys, state, tau, 1.0, config, diag)
 
 
 def second_order_family_step(
@@ -349,35 +334,51 @@ def second_order_family_step(
 ) -> StepState:
     """One step of the one-parameter second-order family (stage at t_n + c2 tau).
 
-    For c2 = 1 the trajectory coincides with :func:`second_order_step`
-    up to the flow tolerance.
+    The stage u_s is an exponential Euler step of length c2 tau from
+    z0 = u_n - lift(g_n) - w; with w' the kernel solve of the load
+    difference over c2 and w'' the kernel solve of M w' / tau,
+
+        u_{n+1} = lift(g_{n+1}) + exp(X tau)(z0 + w'') + w + w' - w''.
+
+    When the stage is the endpoint (c2 = 1, the second-order scheme) the
+    stage lifts are those at t_{n+1}, and by linearity only w'' is
+    flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
     """
     if c2 <= 0.0:
         raise ValueError("c2 must be positive")
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
+    stage_at_end = t_stage == t1
     lift_g0 = _lift_g(sys, state, t0)
     lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g_stage = lift_constraint(sys, sys.g(t_stage))
-    lift_gd_stage = lift_constraint(sys, sys.gdot(t_stage))
     lift_g1 = lift_constraint(sys, sys.g(t1))
     lift_gd1 = lift_constraint(sys, sys.gdot(t1))
+    if stage_at_end:
+        lift_g_stage, lift_gd_stage = lift_g1, lift_gd1
+    else:
+        lift_g_stage = lift_constraint(sys, sys.g(t_stage))
+        lift_gd_stage = lift_constraint(sys, sys.gdot(t_stage))
 
     f0 = sys.load(t0, state.u)
     w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_stage, basis0 = _run_flow(sys, state.u - lift_g0 - w, c2 * tau, config, diag, state, 0)
-    u_stage = z_stage + w + lift_g_stage
+    z0 = state.u - lift_g0 - w
+    z_stage, basis0 = _run_flow(sys, z0, c2 * tau, config, diag, state, 0)
+    u_stage = lift_g_stage + z_stage + w
 
     f_stage = sys.load(t_stage, u_stage)
     if diag is not None:
         diag.rhs_evaluations += 2
     w_prime = kernel_solve(
-        sys, (f_stage - f0 - sys.mass @ (lift_gd_stage - lift_gd0)) / c2
+        sys, (f_stage - sys.mass @ lift_gd_stage - f0 + sys.mass @ lift_gd0) / c2
     )
     w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    z0 = state.u - lift_g0 - w + w_second
-    z_end, basis1 = _run_flow(sys, z0, tau, config, diag, state, 1)
-    u1 = z_end + w + w_prime - w_second + lift_g1
+    if stage_at_end:
+        z_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
+        u1 = u_stage + z_end
+    else:
+        z_end, basis1 = _run_flow(sys, z0 + w_second, tau, config, diag, state, 1)
+        u1 = lift_g1 + z_end + w
+    u1 = u1 - w_second + w_prime
     u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
     return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1, flow_bases=(basis0, basis1))
 
@@ -413,9 +414,7 @@ def alt_euler_step(
     z_end, basis = _run_flow(sys, z0, tau, config, diag, state, 0)
     u1 = z_end + w_bar
     if diag is not None:
-        res = sys.constraint_residual(t1, u1)
-        diag.constraint_residuals.append(res)
-        diag.max_constraint_residual = max(diag.max_constraint_residual, res)
+        diag.record_residual(sys.constraint_residual(t1, u1))
     return StepState(t1, u1, flow_bases=(basis,))
 
 

@@ -62,8 +62,8 @@ class SaddleFactorization:
     The factorization is computed once (fill-reducing column ordering,
     partial pivoting) and reused for every solve; it is read-only after
     construction, so concurrent solves against one factorization are
-    fine.  The object keeps references to S and B so residuals and
-    projections can be formed without re-assembly.
+    fine.  The object keeps references to S and B so projections can
+    be formed without re-assembly.
 
     By default a solve forms its residual and makes one step of
     iterative refinement when that residual is not already at
@@ -136,14 +136,6 @@ class SaddleFactorization:
         if rhs_scale > 0 and np.linalg.norm(res) > 1e-13 * rhs_scale:
             sol = sol + self._lu.solve(res)
         return sol[: self.n], sol[self.n :]
-
-    def residual(self, x, mult, rhs_primal, rhs_constraint) -> tuple[float, float]:
-        """Euclidean residual norms of the two block rows."""
-        r1 = self.S @ x - rhs_primal
-        if self.m:
-            r1 = r1 + self.B.T @ mult
-        r2 = self.B @ x - rhs_constraint if self.m else np.zeros(0)
-        return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
 
 
 def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:

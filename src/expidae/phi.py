@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonFinite, OrderTooHigh, SingularMatrix
+from .errors import DimensionMismatch, NonFinite, OrderTooHigh
 
 __all__ = ["expm", "phi", "polyrhs_solution"]
 
@@ -39,77 +39,38 @@ def expm(a) -> np.ndarray:
     return result
 
 
-def _phi_scalar_series(order: int, z: float) -> float:
-    total = 0.0
-    term = 1.0 / math.factorial(order)
-    for j in range(25):
-        total += term
-        term *= z / (j + order + 1)
-        if abs(term) < 1e-20 * max(abs(total), 1.0):
-            break
-    return total
-
-
-def _phi_augmented(order: int, z: np.ndarray) -> np.ndarray:
-    # Exponential of the block companion embedding: the (0, order) block
-    # of expm([[Z, I, 0...], [0, 0, I...], ...]) equals phi_order(Z).
-    n = z.shape[0]
-    dim = n * (order + 1)
-    w = np.zeros((dim, dim))
-    w[:n, :n] = z
-    for i in range(order):
-        w[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
-    return expm(w)[:n, order * n : (order + 1) * n]
-
-
-def _phi_recursion(order: int, z: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(z) > 1e12:
-        raise SingularMatrix("phi recursion requires an invertible argument")
-    n = z.shape[0]
-    eye = np.eye(n)
-    p = expm(z)
-    for k in range(order):
-        p = np.linalg.solve(z, p - eye / math.factorial(k))
-    return p
-
-
 def phi(order: int, z):
     """Evaluate phi_order at a scalar or square matrix argument.
 
-    Orders 0..4 are supported.  Small arguments are routed through a
-    cancellation-free path (scalar series below 1e-4, block companion
-    embedding below norm 0.5); larger ones use the recursion from the
-    exponential.
+    Orders 0..4 are supported.  Every finite argument, singular or not,
+    takes one path: phi_order(Z) is the top-right n x n block of the
+    exponential of the block companion matrix
+
+        [[Z, I, 0, ..., 0], [0, 0, I, ..., 0], ..., [0, ..., 0, 0]]
+
+    with ``order`` identity blocks (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 2011, Thm 2.1), which has no cancellation at small Z.
+    Z = 0 returns I / order! exactly.  A scalar argument returns a float.
     """
     if not 0 <= order <= MAX_PHI_ORDER:
         raise OrderTooHigh(f"phi order must be in 0..{MAX_PHI_ORDER}, got {order}")
-
-    if np.isscalar(z) or np.ndim(z) == 0:
-        zval = float(z)
-        if not np.isfinite(zval):
-            raise NonFinite("phi argument is non-finite")
-        if order == 0:
-            return math.exp(zval)
-        if abs(zval) < 1e-4:
-            return _phi_scalar_series(order, zval)
-        mat = np.array([[zval]])
-        if abs(zval) < 0.5:
-            return float(_phi_augmented(order, mat)[0, 0])
-        return float(_phi_recursion(order, mat)[0, 0])
-
-    mat = np.asarray(z, dtype=np.float64)
+    scalar = np.ndim(z) == 0
+    mat = np.array([[z]] if scalar else z, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"phi needs a scalar or square matrix, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise NonFinite("phi argument has non-finite entries")
-    if order == 0:
-        return expm(mat)
-    norm = np.linalg.norm(mat, 2)
-    if norm == 0.0:
-        return np.eye(mat.shape[0]) / math.factorial(order)
-    if norm < 0.5:
-        return _phi_augmented(order, mat)
-    return _phi_recursion(order, mat)
+    n = mat.shape[0]
+    if not mat.any():
+        out = np.eye(n) / math.factorial(order)
+    else:
+        dim = n * (order + 1)
+        w = np.zeros((dim, dim))
+        w[:n, :n] = mat
+        for i in range(order):
+            w[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
+        out = expm(w)[:n, order * n :]
+    return float(out[0, 0]) if scalar else out
 
 
 def polyrhs_solution(a, u0, forcing, t: float) -> np.ndarray:

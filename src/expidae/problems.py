@@ -41,7 +41,6 @@ __all__ = [
     "build_toy",
     "PROBLEMS",
     "build_problem",
-    "default_config",
     "parse_config_file",
 ]
 
@@ -339,12 +338,6 @@ PROBLEMS = {
     "nonsym": (NonSymConfig, build_nonsym),
     "toy": (ToyConfig, build_toy),
 }
-
-
-def default_config(name: str):
-    if name not in PROBLEMS:
-        raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEMS)}")
-    return PROBLEMS[name][0]()
 
 
 def build_problem(name: str, **overrides) -> Problem:

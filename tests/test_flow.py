@@ -28,12 +28,10 @@ class TestApply:
         np.testing.assert_allclose(op.apply(x0), -A @ x0, rtol=1e-12, atol=1e-14)
 
     def test_hand_solved_3x3(self):
-        # M = I, A = I, B = [1 1], x0 = (1, -1): y = (-1, 1), mu = 0
+        # M = I, A = I, B = [1 1], x0 = (1, -1): y = (-1, 1)
         op = make_operator(np.eye(2), np.eye(2), np.array([[1.0, 1.0]]))
         y = op.apply(np.array([1.0, -1.0]))
         np.testing.assert_allclose(y, [-1.0, 1.0], atol=1e-14)
-        mu = op.multiplier_at(np.array([1.0, -1.0]))
-        np.testing.assert_allclose(mu, [0.0], atol=1e-14)
 
     def test_result_in_kernel(self):
         rng = np.random.default_rng(2)
@@ -217,17 +215,6 @@ class TestFlow:
         raw, *_ = _flow_recursive(op, x0, 1.0, 1e-10, 60, [30], 0)
         drift = np.linalg.norm(B @ raw) / np.linalg.norm(raw)
         assert drift <= 1e-7
-
-    def test_multiplier_recovery(self):
-        rng = np.random.default_rng(12)
-        M, A, B = random_constrained(rng, 20, 2)
-        op = make_operator(M, A, B)
-        x0 = op.project(rng.standard_normal(20))
-        result = flow(op, x0, 0.5, recover_multiplier=True)
-        # mu solves M y + B^T mu = -A x_t for the returned x_t.
-        block = np.block([[M, B.T], [B, np.zeros((2, 2))]])
-        sol = np.linalg.solve(block, np.concatenate([-A @ result.state, np.zeros(2)]))
-        np.testing.assert_allclose(result.multiplier, sol[20:], rtol=1e-9, atol=1e-11)
 
     def test_negative_time_rejected(self):
         op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))

@@ -150,20 +150,48 @@ class TestEulerStep:
         assert slope == pytest.approx(1.0, abs=0.05)
 
 
+def linear_in_time_system():
+    """System whose solution x*(t) is affine in t, with an affine multiplier."""
+    rng = np.random.default_rng(7)
+    n, m = 10, 2
+    M, A, B = random_constrained(rng, n, m)
+    p0, p1 = rng.standard_normal(n), rng.standard_normal(n)
+    lam0, lam1 = rng.standard_normal(m), rng.standard_normal(m)
+    exact = lambda t: p0 + t * p1
+    forcing = lambda t, x: M @ p1 + A @ exact(t) + B.T @ (lam0 + t * lam1)
+    sys_ = make_system(M, A, B, forcing=forcing, g=lambda t: B @ exact(t), gdot=lambda t: B @ p1)
+    return sys_, exact
+
+
+def combined_flow_trajectory(sys_, u0, tau, nsteps, tol):
+    """Second-order states from the family formula, with z0 + w'' in one flow.
+
+    Built from the public pieces, independently of the step routines.
+    """
+    u, t = u0, 0.0
+    states = []
+    for _ in range(nsteps):
+        t1 = t + tau
+        lift_g0, lift_gd0 = lift_constraint(sys_, sys_.g(t)), lift_constraint(sys_, sys_.gdot(t))
+        lift_g1, lift_gd1 = lift_constraint(sys_, sys_.g(t1)), lift_constraint(sys_, sys_.gdot(t1))
+        f0 = sys_.load(t, u)
+        w = kernel_solve(sys_, f0 - sys_.mass @ lift_gd0)
+        z0 = u - lift_g0 - w
+        u_euler = lift_g1 + flow(sys_.flow_op, z0, tau, tol=tol).state + w
+        f1 = sys_.load(t1, u_euler)
+        w1 = kernel_solve(sys_, f1 - f0 - sys_.mass @ (lift_gd1 - lift_gd0))
+        w2 = kernel_solve(sys_, sys_.mass @ w1 / tau)
+        u = lift_g1 + flow(sys_.flow_op, z0 + w2, tau, tol=tol).state + w + w1 - w2
+        t = t1
+        states.append(u)
+    return states
+
+
 class TestSecondOrderStep:
     def test_exact_on_linear_in_time_data(self):
         # x*(t) affine in t with affine multiplier: the phi_2 correction
         # integrates the forcing exactly, so one step lands on x*.
-        rng = np.random.default_rng(7)
-        n, m = 10, 2
-        M, A, B = random_constrained(rng, n, m)
-        p0, p1 = rng.standard_normal(n), rng.standard_normal(n)
-        lam0, lam1 = rng.standard_normal(m), rng.standard_normal(m)
-        exact = lambda t: p0 + t * p1
-        forcing = lambda t, x: M @ p1 + A @ exact(t) + B.T @ (lam0 + t * lam1)
-        sys_ = make_system(
-            M, A, B, forcing=forcing, g=lambda t: B @ exact(t), gdot=lambda t: B @ p1
-        )
+        sys_, exact = linear_in_time_system()
         tau = 0.4
         cfg = SchemeConfig(scheme="second-order", flow_tol=1e-13)
         state = second_order_step(sys_, StepState(0.0, exact(0.0)), tau, cfg)
@@ -200,8 +228,27 @@ class TestSecondOrderStep:
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("name, tau", [("toy", 0.05), ("dynbc", 1 / 2560)])
+    def test_matches_the_combined_flow_formula(self, name, tau):
+        # The step flows w'' apart from the stage; the formula flows
+        # z0 + w'' together.  By linearity they agree to the flow tolerance.
+        prob = build_problem(name, n_cells=32) if name == "dynbc" else build_toy(ToyConfig())
+        sys_, tol = prob.system, 1e-13
+        expected = combined_flow_trajectory(sys_, prob.u0, tau, 10, tol)
+        state = StepState(0.0, prob.u0)
+        for u in expected:
+            state = second_order_step(sys_, state, tau, SchemeConfig(flow_tol=tol))
+            assert np.linalg.norm(state.u - u) <= 1e-10 * np.linalg.norm(u)
+
 
 class TestFamilyStep:
+    def test_half_stage_exact_on_linear_in_time_data(self):
+        sys_, exact = linear_in_time_system()
+        tau = 0.4
+        cfg = SchemeConfig(scheme="second-order-family", c2=0.5, flow_tol=1e-13)
+        state = second_order_family_step(sys_, StepState(0.0, exact(0.0)), tau, 0.5, cfg)
+        np.testing.assert_allclose(state.u, exact(tau), rtol=1e-10, atol=1e-10)
+
     def test_c2_one_coincides_with_second_order(self):
         prob = build_toy(ToyConfig(n=14, m=3, seed=11))
         sys_ = prob.system
@@ -343,6 +390,20 @@ class TestIntegrate:
         for a, b in zip(first, second):
             assert a.t == b.t
             assert np.array_equal(a.u, b.u)
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_steady_state_is_kept(self, scheme):
+        # Constant f and g: the flow inputs cancel to round-off and must
+        # not be taken for inconsistent states.
+        rng = np.random.default_rng(12)
+        n, m = 10, 2
+        c, g0 = rng.standard_normal(n), rng.standard_normal(m)
+        M, A, B = random_constrained(rng, n, m, symmetric=False)
+        sys_ = make_system(M, A, B, forcing=lambda t, x: c, g=lambda t: g0, symmetric=False)
+        u0 = lift_constraint(sys_, g0) + kernel_solve(sys_, c)
+        traj, _ = integrate(sys_, SchemeConfig(scheme=scheme, c2=0.5), u0, 0.0, 0.3, 0.1)
+        for state in traj:
+            assert np.linalg.norm(state.u - u0) <= 1e-12 * np.linalg.norm(u0)
 
 
 class TestTrajectoryExport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from expidae.errors import DimensionMismatch, NonFinite, OrderTooHigh, SingularMatrix
+from expidae.errors import DimensionMismatch, NonFinite, OrderTooHigh
 from expidae.phi import expm, phi, polyrhs_solution
 
 
@@ -114,28 +114,27 @@ class TestPhi:
                 )
                 assert abs(phi(k, z) - val) <= 1e-8
 
-    def test_path_overlap_agreement(self):
-        # Both evaluation paths agree near the switching norm 0.5 on
-        # well-conditioned arguments.
-        from expidae.phi import _phi_augmented, _phi_recursion
-
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            z = q * rng.uniform(0.4, 0.6)
-            for k in range(1, 5):
-                diff = np.linalg.norm(_phi_augmented(k, z) - _phi_recursion(k, z))
-                assert diff <= 1e-10
-
     def test_scalar_series_small_argument(self):
         z = 1e-5
         assert abs(phi(1, z) - math.expm1(z) / z) < 1e-13
 
-    def test_singular_matrix_on_recursion_path(self):
-        z = np.diag([2.0, 0.0])  # norm >= 0.5 forces the recursion path
-        with pytest.raises(SingularMatrix):
-            phi(1, z)
+    def test_singular_arguments_match_closed_forms(self):
+        # phi_k acts on each eigenvalue, and 0 maps to 1/k!.
+        out = phi(1, np.diag([2.0, 0.0]))
+        expected = np.diag([(np.e**2 - 1.0) / 2.0, 1.0])
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+        # N nilpotent (N^2 = 0): the series phi_2(N) = I/2 + N/6 + N^2/24 + ... stops.
+        n = np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        for k in range(5):
+            expected = np.eye(3) / math.factorial(k) + n / math.factorial(k + 1)
+            np.testing.assert_allclose(phi(k, n), expected, rtol=1e-14, atol=1e-15)
+        # A rank-one argument of norm 4: phi_k(-4 P) for the projector P.
+        v = np.array([1.0, -2.0, 0.5])
+        z = np.outer(v, v) * (-4.0 / (v @ v))
+        proj = np.outer(v, v) / (v @ v)
+        for k, scalar in ((1, (1.0 - np.exp(-4.0)) / 4.0), (2, (np.exp(-4.0) - 1.0 + 4.0) / 16.0)):
+            expected = np.eye(3) / math.factorial(k) + (scalar - 1.0 / math.factorial(k)) * proj
+            np.testing.assert_allclose(phi(k, z), expected, rtol=1e-13, atol=1e-15)
 
 
 class TestPolyrhsSolution:
