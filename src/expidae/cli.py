@@ -147,7 +147,7 @@ def _cmd_solve(args) -> int:
         f"solve {args.problem} scheme={args.scheme} steps={diag.steps} "
         f"max_constraint_residual={diag.max_constraint_residual:.3e} "
         f"repairs={diag.repairs} max_basis={diag.max_basis_size} "
-        f"checks={diag.flow_checks} -> {args.out}"
+        f"checks={diag.flow_checks} arnoldi_steps={diag.arnoldi_steps} -> {args.out}"
     )
     return EXIT_OK
 

@@ -13,14 +13,15 @@ exp(X t) z0 is approximated in the Krylov subspace built by the Arnoldi
 iteration, using the dense exponential of the small Hessenberg matrix.
 If the basis cap is reached before Saad's a-posteriori error estimate
 meets the tolerance, the interval is halved recursively.  The accepted
-result is projected back onto the kernel of B to kill round-off drift.
+result is projected back onto the kernel of B to kill round-off drift,
+by the rank-m update x - W (B x) of ``DaeOperator.project``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class KrylovFlowResult:
 
     ``checks`` counts the error-estimate evaluations over all substeps,
     each one dense exponential of the Hessenberg matrix bordered to
-    (r+1) x (r+1).
+    (r+1) x (r+1).  ``arnoldi_steps`` counts the Arnoldi steps over all
+    shots, failed ones included, each one unrefined saddle solve.
     """
 
     state: np.ndarray
@@ -52,13 +54,24 @@ class KrylovFlowResult:
     substeps: int
     exact: bool = False
     checks: int = 0
+    arnoldi_steps: int = 0
 
 
 class DaeOperator:
     """Action of the constrained-flow generator via mass saddle solves.
 
-    Immutable after construction; concurrent flow evaluations against
-    one operator are safe because each owns its basis storage.
+    ``apply`` (one Arnoldi step) is one unrefined saddle solve with M.
+    ``project`` is the M-orthogonal projection onto ker B as the rank-m
+    update x - W (B x), with the dense n x m matrix
+    W = M^{-1} B^T (B M^{-1} B^T)^{-1}.  W is built on the first
+    projection from m refined ``kernel_project`` solves, as W = Y - P(Y)
+    for the right inverse Y = B^+ of B.
+
+    The matrices and the factorization are fixed at construction; W is
+    the one thing filled in later.  It is deterministic, so a projection
+    gives the same bits whether W was just built or reused, and
+    concurrent flow evaluations against one operator are safe: each owns
+    its basis storage, and two first projections at once build the same W.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -68,7 +81,9 @@ class DaeOperator:
             raise ValueError("stiffness shape does not match mass/constraint")
         self.n = self._saddle.n
         self.m = self._saddle.m
+        self._neg_stiffness = -self.stiffness
         self._zero_dual = np.zeros(self.m)
+        self._projector = None  # W, built by the first project()
 
     @property
     def mass(self):
@@ -82,13 +97,24 @@ class DaeOperator:
         """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
         x0 = as_vector(x0, self.n, "x0")
         # Unrefined: no constraint residual is read from an Arnoldi
-        # vector, and flow() ends with a refined projection.
-        y, _ = self._saddle.solve(-(self.stiffness @ x0), self._zero_dual, refine=False)
+        # vector, and flow() ends with a projection that removes B y.
+        y, _ = self._saddle.solve(self._neg_stiffness @ x0, self._zero_dual, refine=False)
         return y
 
     def project(self, x) -> np.ndarray:
-        """Mass-orthogonal projection onto the kernel of B."""
-        return kernel_project(self._saddle, x)
+        """Mass-orthogonal projection onto the kernel of B: x - W (B x)."""
+        x = as_vector(x, self.n, "x")
+        if self._projector is None:
+            self._projector = self._build_projector()
+        return x - self._projector @ (self.constraint @ x)
+
+    def _build_projector(self) -> np.ndarray:
+        # P(Y) = Y - W B Y = Y - W for any Y with B Y = I.
+        Y = np.linalg.pinv(self.constraint.toarray())
+        W = np.empty((self.n, self.m), order="F")
+        for i in range(self.m):
+            W[:, i] = Y[:, i] - kernel_project(self._saddle, Y[:, i])
+        return W
 
     def constraint_defect(self, x) -> float:
         if self.m == 0:
@@ -99,19 +125,21 @@ class DaeOperator:
 def _arnoldi_extend(op, V, H, j):
     """One Arnoldi step: fill column j of H, normalize v_{j+1}.
 
-    Classical Gram-Schmidt with a single refinement pass; returns the
-    subdiagonal entry h_{j+1,j}.
+    Classical Gram-Schmidt with a single refinement pass on the basis
+    rows V[:j+1]; returns the subdiagonal entry h_{j+1,j}.
     """
-    w = op.apply(V[:, j])
-    h = V[:, : j + 1].T @ w
-    w -= V[:, : j + 1] @ h
-    h2 = V[:, : j + 1].T @ w
-    w -= V[:, : j + 1] @ h2
+    w = op.apply(V[j])
+    basis = V[: j + 1]
+    # ndarray.dot: the same BLAS calls as @, with less dispatch per call.
+    h = basis.dot(w)
+    w -= h.dot(basis)
+    h2 = basis.dot(w)
+    w -= h2.dot(basis)
     H[: j + 1, j] = h + h2
-    hnext = np.linalg.norm(w)
+    hnext = math.sqrt(w.dot(w))
     H[j + 1, j] = hnext
     if hnext > 0.0:
-        V[:, j + 1] = w / hnext
+        np.divide(w, hnext, out=V[j + 1])
     return hnext
 
 
@@ -119,20 +147,21 @@ def _arnoldi_steps(op, x0, beta, r_max):
     """Arnoldi iteration from x0 / beta, yielding after every step.
 
     Yields (V, H, r, h_next, breakdown) after step r.  V and H are the
-    iteration's storage of shapes (n, r_cap + 1) and (r_cap + 1, r_cap);
-    their first r columns and leading r x r block are final.  A happy
-    breakdown (h_next at round-off relative to the Frobenius norm of
-    H_r) is the last yield.
+    iteration's storage of shapes (r_cap + 1, n), one basis vector per
+    row, and (r_cap + 1, r_cap); their first r rows and leading r x r
+    block are final.  A happy breakdown (h_next at round-off relative
+    to the Frobenius norm of H_r) is the last yield.
     """
     r_cap = min(r_max, op.n)
-    V = np.empty((op.n, r_cap + 1))
+    V = np.empty((r_cap + 1, op.n))
     H = np.zeros((r_cap + 1, r_cap))
-    V[:, 0] = x0 / beta
+    V[0] = x0 / beta
     sumsq = 0.0  # squared Frobenius norm of the finished entries of H
     for j in range(r_cap):
         hnext = _arnoldi_extend(op, V, H, j)
         r = j + 1
-        sumsq += H[:r, j] @ H[:r, j]
+        column = H[:r, j]
+        sumsq += column.dot(column)
         breakdown = hnext <= BREAKDOWN_RTOL * max(math.sqrt(sumsq), 1.0)
         yield V, H, r, hnext, breakdown
         if breakdown:
@@ -156,7 +185,7 @@ def arnoldi(op: DaeOperator, x0, r_max: int):
         raise ValueError("Arnoldi needs r_max >= 1")
     for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_max):
         pass
-    return V[:, :r].copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
+    return V[:r].T.copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
 
 
 def _next_check(r, estimate, previous, tol):
@@ -189,13 +218,14 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     check, a happy breakdown and the basis cap.  Where the first check
     goes decides only how many exponentials and Arnoldi steps the shot
     spends: a basis is accepted only when its full estimate meets
-    ``tol``.  Returns (checks, shot) with ``checks`` the number of
-    estimates evaluated and ``shot`` either (state, basis_size,
+    ``tol``.  Returns (checks, steps, shot) with ``checks`` the number
+    of estimates evaluated, ``steps`` the number of Arnoldi steps and
+    ``shot`` either (state, basis_size,
     estimate, exact) or None when the basis cap is exhausted before the
     error estimate meets ``tol``.
     """
     r_cap = min(r_max, op.n)
-    check, failed, checks = first_check, None, 0
+    check, failed, checks, r = first_check, None, 0, 0
     for V, H, r, hnext, exact in _arnoldi_steps(op, x0, beta, r_max):
         if r < check and r < r_cap and not exact:
             continue
@@ -206,19 +236,19 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
         E = expm(bordered)  # [[exp(dt H_r), phi_1(dt H_r) e_1], [0, 1]]
         estimate = 0.0 if exact else beta * dt * abs(hnext * E[r - 1, r])
         if exact or estimate <= tol:
-            state = beta * (V[:, :r] @ E[:r, 0])
-            return checks, (state, r, estimate, exact)
+            state = beta * (E[:r, 0] @ V[:r])
+            return checks, r, (state, r, estimate, exact)
         check = _next_check(r, estimate, failed, tol)
         failed = (r, estimate)
-    return checks, None
+    return checks, r, None
 
 
 def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
     """Flow over dt, halving the interval when a shot exhausts the cap.
 
-    Returns (state, basis_size, estimate, substeps, exact, checks).  Only
-    the shot over the whole interval uses ``basis_hint``: it makes its
-    first check at ``basis_hint - 1``.  The halves start cold at r = 1.
+    Returns a ``KrylovFlowResult`` whose state is not yet projected.
+    Only the shot over the whole interval uses ``basis_hint``: it makes
+    its first check at ``basis_hint - 1``.  The halves start cold at r = 1.
     """
     if budget[0] <= 0:
         raise NoConvergence("flow substep limit exceeded")
@@ -227,17 +257,25 @@ def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
     beta = np.linalg.norm(x0)
     if beta == 0.0:
         budget[0] -= 1
-        return x0.copy(), 0, 0.0, 1, True, 0
+        return KrylovFlowResult(x0.copy(), 0, 0.0, 1, True)
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
-    checks, shot = _krylov_shot(op, x0, beta, dt, tol, r_max, first_check)
+    checks, steps, shot = _krylov_shot(op, x0, beta, dt, tol, r_max, first_check)
     if shot is not None:
         state, r, estimate, exact = shot
         budget[0] -= 1
-        return state, r, estimate, 1, exact, checks
+        return KrylovFlowResult(state, r, estimate, 1, exact, checks, steps)
     half = (dt / 2, tol / 2, r_max, budget, depth + 1)
-    xa, ra, ea, sa, exa, ca = _flow_recursive(op, x0, *half)
-    xb, rb, eb, sb, exb, cb = _flow_recursive(op, xa, *half)
-    return xb, max(ra, rb), ea + eb, sa + sb, exa and exb, checks + ca + cb
+    a = _flow_recursive(op, x0, *half)
+    b = _flow_recursive(op, a.state, *half)
+    return KrylovFlowResult(
+        b.state,
+        max(a.basis_size, b.basis_size),
+        a.residual_estimate + b.residual_estimate,
+        a.substeps + b.substeps,
+        a.exact and b.exact,
+        checks + a.checks + b.checks,
+        steps + a.arnoldi_steps + b.arnoldi_steps,
+    )
 
 
 def flow(
@@ -286,9 +324,5 @@ def flow(
     if t == 0.0 or norm0 == 0.0:
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0, True)
 
-    budget = [substep_limit]
-    state, basis, estimate, substeps, exact, checks = _flow_recursive(
-        op, x0, t, tol, r_max, budget, 0, basis_hint
-    )
-    state = op.project(state)
-    return KrylovFlowResult(state, basis, estimate, substeps, exact, checks)
+    result = _flow_recursive(op, x0, t, tol, r_max, [substep_limit], 0, basis_hint)
+    return replace(result, state=op.project(result.state))

@@ -5,12 +5,15 @@ The semidiscrete problem is
     M u'(t) + A u(t) + B^T lambda(t) = f(t, u),      B u(t) = g(t),
 
 with M symmetric positive definite, B of full row rank and A invertible
-on the kernel of B.  One step of the first-order scheme solves three
-stationary saddle problems (the constraint lift for g_n, g_{n+1} and
-g'_n, plus the kernel correction w_n) and one homogeneous transient
+on the kernel of B.  One step of the first-order scheme lifts g_n,
+g_{n+1} and g'_n into the state space, solves one stationary saddle
+problem (the kernel correction w_n) and one homogeneous transient
 problem, evaluated by the Krylov flow:
 
     u_{n+1} = lift(g_{n+1}) + exp(X tau)(u_n - lift(g_n) - w_n) + w_n.
+
+The lift is linear in g, so a step forms each lift as the product L g
+with the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use.
 
 The second-order schemes form a one-parameter family: an internal
 stage at t_n + c2 tau, two more kernel solves (w', w'') and a second
@@ -94,6 +97,16 @@ class ConstrainedSystem:
         Whether A is symmetric; recorded for norm selection.
     h1_form : sparse matrix, optional
         SPD form used by the discrete H1 norm (stiffness + mass blocks).
+
+    Both saddle factorizations are built here.  The steps lift
+    constraint data as L g, with the dense n x m lift matrix
+    L = [lift_constraint(e_1) ... lift_constraint(e_m)], and project
+    with ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
+    W are built on first use, each from m refined saddle solves, and
+    kept; both are deterministic, so a run on a system whose maps are
+    built gives the same bits as a run on a fresh one.  The solves that
+    still run every step and refine are the kernel solves (and the
+    stationary solve of the alternative scheme).
     """
 
     def __init__(
@@ -130,6 +143,7 @@ class ConstrainedSystem:
         self.stiffness_saddle = SaddleFactorization(self.stiffness, self.constraint)
         self.flow_op = DaeOperator(self.mass, self.stiffness, self.constraint)
         self._zero_dual = np.zeros(self.m)
+        self._lift_map = None  # L, built by the first _lift()
 
     def load(self, t: float, x) -> np.ndarray:
         f = as_vector(self._forcing(t, x), self.n, "forcing value")
@@ -206,11 +220,13 @@ class Diagnostics:
     rhs_evaluations: int = 0
     flow_substeps: int = 0
     flow_checks: int = 0
+    arnoldi_steps: int = 0
     max_basis_size: int = 0
 
     def record_flow(self, result):
         self.flow_substeps += result.substeps
         self.flow_checks += result.checks
+        self.arnoldi_steps += result.arnoldi_steps
         self.max_basis_size = max(self.max_basis_size, result.basis_size)
 
     def record_residual(self, res):
@@ -262,16 +278,26 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     return result.state, result.basis_size if result.substeps == 1 else 0
 
 
+def _lift(sys, g):
+    """``lift_constraint(sys, g)`` as the product L g, building L on first use."""
+    if sys._lift_map is None:
+        L = np.empty((sys.n, sys.m))
+        for i, e in enumerate(np.eye(sys.m)):
+            L[:, i] = lift_constraint(sys, e)
+        sys._lift_map = L
+    return sys._lift_map @ g
+
+
 def _lift_g(sys, state, t):
     if state is not None and state.lift_g is not None:
         return state.lift_g
-    return lift_constraint(sys, sys.g(t))
+    return _lift(sys, sys.g(t))
 
 
 def _lift_gdot(sys, state, t):
     if state is not None and state.lift_gdot is not None:
         return state.lift_gdot
-    return lift_constraint(sys, sys.gdot(t))
+    return _lift(sys, sys.gdot(t))
 
 
 def _finish_step(sys, t1, u1, lift_g1, config, diag):
@@ -301,7 +327,7 @@ def exponential_euler_step(
     t0, t1 = state.t, state.t + tau
     lift_g0 = _lift_g(sys, state, t0)
     lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g1 = lift_constraint(sys, sys.g(t1))
+    lift_g1 = _lift(sys, sys.g(t1))
 
     f0 = sys.load(t0, state.u)
     if diag is not None:
@@ -351,16 +377,16 @@ def second_order_family_step(
     stage_at_end = t_stage == t1
     lift_g0 = _lift_g(sys, state, t0)
     lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g1 = lift_constraint(sys, sys.g(t1))
-    lift_gd1 = lift_constraint(sys, sys.gdot(t1))
+    lift_g1 = _lift(sys, sys.g(t1))
+    lift_gd1 = _lift(sys, sys.gdot(t1))
     if stage_at_end:
         lift_g_stage, lift_gd_stage = lift_g1, lift_gd1
     else:
-        lift_g_stage = lift_constraint(sys, sys.g(t_stage))
-        lift_gd_stage = lift_constraint(sys, sys.gdot(t_stage))
+        lift_g_stage = _lift(sys, sys.g(t_stage))
+        lift_gd_stage = _lift(sys, sys.gdot(t_stage))
 
-    f0 = sys.load(t0, state.u)
-    w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
+    load0 = sys.load(t0, state.u) - sys.mass @ lift_gd0
+    w = kernel_solve(sys, load0)
     z0 = state.u - lift_g0 - w
     z_stage, basis0 = _run_flow(sys, z0, c2 * tau, config, diag, state, 0)
     u_stage = lift_g_stage + z_stage + w
@@ -368,9 +394,7 @@ def second_order_family_step(
     f_stage = sys.load(t_stage, u_stage)
     if diag is not None:
         diag.rhs_evaluations += 2
-    w_prime = kernel_solve(
-        sys, (f_stage - sys.mass @ lift_gd_stage - f0 + sys.mass @ lift_gd0) / c2
-    )
+    w_prime = kernel_solve(sys, (f_stage - sys.mass @ lift_gd_stage - load0) / c2)
     w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
     if stage_at_end:
         z_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)

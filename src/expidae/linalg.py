@@ -70,11 +70,14 @@ class SaddleFactorization:
     round-off.  LU with partial pivoting is backward stable, so the
     step only pays on ill-conditioned blocks (it fires on about half
     the stiffness solves of the ``nonsym`` problem and moves them by
-    ~1e-14).  Lifts, kernel solves and projections keep it, because
-    their results feed constraint residuals.  ``refine=False`` returns
-    the direct solution and forms no residual: the Arnoldi steps of the
-    Krylov flow use it, since the flow projects its endpoint with a
-    refined solve.
+    ~1e-14).  The kernel solves of every step keep it, and so do the m
+    lifts and m kernel projections that build, once per system, the
+    lift matrix L (lifts are L g) and the projection matrix W
+    (projections are x - W (B x)), because their results feed
+    constraint residuals.  ``refine=False`` returns the direct solution
+    and forms no residual: the Arnoldi steps of the Krylov flow use it,
+    since the flow projects its endpoint and B W = I to the accuracy of
+    the refined solves that built W.
 
     Raises SingularSaddle if the block matrix is structurally singular
     or a pivot falls below ``PIVOT_RTOL`` times the largest entry,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_bench_contract import load_tracer
 
 from expidae.cli import main
 from expidae.harness import read_convergence_csv
@@ -40,12 +41,13 @@ class TestSolve:
 
         monkeypatch.setattr(cli_mod, "integrate", integrate_and_keep)
         out = tmp_path / "traj.csv"
-        code = main(
-            [
-                "solve", "--problem", "toy", "--tau", "0.05", "--t-end", "0.5",
-                "--scheme", "second-order", "--out", str(out),
-            ]
-        )
+        with load_tracer().Tracer() as tracer:
+            code = main(
+                [
+                    "solve", "--problem", "toy", "--tau", "0.05", "--t-end", "0.5",
+                    "--scheme", "second-order", "--out", str(out),
+                ]
+            )
         assert code == 0
         (diag,) = seen
         summary = capsys.readouterr().out
@@ -54,6 +56,8 @@ class TestSolve:
         assert f" max_basis={diag.max_basis_size} " in summary
         assert diag.flow_checks > 0
         assert f" checks={diag.flow_checks} " in summary
+        assert diag.arnoldi_steps == tracer.calls["flow.arnoldi_step"] > 0
+        assert f" checks={diag.flow_checks} arnoldi_steps={diag.arnoldi_steps} " in summary
 
     def test_mesh_flag_fraction(self, tmp_path):
         out = tmp_path / "traj.csv"

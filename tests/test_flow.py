@@ -212,7 +212,7 @@ class TestFlow:
         M, A, B = random_constrained(rng, 60, 4)
         op = make_operator(M, A, B)
         x0 = op.project(rng.standard_normal(60))
-        raw, *_ = _flow_recursive(op, x0, 1.0, 1e-10, 60, [30], 0)
+        raw = _flow_recursive(op, x0, 1.0, 1e-10, 60, [30], 0).state
         drift = np.linalg.norm(B @ raw) / np.linalg.norm(raw)
         assert drift <= 1e-7
 

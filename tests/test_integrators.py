@@ -15,12 +15,13 @@ from expidae.errors import (
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, flow
+from expidae.flow import DaeOperator, _flow_recursive, flow
 from expidae.integrators import (
     SCHEME_IDS,
     ConstrainedSystem,
     SchemeConfig,
     StepState,
+    _lift,
     alt_euler_step,
     exponential_euler_step,
     integrate,
@@ -31,7 +32,7 @@ from expidae.integrators import (
     second_order_family_step,
     second_order_step,
 )
-from expidae.linalg import SaddleFactorization
+from expidae.linalg import SaddleFactorization, kernel_project
 from expidae.phi import polyrhs_solution
 from expidae.problems import ToyConfig, build_problem, build_toy
 
@@ -82,6 +83,65 @@ class TestLiftConstraint:
         np.testing.assert_allclose(B @ x, target, rtol=1e-10, atol=1e-12)
         kernel = scipy.linalg.null_space(B)
         assert np.linalg.norm(kernel.T @ (A @ x)) <= 1e-10 * np.linalg.norm(A @ x)
+
+
+class TestLinearMaps:
+    """Lifts as L g and projections as x - W (B x) against their refined solves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(4, 40),
+        st.integers(0, 3),
+        st.integers(0, 10_000),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.booleans(),
+    )
+    def test_maps_agree_with_refined_solves(self, n, m, seed, mass_exp, stiff_exp, symmetric):
+        rng = np.random.default_rng(seed)
+        M, A, B = random_constrained(rng, n, m, symmetric=symmetric)
+        sys_ = make_system(10.0**mass_exp * M, 10.0**stiff_exp * A, B, symmetric=symmetric)
+        op = sys_.flow_op
+
+        g = rng.standard_normal(m)
+        x, ref = _lift(sys_, g), lift_constraint(sys_, g)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(B @ x - g) <= 1e-12 * (1.0 + np.linalg.norm(g))
+
+        # A random vector, and a raw flow endpoint built from unrefined
+        # Arnoldi solves over about one time constant of the system.
+        x = rng.standard_normal(n)
+        t = 0.5 * 10.0 ** (mass_exp - stiff_exp)
+        raw = _flow_recursive(op, op.project(x), t, 1e-10, 60, [30], 0).state
+        for v in (x, raw):
+            p = op.project(v)
+            assert np.linalg.norm(p - kernel_project(op._saddle, v)) <= 1e-12 * np.linalg.norm(v)
+            assert np.linalg.norm(B @ p) <= 1e-12 * (1.0 + np.linalg.norm(v))
+
+    def test_built_maps_give_bit_identical_runs(self):
+        def system():
+            rng = np.random.default_rng(8)
+            M, A, B = random_constrained(rng, 12, 2, symmetric=False)
+            g0, g1, c = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(12)
+            return make_system(
+                M, A, B,
+                forcing=lambda t, x: c * np.cos(t) + 0.5 * np.sin(x),
+                g=lambda t: g0 * np.cos(t) + g1 * np.sin(t),
+                gdot=lambda t: -g0 * np.sin(t) + g1 * np.cos(t),
+                symmetric=False,
+            )
+
+        config = SchemeConfig(scheme="second-order")
+        built = system()
+        u0 = lift_constraint(built, built.g(0.0)) + built.flow_op.project(
+            np.random.default_rng(9).standard_normal(12)
+        )
+        integrate(built, config, u0, 0.0, 0.2, 0.05)
+        assert built._lift_map is not None and built.flow_op._projector is not None
+        fresh = system()
+        assert fresh._lift_map is None and fresh.flow_op._projector is None
+        runs = [integrate(s, config, u0, 0.0, 0.2, 0.05)[0] for s in (built, fresh)]
+        assert [s.u.tobytes() for s in runs[0]] == [s.u.tobytes() for s in runs[1]]
 
 
 class TestKernelSolve:
@@ -437,7 +497,13 @@ class TestTrajectoryExport:
 class TestSolveCounts:
     """Deterministic count gate: saddle and SuperLU solves of one step."""
 
-    def test_second_order_step_of_nonsym(self, monkeypatch):
+    @staticmethod
+    def _gate_second_order_step(monkeypatch, name, n_cells):
+        """A second-order step after the first one, which built L and W.
+
+        It makes no lift solve, 3 kernel solves, 2 projections without a
+        saddle solve, and one SuperLU solve per Arnoldi step.
+        """
         linalg_mod = sys.modules["expidae.linalg"]
         integ_mod = sys.modules["expidae.integrators"]
         lus = []
@@ -448,9 +514,9 @@ class TestSolveCounts:
             return lus[-1]
 
         monkeypatch.setattr(linalg_mod, "splu", counting_splu)
-        prob = build_problem("nonsym", n_cells=64)
+        prob = build_problem(name, n_cells=n_cells)
         sys_, tau = prob.system, 1 / 2560
-        # The first step leaves the lifts of g and g' at t1 on its state.
+        # The first step builds L and W and leaves the lifts at t1 on its state.
         state = second_order_step(sys_, StepState(0.0, prob.u0), tau)
 
         counts = Counter()
@@ -471,8 +537,7 @@ class TestSolveCounts:
         count(SaddleFactorization, "solve", "saddle solves")
         count(integ_mod, "lift_constraint", "lifts")
         count(integ_mod, "kernel_solve", "kernel solves")
-        count(DaeOperator, "project", "projections")
-        apply = DaeOperator.apply
+        apply, project = DaeOperator.apply, DaeOperator.project
 
         def counted_apply(self, x0):
             before = lu_solves()
@@ -480,13 +545,28 @@ class TestSolveCounts:
             arnoldi_lu_solves.append(lu_solves() - before)
             return y
 
+        def counted_project(self, x):
+            counts["projections"] += 1
+            before = counts["saddle solves"]
+            p = project(self, x)
+            counts["projection saddle solves"] += counts["saddle solves"] - before
+            return p
+
         monkeypatch.setattr(DaeOperator, "apply", counted_apply)
+        monkeypatch.setattr(DaeOperator, "project", counted_project)
         second_order_step(sys_, state, tau)
 
-        assert (counts["lifts"], counts["kernel solves"], counts["projections"]) == (2, 3, 2)
-        assert counts["saddle solves"] == len(arnoldi_lu_solves) + 2 + 3 + 2
+        assert (counts["lifts"], counts["kernel solves"], counts["projections"]) == (0, 3, 2)
+        assert counts["projection saddle solves"] == 0
+        assert counts["saddle solves"] == len(arnoldi_lu_solves) + 3
         assert len(arnoldi_lu_solves) > 0
         assert set(arnoldi_lu_solves) == {1}
+
+    def test_second_order_step_of_nonsym(self, monkeypatch):
+        self._gate_second_order_step(monkeypatch, "nonsym", 64)
+
+    def test_second_order_step_of_dynbc(self, monkeypatch):
+        self._gate_second_order_step(monkeypatch, "dynbc", 32)
 
     def test_warm_started_flows_of_nonsym_check_at_most_twice(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=64)
