@@ -220,9 +220,8 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     spends: a basis is accepted only when its full estimate meets
     ``tol``.  Returns (checks, steps, shot) with ``checks`` the number
     of estimates evaluated, ``steps`` the number of Arnoldi steps and
-    ``shot`` either (state, basis_size,
-    estimate, exact) or None when the basis cap is exhausted before the
-    error estimate meets ``tol``.
+    ``shot`` either (state, basis_size, estimate, exact) or None when
+    the basis cap is exhausted before the error estimate meets ``tol``.
     """
     r_cap = min(r_max, op.n)
     check, failed, checks, r = first_check, None, 0, 0
