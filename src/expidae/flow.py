@@ -52,7 +52,6 @@ class KrylovFlowResult:
     basis_size: int
     residual_estimate: float
     substeps: int
-    exact: bool = False
     checks: int = 0
     arnoldi_steps: int = 0
 
@@ -220,23 +219,23 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     spends: a basis is accepted only when its full estimate meets
     ``tol``.  Returns (checks, steps, shot) with ``checks`` the number
     of estimates evaluated, ``steps`` the number of Arnoldi steps and
-    ``shot`` either (state, basis_size, estimate, exact) or None when
+    ``shot`` either (state, basis_size, estimate) or None when
     the basis cap is exhausted before the error estimate meets ``tol``.
     """
     r_cap = min(r_max, op.n)
     check, failed, checks, r = first_check, None, 0, 0
-    for V, H, r, hnext, exact in _arnoldi_steps(op, x0, beta, r_max):
-        if r < check and r < r_cap and not exact:
+    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_max):
+        if r < check and r < r_cap and not breakdown:
             continue
         checks += 1
         bordered = np.zeros((r + 1, r + 1))
         bordered[:r, :r] = dt * H[:r, :r]
         bordered[0, r] = 1.0
         E = expm(bordered)  # [[exp(dt H_r), phi_1(dt H_r) e_1], [0, 1]]
-        estimate = 0.0 if exact else beta * dt * abs(hnext * E[r - 1, r])
-        if exact or estimate <= tol:
+        estimate = 0.0 if breakdown else beta * dt * abs(hnext * E[r - 1, r])
+        if breakdown or estimate <= tol:
             state = beta * (E[:r, 0] @ V[:r])
-            return checks, r, (state, r, estimate, exact)
+            return checks, r, (state, r, estimate)
         check = _next_check(r, estimate, failed, tol)
         failed = (r, estimate)
     return checks, r, None
@@ -256,13 +255,13 @@ def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
     beta = np.linalg.norm(x0)
     if beta == 0.0:
         budget[0] -= 1
-        return KrylovFlowResult(x0.copy(), 0, 0.0, 1, True)
+        return KrylovFlowResult(x0.copy(), 0, 0.0, 1)
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
     checks, steps, shot = _krylov_shot(op, x0, beta, dt, tol, r_max, first_check)
     if shot is not None:
-        state, r, estimate, exact = shot
+        state, r, estimate = shot
         budget[0] -= 1
-        return KrylovFlowResult(state, r, estimate, 1, exact, checks, steps)
+        return KrylovFlowResult(state, r, estimate, 1, checks, steps)
     half = (dt / 2, tol / 2, r_max, budget, depth + 1)
     a = _flow_recursive(op, x0, *half)
     b = _flow_recursive(op, a.state, *half)
@@ -271,7 +270,6 @@ def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
         max(a.basis_size, b.basis_size),
         a.residual_estimate + b.residual_estimate,
         a.substeps + b.substeps,
-        a.exact and b.exact,
         checks + a.checks + b.checks,
         steps + a.arnoldi_steps + b.arnoldi_steps,
     )
@@ -321,7 +319,7 @@ def flow(
             f"initial value violates constraint: |B x0| = {defect:.3e}, |x0| = {norm0:.3e}"
         )
     if t == 0.0 or norm0 == 0.0:
-        return KrylovFlowResult(x0.copy(), 0, 0.0, 0, True)
+        return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
     result = _flow_recursive(op, x0, t, tol, r_max, [substep_limit], 0, basis_hint)
     return replace(result, state=op.project(result.state))

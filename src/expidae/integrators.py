@@ -19,9 +19,12 @@ The second-order schemes form a one-parameter family: an internal
 stage at t_n + c2 tau, two more kernel solves (w', w'') and a second
 flow.  The second-order scheme is its member c2 = 1, whose stage is
 the Euler predictor at t_{n+1} and whose second flow starts from w''
-alone; both run through one routine.  The alternative first-order
+alone.  The first-order scheme is the family's stage at c2 = 1, so
+all three run through one routine.  The alternative first-order
 scheme solves a single stationary problem with a theta-blend of g_n and
 g_{n+1} on the constraint row and flows the (projected) remainder.
+Every step function takes (sys, state, tau, config, diag) and reads
+c2 and theta from the ``SchemeConfig``.
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -45,13 +48,7 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import (
-    DEFAULT_BASIS_CAP,
-    DEFAULT_SUBSTEP_LIMIT,
-    DEFAULT_TOL,
-    DaeOperator,
-    flow as krylov_flow,
-)
+from .flow import DEFAULT_TOL, DaeOperator, flow as krylov_flow
 from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd
 
 __all__ = [
@@ -98,10 +95,11 @@ class ConstrainedSystem:
     h1_form : sparse matrix, optional
         SPD form used by the discrete H1 norm (stiffness + mass blocks).
 
-    Both saddle factorizations are built here.  The steps lift
-    constraint data as L g, with the dense n x m lift matrix
-    L = [lift_constraint(e_1) ... lift_constraint(e_m)], and project
-    with ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
+    Both saddle factorizations are built here.  Each step forms every
+    lift it needs as L g, with the dense n x m lift matrix
+    L = [lift_constraint(e_1) ... lift_constraint(e_m)]; no lift is
+    carried from one step to the next.  The steps project with
+    ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
     W are built on first use, each from m refined saddle solves, and
     kept; both are deterministic, so a run on a system whose maps are
     built gives the same bits as a run on a fresh one.  The solves that
@@ -168,7 +166,6 @@ class ConstrainedSystem:
 class StepState:
     """Approximation at one time level, with what the next step can reuse.
 
-    ``lift_g`` and ``lift_gdot`` are the constraint lifts at ``t``.
     ``flow_bases`` holds the accepted Krylov basis size of each flow of
     the step that produced this state, in call order, with 0 for a flow
     that halved its interval; the next step starts the error checks of
@@ -179,22 +176,22 @@ class StepState:
 
     t: float
     u: np.ndarray
-    lift_g: np.ndarray | None = None
-    lift_gdot: np.ndarray | None = None
     flow_bases: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection and tolerances for :func:`integrate`."""
+    """Scheme selection and flow tolerance for :func:`integrate` and the steps.
+
+    ``c2`` places the stage of the second-order family and ``theta`` is
+    the constraint blend of the alternative scheme; the other schemes
+    ignore both.
+    """
 
     scheme: str = "exp-euler"
     c2: float = 1.0
     theta: float = 1.0
     flow_tol: float = DEFAULT_TOL
-    consistency_tol: float = CONSISTENCY_RTOL
-    basis_cap: int = DEFAULT_BASIS_CAP
-    substep_limit: int = DEFAULT_SUBSTEP_LIMIT
 
     def __post_init__(self):
         if self.scheme not in SCHEME_IDS:
@@ -203,10 +200,8 @@ class SchemeConfig:
             raise ValueError("c2 must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.flow_tol <= 0.0 or self.consistency_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.basis_cap < 1 or self.substep_limit < 1:
-            raise ValueError("basis_cap and substep_limit must be at least 1")
+        if self.flow_tol <= 0.0:
+            raise ValueError("flow_tol must be positive")
 
 
 @dataclass
@@ -264,15 +259,7 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     """
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
-    result = krylov_flow(
-        sys.flow_op,
-        z0,
-        tau,
-        tol=config.flow_tol,
-        r_max=config.basis_cap,
-        substep_limit=config.substep_limit,
-        basis_hint=hint,
-    )
+    result = krylov_flow(sys.flow_op, z0, tau, tol=config.flow_tol, basis_hint=hint)
     if diag is not None:
         diag.record_flow(result)
     return result.state, result.basis_size if result.substeps == 1 else 0
@@ -288,22 +275,10 @@ def _lift(sys, g):
     return sys._lift_map @ g
 
 
-def _lift_g(sys, state, t):
-    if state is not None and state.lift_g is not None:
-        return state.lift_g
-    return _lift(sys, sys.g(t))
-
-
-def _lift_gdot(sys, state, t):
-    if state is not None and state.lift_gdot is not None:
-        return state.lift_gdot
-    return _lift(sys, sys.gdot(t))
-
-
-def _finish_step(sys, t1, u1, lift_g1, config, diag):
+def _finish_step(sys, t1, u1, lift_g1, diag):
     """Consistency check with kernel-projection repair on violation."""
     res = sys.constraint_residual(t1, u1)
-    if res > config.consistency_tol:
+    if res > CONSISTENCY_RTOL:
         log.warning(
             "constraint residual %.3e above tolerance at t=%.6g; reprojecting", res, t1
         )
@@ -316,6 +291,54 @@ def _finish_step(sys, t1, u1, lift_g1, config, diag):
     return u1
 
 
+def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
+    """One step of the exponential schemes, with its stage at t_n + c2 tau.
+
+    The stage u_s is an exponential Euler step of length c2 tau from
+    z0 = u_n - lift(g_n) - w, with w the kernel solve of f_n - M lift(g'_n):
+
+        u_s = lift(g(t_n + c2 tau)) + exp(X c2 tau) z0 + w.
+
+    The first-order scheme is this stage at c2 = 1 (``stage_only``).
+    The second-order schemes go on with w' the kernel solve of the load
+    difference over c2 and w'' the kernel solve of M w' / tau,
+
+        u_{n+1} = lift(g_{n+1}) + exp(X tau)(z0 + w'') + w + w' - w''.
+
+    When the stage is the endpoint (c2 = 1, the second-order scheme),
+    by linearity only w'' is flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
+    """
+    t0, t1 = state.t, state.t + tau
+    t_stage = t0 + c2 * tau
+    load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
+    w = kernel_solve(sys, load0)
+    z0 = state.u - _lift(sys, sys.g(t0)) - w
+    z_stage, basis0 = _run_flow(sys, z0, c2 * tau, config, diag, state, 0)
+    lift_g_stage = _lift(sys, sys.g(t_stage))
+    u_stage = lift_g_stage + z_stage + w
+    if stage_only:
+        if diag is not None:
+            diag.rhs_evaluations += 1
+        u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
+        return StepState(t1, u1, flow_bases=(basis0,))
+
+    f_stage = sys.load(t_stage, u_stage)
+    if diag is not None:
+        diag.rhs_evaluations += 2
+    load_stage = f_stage - sys.mass @ _lift(sys, sys.gdot(t_stage))
+    w_prime = kernel_solve(sys, (load_stage - load0) / c2)
+    w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
+    if t_stage == t1:
+        z_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
+        lift_g1, u1 = lift_g_stage, u_stage + z_end
+    else:
+        z_end, basis1 = _run_flow(sys, z0 + w_second, tau, config, diag, state, 1)
+        lift_g1 = _lift(sys, sys.g(t1))
+        u1 = lift_g1 + z_end + w
+    u1 = _finish_step(sys, t1, u1 - w_second + w_prime, lift_g1, diag)
+    return StepState(t1, u1, flow_bases=(basis0, basis1))
+
+
 def exponential_euler_step(
     sys: ConstrainedSystem,
     state: StepState,
@@ -323,20 +346,8 @@ def exponential_euler_step(
     config: SchemeConfig = SchemeConfig(),
     diag: Diagnostics | None = None,
 ) -> StepState:
-    """One step of the first-order exponential scheme."""
-    t0, t1 = state.t, state.t + tau
-    lift_g0 = _lift_g(sys, state, t0)
-    lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g1 = _lift(sys, sys.g(t1))
-
-    f0 = sys.load(t0, state.u)
-    if diag is not None:
-        diag.rhs_evaluations += 1
-    w = kernel_solve(sys, f0 - sys.mass @ lift_gd0)
-    z_end, basis = _run_flow(sys, state.u - lift_g0 - w, tau, config, diag, state, 0)
-    u1 = lift_g1 + z_end + w
-    u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1, flow_bases=(basis,))
+    """One step of the first-order exponential scheme: the stage at c2 = 1."""
+    return _exponential_step(sys, state, tau, 1.0, config, diag, stage_only=True)
 
 
 def second_order_step(
@@ -347,75 +358,28 @@ def second_order_step(
     diag: Diagnostics | None = None,
 ) -> StepState:
     """One step of the second-order scheme: the family member with c2 = 1."""
-    return second_order_family_step(sys, state, tau, 1.0, config, diag)
+    return _exponential_step(sys, state, tau, 1.0, config, diag)
 
 
 def second_order_family_step(
     sys: ConstrainedSystem,
     state: StepState,
     tau: float,
-    c2: float = 1.0,
     config: SchemeConfig = SchemeConfig(),
     diag: Diagnostics | None = None,
 ) -> StepState:
-    """One step of the one-parameter second-order family (stage at t_n + c2 tau).
-
-    The stage u_s is an exponential Euler step of length c2 tau from
-    z0 = u_n - lift(g_n) - w; with w' the kernel solve of the load
-    difference over c2 and w'' the kernel solve of M w' / tau,
-
-        u_{n+1} = lift(g_{n+1}) + exp(X tau)(z0 + w'') + w + w' - w''.
-
-    When the stage is the endpoint (c2 = 1, the second-order scheme) the
-    stage lifts are those at t_{n+1}, and by linearity only w'' is
-    flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
-    """
-    if c2 <= 0.0:
-        raise ValueError("c2 must be positive")
-    t0, t1 = state.t, state.t + tau
-    t_stage = t0 + c2 * tau
-    stage_at_end = t_stage == t1
-    lift_g0 = _lift_g(sys, state, t0)
-    lift_gd0 = _lift_gdot(sys, state, t0)
-    lift_g1 = _lift(sys, sys.g(t1))
-    lift_gd1 = _lift(sys, sys.gdot(t1))
-    if stage_at_end:
-        lift_g_stage, lift_gd_stage = lift_g1, lift_gd1
-    else:
-        lift_g_stage = _lift(sys, sys.g(t_stage))
-        lift_gd_stage = _lift(sys, sys.gdot(t_stage))
-
-    load0 = sys.load(t0, state.u) - sys.mass @ lift_gd0
-    w = kernel_solve(sys, load0)
-    z0 = state.u - lift_g0 - w
-    z_stage, basis0 = _run_flow(sys, z0, c2 * tau, config, diag, state, 0)
-    u_stage = lift_g_stage + z_stage + w
-
-    f_stage = sys.load(t_stage, u_stage)
-    if diag is not None:
-        diag.rhs_evaluations += 2
-    w_prime = kernel_solve(sys, (f_stage - sys.mass @ lift_gd_stage - load0) / c2)
-    w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    if stage_at_end:
-        z_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
-        u1 = u_stage + z_end
-    else:
-        z_end, basis1 = _run_flow(sys, z0 + w_second, tau, config, diag, state, 1)
-        u1 = lift_g1 + z_end + w
-    u1 = u1 - w_second + w_prime
-    u1 = _finish_step(sys, t1, u1, lift_g1, config, diag)
-    return StepState(t1, u1, lift_g=lift_g1, lift_gdot=lift_gd1, flow_bases=(basis0, basis1))
+    """One step of the second-order family, with its stage at t_n + ``config.c2`` tau."""
+    return _exponential_step(sys, state, tau, config.c2, config, diag)
 
 
 def alt_euler_step(
     sys: ConstrainedSystem,
     state: StepState,
     tau: float,
-    theta: float = 1.0,
     config: SchemeConfig = SchemeConfig(),
     diag: Diagnostics | None = None,
 ) -> StepState:
-    """One step of the alternative first-order scheme.
+    """One step of the alternative first-order scheme, with theta = ``config.theta``.
 
     A single stationary solve carries the theta-blend of g_n and
     g_{n+1} on its constraint row; the remainder u_n - w is flowed
@@ -426,7 +390,7 @@ def alt_euler_step(
     own theta-controlled behavior.
     """
     t0, t1 = state.t, state.t + tau
-    g_blend = theta * sys.g(t0) + (1.0 - theta) * sys.g(t1)
+    g_blend = config.theta * sys.g(t0) + (1.0 - config.theta) * sys.g(t1)
     f0 = sys.load(t0, state.u)
     if diag is not None:
         diag.rhs_evaluations += 1
@@ -440,22 +404,6 @@ def alt_euler_step(
     if diag is not None:
         diag.record_residual(sys.constraint_residual(t1, u1))
     return StepState(t1, u1, flow_bases=(basis,))
-
-
-def _step_function(config: SchemeConfig):
-    if config.scheme == "exp-euler":
-        return lambda sys, state, tau, diag: exponential_euler_step(
-            sys, state, tau, config, diag
-        )
-    if config.scheme == "second-order":
-        return lambda sys, state, tau, diag: second_order_step(sys, state, tau, config, diag)
-    if config.scheme == "second-order-family":
-        return lambda sys, state, tau, diag: second_order_family_step(
-            sys, state, tau, config.c2, config, diag
-        )
-    return lambda sys, state, tau, diag: alt_euler_step(
-        sys, state, tau, config.theta, config, diag
-    )
 
 
 def integrate(
@@ -487,18 +435,24 @@ def integrate(
 
     u0 = as_vector(u0, sys.n, "u0")
     initial_residual = sys.constraint_residual(t0, u0)
-    if initial_residual > config.consistency_tol:
+    if initial_residual > CONSISTENCY_RTOL:
         raise InconsistentInitialData(
             f"|B u0 - g(t0)| relative residual {initial_residual:.3e} exceeds "
-            f"{config.consistency_tol:.1e}"
+            f"{CONSISTENCY_RTOL:.1e}"
         )
 
     diag = Diagnostics()
-    step = _step_function(config)
+    # Looked up per call, so that a wrapper put on a step function applies.
+    step = {
+        "exp-euler": exponential_euler_step,
+        "second-order": second_order_step,
+        "second-order-family": second_order_family_step,
+        "alt-euler": alt_euler_step,
+    }[config.scheme]
     state = StepState(t0, u0.copy())
     trajectory = [state]
     for k in range(1, nsteps + 1):
-        state = step(sys, state, tau, diag)
+        state = step(sys, state, tau, config, diag)
         if not np.isfinite(state.u).all():
             raise NonFinite(f"state became non-finite at t={state.t}")
         if k % snapshot_stride == 0 or k == nsteps:

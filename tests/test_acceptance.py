@@ -8,6 +8,7 @@ this module is meant to run in file order.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,21 +283,21 @@ def test_c7_scheme_coincidences(dynbc_problem, nonsym_problems):
     b = StepState(0.0, dynbc_problem.u0.copy())
     for _ in range(10):
         a = second_order_step(s, a, tau, cfg)
-        b = second_order_family_step(s, b, tau, 1.0, cfg)
+        b = second_order_family_step(s, b, tau, replace(cfg, c2=1.0))
     family_diff = np.linalg.norm(a.u - b.u) / np.linalg.norm(a.u)
 
     c = StepState(0.0, dynbc_problem.u0.copy())
     d = StepState(0.0, dynbc_problem.u0.copy())
     for _ in range(10):
         c = exponential_euler_step(s, c, tau, cfg)
-        d = alt_euler_step(s, d, tau, 0.5, cfg)
+        d = alt_euler_step(s, d, tau, replace(cfg, theta=0.5))
     alt_diff = np.linalg.norm(c.u - d.u) / np.linalg.norm(c.u)
 
     ns = nonsym_problems[32].system
     state = StepState(0.0, nonsym_problems[32].u0.copy())
     worst_defect = 0.0
     for _ in range(10):
-        state = alt_euler_step(ns, state, tau, 0.0, cfg)
+        state = alt_euler_step(ns, state, tau, replace(cfg, theta=0.0))
         gval = ns.g(state.t)
         defect = np.linalg.norm(ns.constraint @ state.u - gval)
         worst_defect = max(worst_defect, defect / (1.0 + np.linalg.norm(gval)))
