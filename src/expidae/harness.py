@@ -46,7 +46,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 6
+NUMERICS_REVISION = 7
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -85,16 +85,11 @@ def error_norm(sys: ConstrainedSystem, e, norm: str) -> float:
 class ReferenceSolution:
     """Fine-step solution used as the error yardstick.
 
-    ``times``/``states`` hold the snapshot grid (just the final time
-    unless a snapshot step was requested); ``check_states`` holds the
-    same snapshots from the run with half the reference step.
+    ``times``/``states`` hold the snapshot grid (the final time alone
+    unless a snapshot step was requested), ``check_states`` the same
+    snapshots at half the reference step; ``from_cache`` marks a cache hit.
     """
 
-    problem: str
-    config_key: str
-    t_end: float
-    scheme: str
-    tau_ref: float
     times: np.ndarray
     states: np.ndarray          # (len(times), n)
     check_states: np.ndarray
@@ -108,12 +103,6 @@ class ReferenceSolution:
     @property
     def check_state(self) -> np.ndarray:
         return self.check_states[-1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        idx = np.flatnonzero(np.abs(self.times - t) <= 1e-9 * max(abs(t), 1.0))
-        if idx.size != 1:
-            raise KeyError(f"reference has no snapshot at t={t!r}")
-        return self.states[idx[0]]
 
 
 @dataclass(frozen=True)
@@ -169,10 +158,10 @@ def local_orders(taus, errors) -> tuple:
     return tuple(out)
 
 
-def _cache_key(problem: Problem, t_end, tau_ref, scheme, snapshot_tau) -> str:
+def _cache_key(problem: Problem, t_end, tau_ref, snapshot_tau) -> str:
     return (
         f"{problem.name}|{problem.config!r}|t_end={t_end!r}|tau_ref={tau_ref!r}"
-        f"|snap={snapshot_tau!r}|{scheme!r}|rev={NUMERICS_REVISION}"
+        f"|snap={snapshot_tau!r}|{REFERENCE_SCHEME!r}|rev={NUMERICS_REVISION}"
     )
 
 
@@ -209,9 +198,9 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
-def _snapshot_run(problem, scheme, t_end, tau, stride):
+def _snapshot_run(problem, t_end, tau, stride):
     traj, _ = integrate(
-        problem.system, scheme, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
+        problem.system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
     )
     times = np.array([st.t for st in traj])
     states = np.stack([st.u for st in traj])
@@ -222,17 +211,17 @@ def build_reference(
     problem: Problem,
     t_end: float,
     tau_ref: float,
-    scheme: SchemeConfig = REFERENCE_SCHEME,
     cache_dir=None,
     snapshot_tau: float | None = None,
 ) -> ReferenceSolution:
-    """Integrate the reference at tau_ref and at tau_ref / 2.
+    """Integrate ``REFERENCE_SCHEME``, read at call time, at tau_ref and tau_ref / 2.
 
     With ``snapshot_tau`` the full state is kept at every multiple of
     that step (it must be an integer multiple of tau_ref); otherwise
     only the endpoint is stored.  Results are cached on disk (when
     ``cache_dir`` is given) and served bit-identically on repeated
-    calls with the same key.
+    calls with the same key; the key embeds ``repr`` of the problem's
+    config and of ``REFERENCE_SCHEME``, so a change to either is a miss.
     """
     if snapshot_tau is None:
         stride = int(round(t_end / tau_ref))
@@ -241,25 +230,21 @@ def build_reference(
         if abs(stride * tau_ref - snapshot_tau) > 1e-9 * snapshot_tau:
             raise ValueError("snapshot_tau must be an integer multiple of tau_ref")
 
-    key = _cache_key(problem, t_end, tau_ref, scheme, snapshot_tau)
+    key = _cache_key(problem, t_end, tau_ref, snapshot_tau)
     cache_path = None
     if cache_dir is not None:
         digest = hashlib.sha256(key.encode()).hexdigest()[:20]
         cache_path = Path(cache_dir) / f"ref-{problem.name}-{digest}.npz"
         cached = _read_cache(cache_path, key)
         if cached is not None:
-            return ReferenceSolution(
-                problem.name, key, t_end, scheme.scheme, tau_ref, *cached, from_cache=True
-            )
+            return ReferenceSolution(*cached, from_cache=True)
 
-    times, states = _snapshot_run(problem, scheme, t_end, tau_ref, stride)
-    _, check_states = _snapshot_run(problem, scheme, t_end, tau_ref / 2, 2 * stride)
+    times, states = _snapshot_run(problem, t_end, tau_ref, stride)
+    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride)
 
     if cache_path is not None:
         _write_cache(cache_path, key, times, states, check_states)
-    return ReferenceSolution(
-        problem.name, key, t_end, scheme.scheme, tau_ref, times, states, check_states
-    )
+    return ReferenceSolution(times, states, check_states)
 
 
 def run_convergence(
@@ -272,11 +257,10 @@ def run_convergence(
     cache_dir=None,
     reference: str = "integrate",
     sample: str = "final",
-    ref_scheme: SchemeConfig = REFERENCE_SCHEME,
 ) -> ConvergenceTable:
     """Integrate the ladder of step sizes and fit the observed order.
 
-    ``reference`` is either "integrate" (fine-step run, requires
+    ``reference`` is either "integrate" (:func:`build_reference`, requires
     ``tau_ref`` at most min(taus)/16) or "exact" (manufactured
     solution, available for the toy problem only).  ``sample`` selects
     the error functional: "final" measures at t_end only, "max" takes
@@ -315,7 +299,6 @@ def run_convergence(
             problem,
             t_end,
             tau_ref,
-            scheme=ref_scheme,
             cache_dir=cache_dir,
             snapshot_tau=tau_min if sample == "max" else None,
         )

@@ -38,6 +38,7 @@ Galerkin image of the continuous one.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -81,8 +82,8 @@ class ConstrainedSystem:
     Parameters
     ----------
     mass, stiffness : sparse matrices, n x n
-        M must be symmetric positive definite (verified by a Cholesky
-        factorization); A only needs to be invertible on ker B.
+        M must be symmetric positive definite (verified by a banded
+        Cholesky factorization); A only needs to be invertible on ker B.
     constraint : sparse matrix, m x n
         Full row rank (verified through the saddle factorization).
     forcing : callable (t, x) -> load vector of length n
@@ -90,8 +91,6 @@ class ConstrainedSystem:
         g and its analytic time derivative.  No finite-difference
         fallback is offered: a hidden O(tau) error in g' would corrupt
         the observed orders.
-    symmetric : bool
-        Whether A is symmetric; recorded for norm selection.
     h1_form : sparse matrix, optional
         SPD form used by the discrete H1 norm (stiffness + mass blocks).
 
@@ -102,9 +101,8 @@ class ConstrainedSystem:
     ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
     W are built on first use, each from m refined saddle solves, and
     kept; both are deterministic, so a run on a system whose maps are
-    built gives the same bits as a run on a fresh one.  The solves that
-    still run every step and refine are the kernel solves (and the
-    stationary solve of the alternative scheme).
+    built gives the same bits as a run on a fresh one.  The only solves
+    that run every step and refine are the kernel solves.
     """
 
     def __init__(
@@ -115,9 +113,7 @@ class ConstrainedSystem:
         forcing,
         constraint_rhs,
         constraint_rate,
-        symmetric: bool,
         h1_form=None,
-        name: str = "",
     ):
         self.mass = canonical_csr(mass)
         self.stiffness = canonical_csr(stiffness)
@@ -130,9 +126,7 @@ class ConstrainedSystem:
         require_spd(self.mass, name="mass matrix")
         self.n = n
         self.m = self.constraint.shape[0]
-        self.symmetric = bool(symmetric)
         self.h1_form = canonical_csr(h1_form) if h1_form is not None else None
-        self.name = name
         self._forcing = forcing
         self._g = constraint_rhs
         self._gdot = constraint_rate
@@ -196,12 +190,12 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEME_IDS}")
-        if self.c2 <= 0.0:
-            raise ValueError("c2 must be positive")
+        if not (math.isfinite(self.c2) and self.c2 > 0.0):
+            raise ValueError(f"c2 must be finite and positive, got {self.c2!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.flow_tol <= 0.0:
-            raise ValueError("flow_tol must be positive")
+        if not (math.isfinite(self.flow_tol) and self.flow_tol > 0.0):
+            raise ValueError(f"flow_tol must be finite and positive, got {self.flow_tol!r}")
 
 
 @dataclass
@@ -381,8 +375,8 @@ def alt_euler_step(
 ) -> StepState:
     """One step of the alternative first-order scheme, with theta = ``config.theta``.
 
-    A single stationary solve carries the theta-blend of g_n and
-    g_{n+1} on its constraint row; the remainder u_n - w is flowed
+    The stationary solution w with the theta-blend g_b of g_n and g_{n+1}
+    on its constraint row is the kernel solve of f_n plus L g_b; u_n - w is flowed
     homogeneously (projected first if the blend made it inconsistent)
     and added back.  theta = 0 enforces the constraint at t_{n+1},
     theta = 1 keeps the flow initial value consistent instead; no
@@ -394,7 +388,7 @@ def alt_euler_step(
     f0 = sys.load(t0, state.u)
     if diag is not None:
         diag.rhs_evaluations += 1
-    w_bar, _ = sys.stiffness_saddle.solve(f0, g_blend)
+    w_bar = kernel_solve(sys, f0) + _lift(sys, g_blend)
     z0 = state.u - w_bar
     defect = sys.flow_op.constraint_defect(z0)
     if defect > 1e-12 * (1.0 + np.linalg.norm(z0)):

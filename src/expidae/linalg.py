@@ -30,6 +30,9 @@ __all__ = [
 # Relative pivot threshold below which a factorization is declared singular.
 PIVOT_RTOL = 1e-13
 
+# Largest |M - M^T| entry, relative to max(1, max |M|), that require_spd accepts.
+SYMMETRY_RTOL = 1e-12
+
 
 def canonical_csr(matrix) -> sp.csr_matrix:
     """Return ``matrix`` as a canonical CSR matrix.
@@ -80,12 +83,12 @@ class SaddleFactorization:
     the refined solves that built W.
 
     Raises SingularSaddle if the block matrix is structurally singular
-    or a pivot falls below ``PIVOT_RTOL`` times the largest entry,
-    which signals a rank-deficient B or an S that is singular on the
-    kernel of B.
+    or a pivot falls below the module constant ``PIVOT_RTOL`` times
+    the largest entry, which signals a rank-deficient B or an S that
+    is singular on the kernel of B.
     """
 
-    def __init__(self, S, B, pivot_rtol: float = PIVOT_RTOL):
+    def __init__(self, S, B):
         self.S = canonical_csr(S)
         self.B = canonical_csr(B)
         n = self.S.shape[0]
@@ -114,9 +117,9 @@ class SaddleFactorization:
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSaddle(f"saddle factorization failed: {exc}") from exc
         pivots = np.abs(self._lu.U.diagonal())
-        if pivots.min() < pivot_rtol * scale:
+        if pivots.min() < PIVOT_RTOL * scale:
             raise SingularSaddle(
-                f"pivot {pivots.min():.3e} below threshold {pivot_rtol * scale:.3e}"
+                f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
             )
 
     def solve(
@@ -155,18 +158,11 @@ def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:
     return p
 
 
-def _band_width(mat: sp.csr_matrix) -> int:
-    coo = mat.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.abs(coo.row - coo.col).max())
+def require_spd(mat, name: str = "matrix") -> None:
+    """Check symmetry, then positive definiteness by one banded Cholesky factorization.
 
-
-def require_spd(mat, name: str = "matrix", rtol: float = 1e-12) -> None:
-    """Check symmetry and positive definiteness via a Cholesky factorization.
-
-    Uses a dense factorization for small matrices and a banded one
-    otherwise (the assembled mass matrices are narrow-band).
+    The band is the matrix's own, so the check costs O(n p^2) for
+    bandwidth p and is an exact dense factorization when p = n - 1.
     """
     mat = canonical_csr(mat)
     n = mat.shape[0]
@@ -175,17 +171,15 @@ def require_spd(mat, name: str = "matrix", rtol: float = 1e-12) -> None:
     scale = np.abs(mat.data).max() if mat.nnz else 0.0
     asym = sp.csr_matrix(mat - mat.T)
     asym_max = np.abs(asym.data).max() if asym.nnz else 0.0
-    if asym_max > rtol * max(scale, 1.0):
+    if asym_max > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(f"{name} is not symmetric (deviation {asym_max:.3e})")
+    coo = mat.tocoo()
+    upper = coo.col >= coo.row
+    offset = (coo.col - coo.row)[upper]
+    p = int(offset.max(initial=0))
+    ab = np.zeros((p + 1, n))
+    ab[p - offset, coo.col[upper]] = coo.data[upper]
     try:
-        if n <= 1200:
-            scipy.linalg.cholesky(mat.toarray(), lower=False)
-        else:
-            p = _band_width(mat)
-            ab = np.zeros((p + 1, n))
-            coo = sp.triu(mat).tocoo()
-            ab[p + coo.row - coo.col, coo.col] = coo.data
-            scipy.linalg.cholesky_banded(ab, lower=False)
+        scipy.linalg.cholesky_banded(ab, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"{name} is not positive definite: {exc}") from exc
-

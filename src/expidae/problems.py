@@ -50,7 +50,6 @@ class DynBcConfig:
     n_cells: int = 32          # mesh parameter N, h = 1/N
     kappa: float = 0.02        # bulk diffusivity
     alpha: float = 1.0         # boundary reaction coefficient
-    t_end: float = 0.7
 
     def __post_init__(self):
         if self.n_cells < 4:
@@ -63,7 +62,6 @@ class DynBcConfig:
 class NonSymConfig:
     n_cells: int = 32
     series_terms: int = 1000   # truncation of the initial-value sine series
-    t_end: float = 0.5
 
     def __post_init__(self):
         if self.n_cells < 4:
@@ -206,8 +204,7 @@ def build_dynbc(cfg: DynBcConfig = DynBcConfig()) -> Problem:
     gdot = lambda t: zeros_edge
 
     system = ConstrainedSystem(
-        mass, stiffness, constraint, forcing, g, gdot,
-        symmetric=True, h1_form=h1_form, name="dynbc",
+        mass, stiffness, constraint, forcing, g, gdot, h1_form=h1_form
     )
 
     xs = h * ii.ravel(order="F")
@@ -253,8 +250,7 @@ def build_nonsym(cfg: NonSymConfig = NonSymConfig()) -> Problem:
     gdot = lambda t: np.array([2.0 * np.exp(2.0 * t)])
 
     system = ConstrainedSystem(
-        mass, stiffness, constraint, forcing, g, gdot,
-        symmetric=False, h1_form=h1_form, name="nonsym",
+        mass, stiffness, constraint, forcing, g, gdot, h1_form=h1_form
     )
 
     xs = h * np.arange(1, n + 1)
@@ -326,9 +322,7 @@ def build_toy(cfg: ToyConfig = ToyConfig()) -> Problem:
         forcing,
         g,
         gdot,
-        symmetric=cfg.symmetric,
         h1_form=sp.csr_matrix(0.5 * (stiff_d + stiff_d.T) + mass_d),
-        name="toy",
     )
     return Problem(system, exact(0.0), "toy", cfg, exact=exact)
 

@@ -69,3 +69,18 @@ def test_traced_integrations_keep_the_count_identities():
     after = library_namespace()
     assert changed(before, after) == set()
     assert all(attr.startswith("__") for _, attr in set(after) - set(before))
+
+
+def test_traced_alt_euler_keeps_the_saddle_solve_identity():
+    # The alternative scheme's stationary solution is a kernel solve plus
+    # a lift, so every saddle solve it makes goes through a traced entry.
+    tracer = load_tracer().Tracer()
+    tau = 1 / 2560
+    with tracer:
+        integ = importlib.import_module("expidae.integrators")
+        prob = importlib.import_module("expidae.problems").build_problem("nonsym", n_cells=16)
+        config = integ.SchemeConfig(scheme="alt-euler")
+        _, diag = integ.integrate(prob.system, config, prob.u0, 0.0, 4 * tau, tau)
+        tracer.diagnostics.append(diag)
+
+    assert tracer.self_check(("linalg", "flow")) == []

@@ -99,6 +99,17 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_non_finite_c2_is_config_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "solve", "--problem", "toy", "--tau", "0.1", "--t-end", "0.2",
+                "--scheme", "second-order-family", "--c2", "nan",
+                "--out", str(tmp_path / "traj.csv"),
+            ]
+        )
+        assert code == 2
+        assert "c2 must be finite" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         from expidae.errors import NoConvergence
         import expidae.cli as cli_mod

@@ -50,7 +50,6 @@ class TestErrorNorm:
         sys_ = ConstrainedSystem(
             sp.eye(n, format="csr"), sp.csr_matrix(A), sp.csr_matrix((0, n)),
             lambda t, x: np.zeros(n), lambda t: np.zeros(0), lambda t: np.zeros(0),
-            symmetric=False,
         )
         e = np.array([1.0, 1.0, 0.0, 0.0])
         assert error_norm(sys_, e, "energy") == pytest.approx(np.sqrt(3.0), rel=1e-12)
@@ -61,7 +60,6 @@ class TestErrorNorm:
             sp.eye(n, format="csr"), sp.csr_matrix(np.diag([1.0, -1.0])),
             sp.csr_matrix((0, n)),
             lambda t, x: np.zeros(n), lambda t: np.zeros(0), lambda t: np.zeros(0),
-            symmetric=True,
         )
         with pytest.raises(NegativeEnergy):
             error_norm(sys_, np.array([0.0, 1.0]), "energy")
@@ -115,7 +113,7 @@ class TestBuildReference:
         ref = build_reference(prob, 0.5, 1.0 / 128, snapshot_tau=0.125)
         np.testing.assert_allclose(ref.times, [0.0, 0.125, 0.25, 0.375, 0.5])
         assert ref.states.shape == (5, prob.system.n)
-        mid = ref.state_at(0.25)
+        mid = ref.states[2]
         exact = prob.exact(0.25)
         assert np.linalg.norm(mid - exact) <= 1e-5 * np.linalg.norm(exact)
 
@@ -179,10 +177,11 @@ class TestRunConvergence:
                 prob, SchemeConfig(), [0.1, 0.05], 1.0, reference="exact"
             )
 
-    def test_self_check_failure_detected(self, tmp_path):
+    def test_self_check_failure_detected(self, tmp_path, monkeypatch):
         # A first-order reference is not converged enough for a
         # second-order ladder at these step sizes.
         prob = toy_problem()
+        monkeypatch.setattr(harness, "REFERENCE_SCHEME", SchemeConfig(scheme="exp-euler"))
         with pytest.raises(SelfCheckFailed):
             run_convergence(
                 prob,
@@ -192,7 +191,6 @@ class TestRunConvergence:
                 norm="l2",
                 tau_ref=0.00625 / 16,
                 cache_dir=tmp_path,
-                ref_scheme=SchemeConfig(scheme="exp-euler"),
             )
 
 

@@ -38,7 +38,7 @@ from expidae.phi import polyrhs_solution
 from expidae.problems import ToyConfig, build_problem, build_toy
 
 
-def make_system(M, A, B, forcing=None, g=None, gdot=None, symmetric=True):
+def make_system(M, A, B, forcing=None, g=None, gdot=None):
     n, m = A.shape[0], B.shape[0]
     return ConstrainedSystem(
         sp.csr_matrix(M),
@@ -47,7 +47,6 @@ def make_system(M, A, B, forcing=None, g=None, gdot=None, symmetric=True):
         forcing or (lambda t, x: np.zeros(n)),
         g or (lambda t: np.zeros(m)),
         gdot or (lambda t: np.zeros(m)),
-        symmetric=symmetric,
     )
 
 
@@ -101,7 +100,7 @@ class TestLinearMaps:
     def test_maps_agree_with_refined_solves(self, n, m, seed, mass_exp, stiff_exp, symmetric):
         rng = np.random.default_rng(seed)
         M, A, B = random_constrained(rng, n, m, symmetric=symmetric)
-        sys_ = make_system(10.0**mass_exp * M, 10.0**stiff_exp * A, B, symmetric=symmetric)
+        sys_ = make_system(10.0**mass_exp * M, 10.0**stiff_exp * A, B)
         op = sys_.flow_op
 
         g = rng.standard_normal(m)
@@ -129,7 +128,6 @@ class TestLinearMaps:
                 forcing=lambda t, x: c * np.cos(t) + 0.5 * np.sin(x),
                 g=lambda t: g0 * np.cos(t) + g1 * np.sin(t),
                 gdot=lambda t: -g0 * np.sin(t) + g1 * np.cos(t),
-                symmetric=False,
             )
 
         config = SchemeConfig(scheme="second-order")
@@ -433,6 +431,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             SchemeConfig(theta=1.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["c2", "flow_tol"])
+    def test_c2_and_flow_tol_must_be_finite_and_positive(self, name, value):
+        # NaN fails every comparison, so a bare `<= 0` check lets it through.
+        with pytest.raises(ValueError, match=name) as info:
+            SchemeConfig(scheme="second-order-family", **{name: value})
+        assert not isinstance(info.value, ExpidaeError)
+
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_dispatches_to_the_scheme_routine(self, scheme):
         # c2 and theta off their defaults make every scheme's states
@@ -475,7 +481,7 @@ class TestIntegrate:
         n, m = 10, 2
         c, g0 = rng.standard_normal(n), rng.standard_normal(m)
         M, A, B = random_constrained(rng, n, m, symmetric=False)
-        sys_ = make_system(M, A, B, forcing=lambda t, x: c, g=lambda t: g0, symmetric=False)
+        sys_ = make_system(M, A, B, forcing=lambda t, x: c, g=lambda t: g0)
         u0 = lift_constraint(sys_, g0) + kernel_solve(sys_, c)
         traj, _ = integrate(sys_, SchemeConfig(scheme=scheme, c2=0.5), u0, 0.0, 0.3, 0.1)
         for state in traj:
@@ -654,7 +660,7 @@ def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
 def random_system(rng, n, m, forcing=None, g=None, gdot=None):
     """Random non-symmetric system and a consistent initial value."""
     M, A, B = random_constrained(rng, n, m, symmetric=False)
-    sys_ = make_system(M, A, B, forcing=forcing, g=g, gdot=gdot, symmetric=False)
+    sys_ = make_system(M, A, B, forcing=forcing, g=g, gdot=gdot)
     u0 = lift_constraint(sys_, sys_.g(0.0)) + sys_.flow_op.project(rng.standard_normal(n))
     return sys_, u0
 
@@ -711,7 +717,7 @@ class TestIntegrateProperties:
         M, A, B = random_constrained(rng, n, m, symmetric=False)
         B[-1] = rng.standard_normal(m - 1) @ B[:-1]
         with pytest.raises(SingularSaddle):
-            sys_ = make_system(M, A, B, symmetric=False)
+            sys_ = make_system(M, A, B)
             integrate(sys_, SchemeConfig(), np.zeros(n), 0.0, 0.1, 0.05)
 
     @settings(max_examples=20, deadline=None)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingLU, ProductSpy
+from conftest import CountingLU, ProductSpy, random_spd
 from expidae.errors import DimensionMismatch, SingularSaddle
 from expidae.linalg import (
     SaddleFactorization,
@@ -14,6 +14,7 @@ from expidae.linalg import (
     kernel_project,
     require_spd,
 )
+from expidae.problems import build_problem
 
 
 def dense_saddle(S, B):
@@ -251,4 +252,31 @@ class TestRequireSpd:
         n = 2000
         mat = sp.diags([-np.ones(n - 1), 2.05 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
         require_spd(mat)
+
+    @pytest.mark.parametrize("n", [5, 40, 200])
+    def test_full_band_decided_exactly(self, n):
+        # Dense matrices fill the band: the check is a full Cholesky.
+        mat = random_spd(np.random.default_rng(n), n)
+        require_spd(canonical_csr(mat))
+        shift = np.linalg.eigvalsh(mat)[0] + 1e-3
+        with pytest.raises(ValueError, match="not positive definite"):
+            require_spd(canonical_csr(mat - shift * np.eye(n)))
+
+    def test_dynbc_mass_accepted(self):
+        mass = build_problem("dynbc", n_cells=32).system.mass
+        assert mass.shape == (1023, 1023)
+        require_spd(mass)
+
+    @pytest.mark.parametrize("corner, definite", [(1.5, True), (3.0, False)])
+    def test_corner_entry_sets_the_band(self, corner, definite):
+        # The only off-diagonal pair sits at (0, n-1): bandwidth n - 1,
+        # and the 2 x 2 block [[2, c], [c, 2]] decides definiteness.
+        n = 30
+        mat = sp.lil_matrix(2.0 * np.eye(n))
+        mat[0, n - 1] = mat[n - 1, 0] = corner
+        if definite:
+            require_spd(mat)
+        else:
+            with pytest.raises(ValueError, match="not positive definite"):
+                require_spd(mat)
 

@@ -104,7 +104,7 @@ class TestDynBc:
             return s.load(t, np.concatenate([np.zeros(n_bulk), p0]))
 
         frozen_sys = ConstrainedSystem(
-            s.mass, s.stiffness, s.constraint, frozen, s.g, s.gdot, symmetric=True
+            s.mass, s.stiffness, s.constraint, frozen, s.g, s.gdot
         )
         tau = 1.0 / 64
         traj, _ = integrate(frozen_sys, SchemeConfig(scheme="second-order"),
@@ -200,7 +200,7 @@ class TestNonSym:
             lambda t, x: np.zeros(32),
             lambda t: np.zeros(1),
             lambda t: np.zeros(1),
-            symmetric=False, h1_form=s.h1_form,
+            h1_form=s.h1_form,
         )
         traj, _ = integrate(lin, SchemeConfig(scheme="exp-euler"), prob.u0, 0.0, 1.0, 0.05)
         norms = [np.linalg.norm(st.u) for st in traj]
