@@ -32,8 +32,8 @@ from .phi import expm
 __all__ = ["DaeOperator", "KrylovFlowResult", "arnoldi", "flow"]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_BASIS_CAP = 60
-DEFAULT_SUBSTEP_LIMIT = 30
+BASIS_CAP = 60
+SUBSTEP_LIMIT = 30
 BREAKDOWN_RTOL = 1e-14
 CONSISTENCY_RTOL = 1e-8
 
@@ -116,8 +116,6 @@ class DaeOperator:
         return W
 
     def constraint_defect(self, x) -> float:
-        if self.m == 0:
-            return 0.0
         return float(np.linalg.norm(self.constraint @ x))
 
 
@@ -204,7 +202,7 @@ def _next_check(r, estimate, previous, tol):
     return r + 1
 
 
-def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
+def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     """Single Krylov approximation of exp(X dt) x0.
 
     Each check is one dense exponential of the bordered matrix
@@ -220,11 +218,11 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     ``tol``.  Returns (checks, steps, shot) with ``checks`` the number
     of estimates evaluated, ``steps`` the number of Arnoldi steps and
     ``shot`` either (state, basis_size, estimate) or None when
-    the basis cap is exhausted before the error estimate meets ``tol``.
+    ``BASIS_CAP`` is exhausted before the error estimate meets ``tol``.
     """
-    r_cap = min(r_max, op.n)
+    r_cap = min(BASIS_CAP, op.n)
     check, failed, checks, r = first_check, None, 0, 0
-    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_max):
+    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_cap):
         if r < check and r < r_cap and not breakdown:
             continue
         checks += 1
@@ -241,7 +239,7 @@ def _krylov_shot(op, x0, beta, dt, tol, r_max, first_check=1):
     return checks, r, None
 
 
-def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
+def _flow_recursive(op, x0, dt, tol, budget, depth, basis_hint=None):
     """Flow over dt, halving the interval when a shot exhausts the cap.
 
     Returns a ``KrylovFlowResult`` whose state is not yet projected.
@@ -257,12 +255,12 @@ def _flow_recursive(op, x0, dt, tol, r_max, budget, depth, basis_hint=None):
         budget[0] -= 1
         return KrylovFlowResult(x0.copy(), 0, 0.0, 1)
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
-    checks, steps, shot = _krylov_shot(op, x0, beta, dt, tol, r_max, first_check)
+    checks, steps, shot = _krylov_shot(op, x0, beta, dt, tol, first_check)
     if shot is not None:
         state, r, estimate = shot
         budget[0] -= 1
         return KrylovFlowResult(state, r, estimate, 1, checks, steps)
-    half = (dt / 2, tol / 2, r_max, budget, depth + 1)
+    half = (dt / 2, tol / 2, budget, depth + 1)
     a = _flow_recursive(op, x0, *half)
     b = _flow_recursive(op, a.state, *half)
     return KrylovFlowResult(
@@ -280,8 +278,6 @@ def flow(
     x0,
     t: float,
     tol: float = DEFAULT_TOL,
-    r_max: int = DEFAULT_BASIS_CAP,
-    substep_limit: int = DEFAULT_SUBSTEP_LIMIT,
     basis_hint: int | None = None,
 ) -> KrylovFlowResult:
     """Approximate exp(X t) x0 for the homogeneous constrained system.
@@ -291,9 +287,9 @@ def flow(
     round-off, such as the flow input of a step from a steady state,
     passes.  ``tol`` bounds the estimated absolute error of the
     endpoint, summed over the substeps (the estimate carries the norm
-    of x0 as a factor).
-    ``r_max`` and ``substep_limit`` must be at least 1.  The endpoint is
-    projected onto the kernel of B.
+    of x0 as a factor).  A shot that reaches the module constant
+    ``BASIS_CAP`` halves, and more than ``SUBSTEP_LIMIT`` shots raise
+    ``NoConvergence``.  The endpoint is projected onto the kernel of B.
 
     ``basis_hint``, a positive integer such as the basis a similar flow
     accepted, moves the first error check of the shot over the whole
@@ -306,8 +302,6 @@ def flow(
         raise ValueError("flow time must be nonnegative")
     if not tol > 0:
         raise ValueError("flow tolerance must be positive")
-    if r_max < 1 or substep_limit < 1:
-        raise ValueError("flow needs r_max >= 1 and substep_limit >= 1")
     if basis_hint is not None and (
         not isinstance(basis_hint, numbers.Integral) or basis_hint < 1
     ):
@@ -321,5 +315,5 @@ def flow(
     if t == 0.0 or norm0 == 0.0:
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
-    result = _flow_recursive(op, x0, t, tol, r_max, [substep_limit], 0, basis_hint)
+    result = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
     return replace(result, state=op.project(result.state))

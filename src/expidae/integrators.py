@@ -64,6 +64,7 @@ __all__ = [
     "second_order_family_step",
     "alt_euler_step",
     "integrate",
+    "step_count",
     "Diagnostics",
     "save_trajectory_csv",
     "save_trajectory_binary",
@@ -74,6 +75,26 @@ log = logging.getLogger(__name__)
 SCHEME_IDS = ("exp-euler", "second-order", "second-order-family", "alt-euler")
 
 CONSISTENCY_RTOL = 1e-9
+
+
+def step_count(span: float, tau: float) -> int:
+    """Whole number n of steps of ``tau`` in ``span``, the one grid rule of the package.
+
+    Raises ``ValueError`` (a configuration error) unless ``tau`` is finite
+    and positive, ``span`` finite and nonnegative, ``span / tau`` finite
+    and |n tau - span| <= 1e-9 tau.
+    """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"step {tau!r} must be finite and positive")
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ValueError(f"span {span!r} must be finite and nonnegative")
+    ratio = span / tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"span {span!r} / step {tau!r} overflows")
+    n = int(round(ratio))
+    if abs(n * tau - span) > 1e-9 * tau:
+        raise ValueError(f"span {span!r} is not a whole number of steps {tau!r}")
+    return n
 
 
 class ConstrainedSystem:
@@ -138,22 +159,29 @@ class ConstrainedSystem:
         self._lift_map = None  # L, built by the first _lift()
 
     def load(self, t: float, x) -> np.ndarray:
-        f = as_vector(self._forcing(t, x), self.n, "forcing value")
-        if not np.isfinite(f).all():
-            raise NonFinite(f"forcing returned non-finite values at t={t}")
-        return f
+        return _finite(self._forcing(t, x), self.n, "forcing", t)
 
     def g(self, t: float) -> np.ndarray:
-        return as_vector(self._g(t), self.m, "constraint value")
+        """g(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rhs``."""
+        return _finite(self._g(t), self.m, "constraint_rhs", t)
 
     def gdot(self, t: float) -> np.ndarray:
-        return as_vector(self._gdot(t), self.m, "constraint rate")
+        """g'(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rate``."""
+        return _finite(self._gdot(t), self.m, "constraint_rate", t)
 
     def constraint_residual(self, t: float, u) -> float:
         """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
         gval = self.g(t)
-        defect = self.constraint @ u - gval if self.m else np.zeros(0)
+        defect = self.constraint @ u - gval
         return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(gval)))
+
+
+def _finite(value, length, name, t) -> np.ndarray:
+    """``value`` of callback ``name`` at t as a vector, checked for finiteness."""
+    v = as_vector(value, length, f"{name} value")
+    if not np.isfinite(v).all():
+        raise NonFinite(f"{name} returned non-finite values at t={t}")
+    return v
 
 
 @dataclass
@@ -232,8 +260,6 @@ def lift_constraint(sys: ConstrainedSystem, rhs_g) -> np.ndarray:
     throughout the schemes.
     """
     rhs_g = as_vector(rhs_g, sys.m, "constraint data")
-    if sys.m == 0:
-        return np.zeros(sys.n)
     x, _ = sys.stiffness_saddle.solve(np.zeros(sys.n), rhs_g)
     return x
 
@@ -254,8 +280,7 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
     result = krylov_flow(sys.flow_op, z0, tau, tol=config.flow_tol, basis_hint=hint)
-    if diag is not None:
-        diag.record_flow(result)
+    diag.record_flow(result)
     return result.state, result.basis_size if result.substeps == 1 else 0
 
 
@@ -277,11 +302,9 @@ def _finish_step(sys, t1, u1, lift_g1, diag):
             "constraint residual %.3e above tolerance at t=%.6g; reprojecting", res, t1
         )
         u1 = lift_g1 + sys.flow_op.project(u1 - lift_g1)
-        if diag is not None:
-            diag.repairs += 1
+        diag.repairs += 1
         res = sys.constraint_residual(t1, u1)
-    if diag is not None:
-        diag.record_residual(res)
+    diag.record_residual(res)
     return u1
 
 
@@ -302,6 +325,7 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     When the stage is the endpoint (c2 = 1, the second-order scheme),
     by linearity only w'' is flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
     """
+    diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
     load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
@@ -311,14 +335,12 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     lift_g_stage = _lift(sys, sys.g(t_stage))
     u_stage = lift_g_stage + z_stage + w
     if stage_only:
-        if diag is not None:
-            diag.rhs_evaluations += 1
+        diag.rhs_evaluations += 1
         u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
     f_stage = sys.load(t_stage, u_stage)
-    if diag is not None:
-        diag.rhs_evaluations += 2
+    diag.rhs_evaluations += 2
     load_stage = f_stage - sys.mass @ _lift(sys, sys.gdot(t_stage))
     w_prime = kernel_solve(sys, (load_stage - load0) / c2)
     w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
@@ -383,11 +405,11 @@ def alt_euler_step(
     consistency repair is applied because the residual is the scheme's
     own theta-controlled behavior.
     """
+    diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
     g_blend = config.theta * sys.g(t0) + (1.0 - config.theta) * sys.g(t1)
     f0 = sys.load(t0, state.u)
-    if diag is not None:
-        diag.rhs_evaluations += 1
+    diag.rhs_evaluations += 1
     w_bar = kernel_solve(sys, f0) + _lift(sys, g_blend)
     z0 = state.u - w_bar
     defect = sys.flow_op.constraint_defect(z0)
@@ -395,8 +417,7 @@ def alt_euler_step(
         z0 = sys.flow_op.project(z0)
     z_end, basis = _run_flow(sys, z0, tau, config, diag, state, 0)
     u1 = z_end + w_bar
-    if diag is not None:
-        diag.record_residual(sys.constraint_residual(t1, u1))
+    diag.record_residual(sys.constraint_residual(t1, u1))
     return StepState(t1, u1, flow_bases=(basis,))
 
 
@@ -411,21 +432,14 @@ def integrate(
 ) -> tuple[list[StepState], Diagnostics]:
     """March from t0 to t_end on the uniform grid with step tau.
 
-    The number of steps (t_end - t0) / tau must be integral to within
-    round-off, and u0 must satisfy B u0 = g(t0).  The returned
-    trajectory holds every ``snapshot_stride``-th state (plus the final
-    one); pass 1 to keep all steps.
+    The step count is ``step_count(t_end - t0, tau)``, step times
+    accumulate as t + tau, and u0 must satisfy B u0 = g(t0).  The
+    returned trajectory holds every ``snapshot_stride``-th state (plus
+    the final one); pass 1 to keep all steps.
     """
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be a positive integer")
-    if tau <= 0.0:
-        raise ValueError("step size must be positive")
-    span = t_end - t0
-    if span < 0.0:
-        raise ValueError("t_end must not precede t0")
-    nsteps = int(round(span / tau))
-    if abs(nsteps * tau - span) > 1e-8 * max(span, tau):
-        raise ValueError(f"(t_end - t0) / tau = {span / tau!r} is not an integer")
+    nsteps = step_count(t_end - t0, tau)
 
     u0 = as_vector(u0, sys.n, "u0")
     initial_residual = sys.constraint_residual(t0, u0)
@@ -456,8 +470,15 @@ def integrate(
 
 
 def save_trajectory_csv(trajectory, diagnostics, path) -> None:
-    """Write step index, time, constraint residual and state norm per row."""
+    """Write step index, time, constraint residual and state norm per row.
+
+    Row k is step k, so the trajectory must hold every step
+    (``snapshot_stride=1``); otherwise a ``ValueError`` is raised before
+    the file is opened.
+    """
     residuals = diagnostics.constraint_residuals
+    if len(trajectory) != len(residuals) + 1:
+        raise ValueError(f"{len(trajectory)} states for {len(residuals)} steps: strided")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("step,t,constraint_residual,solution_norm\n")
         for k, state in enumerate(trajectory):

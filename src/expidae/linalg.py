@@ -102,13 +102,8 @@ class SaddleFactorization:
         self.n = n
         self.m = m
 
-        if m == 0:
-            block = self.S
-        else:
-            block = sp.bmat(
-                [[self.S, self.B.T], [self.B, None]], format="csr", dtype=np.float64
-            )
-        self._block = block
+        blocks = [[self.S, self.B.T], [self.B, None]]
+        self._block = block = sp.bmat(blocks, format="csr", dtype=np.float64)
         scale = np.abs(block.data).max() if block.nnz else 0.0
         if scale == 0.0:
             raise SingularSaddle("saddle block matrix is all zero")
@@ -132,7 +127,7 @@ class SaddleFactorization:
         """
         rp = as_vector(rhs_primal, self.n, "rhs_primal")
         rc = as_vector(rhs_constraint, self.m, "rhs_constraint")
-        rhs = np.concatenate([rp, rc]) if self.m else rp
+        rhs = np.concatenate([rp, rc])
         sol = self._lu.solve(rhs)
         if not refine:
             return sol[: self.n], sol[self.n :]
@@ -149,11 +144,10 @@ def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:
 
     ``fact`` must have been assembled from the inner-product matrix
     (typically the mass matrix) and B.  Solves S p + B^T mu = S x,
-    B p = 0.
+    B p = 0; with no constraints (m = 0) that is S p = S x, so p is x
+    up to round-off.
     """
     x = as_vector(x, fact.n, "x")
-    if fact.m == 0:
-        return x.copy()
     p, _ = fact.solve(fact.S @ x, np.zeros(fact.m))
     return p
 

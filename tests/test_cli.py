@@ -89,15 +89,21 @@ class TestSolve:
         code = main(["solve", "--problem", "toy", "--tau", "0.1"])
         assert code == 2
 
-    def test_bad_step_is_config_error(self, tmp_path):
+    def test_bad_step_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
-        code = main(
-            [
-                "solve", "--problem", "toy", "--tau", "0.3", "--t-end", "1.0",
-                "--scheme", "exp-euler", "--out", str(out),
-            ]
-        )
-        assert code == 2
+        for tau, t_end in [
+            ("0.3", "1.0"), ("inf", "0.5"), ("nan", "0.5"), ("1e-320", "0.5"), ("0.1", "inf"),
+        ]:
+            code = main(
+                [
+                    "solve", "--problem", "toy", "--tau", tau, "--t-end", t_end,
+                    "--scheme", "exp-euler", "--out", str(out),
+                ]
+            )
+            assert code == 2, (tau, t_end)
+            err = capsys.readouterr().err
+            assert "step" in err or "span" in err
+            assert not out.exists()
 
     def test_non_finite_c2_is_config_error(self, tmp_path, capsys):
         code = main(
@@ -186,6 +192,18 @@ class TestConverge:
         assert "unreadable" in caplog.text
         assert cached.read_bytes() == complete
         assert [p.name for p in cache.iterdir()] == [cached.name]
+
+    @pytest.mark.parametrize("taus, t_end", [("inf,0.05", "0.5"), ("0.1,0.05", "inf")])
+    def test_non_finite_step_or_end_time_is_config_error(self, tmp_path, capsys, taus, t_end):
+        code = main(
+            [
+                "converge", "--problem", "toy", "--taus", taus, "--t-end", t_end,
+                "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", str(0.05 / 16),
+                "--out", str(tmp_path / "conv.csv"),
+            ]
+        )
+        assert code == 2
+        assert "span inf must be finite" in capsys.readouterr().err
 
     def test_coarse_reference_rejected(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -118,6 +118,11 @@ class TestBuildReference:
         assert np.linalg.norm(mid - exact) <= 1e-5 * np.linalg.norm(exact)
 
 
+    def test_snapshot_step_must_be_whole_reference_steps(self):
+        with pytest.raises(ValueError, match="whole number"):
+            build_reference(toy_problem(), 0.5, 1.0 / 128, snapshot_tau=0.1)
+
+
 class TestRunConvergence:
     def test_toy_against_exact(self):
         prob = toy_problem()
@@ -169,6 +174,10 @@ class TestRunConvergence:
             run_convergence(
                 prob, SchemeConfig(), [0.1, 0.05], 1.0, tau_ref=0.05 / 8
             )
+
+    def test_ladder_must_be_whole_multiples_of_its_smallest_step(self):
+        with pytest.raises(ValueError, match="whole number"):
+            run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.03], 1.0, reference="exact")
 
     def test_missing_reference_mode(self):
         prob = build_problem("nonsym", n_cells=8)

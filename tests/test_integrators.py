@@ -32,6 +32,7 @@ from expidae.integrators import (
     save_trajectory_csv,
     second_order_family_step,
     second_order_step,
+    step_count,
 )
 from expidae.linalg import SaddleFactorization, kernel_project
 from expidae.phi import polyrhs_solution
@@ -66,6 +67,41 @@ class TestConstrainedSystem:
         )
         with pytest.raises(NonFinite):
             sys_.load(0.0, np.zeros(2))
+
+
+class TestStepCount:
+    """The one grid rule of integrate, build_reference and run_convergence."""
+
+    @pytest.mark.parametrize(
+        "span, tau, n", [(0.0, 0.1, 0), (0.5, 0.05, 10), (0.7, 0.01, 70), (0.5, 1 / 40960, 20480)]
+    )
+    def test_whole_number_of_steps(self, span, tau, n):
+        assert step_count(span, tau) == n
+
+    @pytest.mark.parametrize(
+        "span, tau",
+        [(0.5, tau) for tau in (0.0, -0.1, np.inf, np.nan, 1e-320)]
+        + [(span, 0.1) for span in (-0.1, np.inf, np.nan)]
+        + [(1.0, 0.3)],
+    )
+    def test_rejection_is_a_configuration_error(self, span, tau):
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError) as info:
+            step_count(span, tau)
+        assert not isinstance(info.value, ExpidaeError)
+
+
+class TestNoConstraints:
+    """With m = 0 the general path runs on an empty B."""
+
+    def test_constraint_maps_of_toy_without_constraints(self):
+        sys_ = build_toy(ToyConfig(m=0)).system
+        x = np.random.default_rng(0).standard_normal(sys_.n)
+        assert np.array_equal(lift_constraint(sys_, np.zeros(0)), np.zeros(sys_.n))
+        p = kernel_project(sys_.flow_op._saddle, x)
+        assert np.linalg.norm(p - x) <= 1e-14 * np.linalg.norm(x)
+        assert sys_.constraint_residual(0.3, x) == 0.0
+        assert sys_.flow_op.constraint_defect(x) == 0.0
 
 
 class TestLiftConstraint:
@@ -112,7 +148,7 @@ class TestLinearMaps:
         # Arnoldi solves over about one time constant of the system.
         x = rng.standard_normal(n)
         t = 0.5 * 10.0 ** (mass_exp - stiff_exp)
-        raw = _flow_recursive(op, op.project(x), t, 1e-10, 60, [30], 0).state
+        raw = _flow_recursive(op, op.project(x), t, 1e-10, [30], 0).state
         for v in (x, raw):
             p = op.project(v)
             assert np.linalg.norm(p - kernel_project(op._saddle, v)) <= 1e-12 * np.linalg.norm(v)
@@ -488,6 +524,44 @@ class TestIntegrate:
             assert np.linalg.norm(state.u - u0) <= 1e-12 * np.linalg.norm(u0)
 
 
+def _spoiled(fn, value, t_bad):
+    """``fn`` with its first entry replaced by ``value`` from ``t_bad`` on."""
+
+    def spoiled(t):
+        v = np.array(fn(t), dtype=float)
+        if t >= t_bad - 1e-12:
+            v[0] = value
+        return v
+
+    return spoiled
+
+
+class TestNonFiniteConstraintData:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "scheme, callback",
+        [
+            (scheme, callback)
+            for scheme in SCHEME_IDS
+            for callback in ("constraint_rhs", "constraint_rate")
+            # alt-Euler never evaluates g'.
+            if (scheme, callback) != ("alt-euler", "constraint_rate")
+        ],
+    )
+    def test_is_reported_by_callback_name(self, scheme, callback, value):
+        prob = build_toy(ToyConfig(n=10, m=2, seed=1))
+        sys_ = prob.system
+        g, gdot = sys_._g, sys_._gdot
+        if callback == "constraint_rhs":
+            g = _spoiled(g, value, 0.05)
+        else:
+            gdot = _spoiled(gdot, value, 0.05)
+        bad = ConstrainedSystem(sys_.mass, sys_.stiffness, sys_.constraint, sys_._forcing, g, gdot)
+        with pytest.raises(NonFinite, match=f"{callback} returned non-finite values at t=0.05"):
+            integrate(bad, SchemeConfig(scheme=scheme, c2=0.5), prob.u0, 0.0, 0.2, 0.05)
+
+
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path):
         prob = build_toy(ToyConfig(n=8, m=1, seed=2))
@@ -500,6 +574,16 @@ class TestTrajectoryExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[3]) == pytest.approx(np.linalg.norm(prob.u0))
+
+    def test_strided_trajectory_is_rejected_before_writing(self, tmp_path):
+        prob = build_problem("toy")
+        traj, diag = integrate(
+            prob.system, SchemeConfig(), prob.u0, 0.0, 0.4, 0.05, snapshot_stride=4
+        )
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError):
+            save_trajectory_csv(traj, diag, path)
+        assert not path.exists()
 
     def test_binary_round_trip(self, tmp_path):
         import struct
