@@ -15,6 +15,10 @@ If the basis cap is reached before Saad's a-posteriori error estimate
 meets the tolerance, the interval is halved recursively.  The accepted
 result is projected back onto the kernel of B to kill round-off drift,
 by the rank-m update x - W (B x) of ``DaeOperator.project``.
+
+For a system small enough to hold dense n x n matrices,
+``exact_propagators`` forms exp(X t) itself on ker B, and
+``exact_flow`` flows with one matrix-vector product and no tolerance.
 """
 
 from __future__ import annotations
@@ -24,12 +28,20 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InconsistentState, NoConvergence, ZeroInitialVector
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project
 from .phi import expm
 
-__all__ = ["DaeOperator", "KrylovFlowResult", "arnoldi", "flow"]
+__all__ = [
+    "DaeOperator",
+    "KrylovFlowResult",
+    "arnoldi",
+    "flow",
+    "exact_propagators",
+    "exact_flow",
+]
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 60
@@ -306,14 +318,44 @@ def flow(
         not isinstance(basis_hint, numbers.Integral) or basis_hint < 1
     ):
         raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
+    norm0 = _require_consistent(op, x0)
+    if t == 0.0 or norm0 == 0.0:
+        return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
+
+    result = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
+    return replace(result, state=op.project(result.state))
+
+
+def _require_consistent(op, x0) -> float:
+    """|x0|, after raising ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|)."""
     norm0 = np.linalg.norm(x0)
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * (1.0 + norm0):
         raise InconsistentState(
             f"initial value violates constraint: |B x0| = {defect:.3e}, |x0| = {norm0:.3e}"
         )
-    if t == 0.0 or norm0 == 0.0:
-        return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
+    return norm0
 
-    result = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
-    return replace(result, state=op.project(result.state))
+
+def exact_propagators(op: DaeOperator, durations) -> dict:
+    """Dense exact flow maps E(t) = Z exp(t X_K) Z^T, keyed by each t of ``durations``.
+
+    Z is an orthonormal basis of ker B and X_K = -(Z^T M Z)^{-1} Z^T A Z
+    the generator restricted to it, so E(t) x0 = exp(X t) x0 for every
+    consistent x0.  The reduction is formed once and each E(t) costs one
+    dense exponential; time O(n^3) and memory a few dense n x n arrays,
+    so this is for small systems only.
+    """
+    Z = scipy.linalg.null_space(op.constraint.toarray())
+    generator = -np.linalg.solve(Z.T @ (op.mass @ Z), Z.T @ (op.stiffness @ Z))
+    return {t: (Z @ expm(t * generator)) @ Z.T for t in durations}
+
+
+def exact_flow(op: DaeOperator, propagator, x0) -> np.ndarray:
+    """exp(X t) x0 as ``propagator @ x0``, for E(t) from ``exact_propagators``.
+
+    Checks x0 and projects the endpoint as ``flow`` does.
+    """
+    x0 = as_vector(x0, op.n, "x0")
+    _require_consistent(op, x0)
+    return op.project(propagator @ x0)

@@ -8,10 +8,18 @@ log(step size).  References are produced by the second-order scheme at
 a much finer step and validated by comparing against a run with half
 that step; they are cached on disk keyed by problem, config, final
 time, reference step and numerics revision.
+
+The reference runs of a system with at most ``EXACT_FLOW_MAX_N``
+unknowns flow with the dense exact propagator exp(X tau) on ker B
+(``flow.exact_propagators``) instead of the Krylov flow: each flow is
+one matrix-vector product and carries no flow-tolerance error, and the
+ladder, which keeps the Krylov flow, is measured against a yardstick
+that does not share it.  Larger systems fall back to the Krylov flow.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 import math
@@ -24,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
+from .flow import exact_propagators
 from .integrators import ConstrainedSystem, SchemeConfig, integrate, step_count
 from .linalg import as_vector
 from .problems import Problem
@@ -46,13 +55,18 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 7
+NUMERICS_REVISION = 8
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
 PREASYMPTOTIC_FRACTION = 0.5
 
 REFERENCE_SCHEME = SchemeConfig(scheme="second-order", flow_tol=1e-12)
+
+# Reference runs of a system with at most this many unknowns flow with
+# dense exact propagators, 8 MB each at the cap; larger systems keep
+# the Krylov flow.
+EXACT_FLOW_MAX_N = 1024
 
 
 def error_norm(sys: ConstrainedSystem, e, norm: str) -> float:
@@ -194,9 +208,9 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
-def _snapshot_run(problem, t_end, tau, stride):
+def _snapshot_run(problem, system, t_end, tau, stride):
     traj, _ = integrate(
-        problem.system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
+        system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
     )
     times = np.array([st.t for st in traj])
     states = np.stack([st.u for st in traj])
@@ -218,6 +232,15 @@ def build_reference(
     (when ``cache_dir`` is given) and served bit-identically on repeated
     calls with the same key; the key embeds ``repr`` of the problem's
     config and of ``REFERENCE_SCHEME``, so a change to either is a miss.
+
+    With at most ``EXACT_FLOW_MAX_N`` unknowns both runs flow on a
+    shallow copy of the system that carries the exact propagators for
+    tau_ref and tau_ref / 2, built for this call and dropped after it.
+    The problem's own system, which the ladder integrates with the
+    Krylov flow, is left as it was, so the ladder and the reference no
+    longer share a flow, and the reference carries no flow-tolerance
+    error.  Larger systems fall back to the Krylov flow with
+    ``REFERENCE_SCHEME.flow_tol``.
     """
     stride = step_count(t_end if snapshot_tau is None else snapshot_tau, tau_ref)
 
@@ -230,8 +253,12 @@ def build_reference(
         if cached is not None:
             return ReferenceSolution(*cached, from_cache=True)
 
-    times, states = _snapshot_run(problem, t_end, tau_ref, stride)
-    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride)
+    system = problem.system
+    if system.n <= EXACT_FLOW_MAX_N:
+        system = copy.copy(system)
+        system.propagators = exact_propagators(system.flow_op, (tau_ref, tau_ref / 2))
+    times, states = _snapshot_run(problem, system, t_end, tau_ref, stride)
+    _, check_states = _snapshot_run(problem, system, t_end, tau_ref / 2, 2 * stride)
 
     if cache_path is not None:
         _write_cache(cache_path, key, times, states, check_states)
@@ -256,8 +283,10 @@ def run_convergence(
     solution, available for the toy problem only).  ``sample`` selects
     the error functional: "final" measures at t_end only, "max" takes
     the maximum over all time grid points, which is what resolves the
-    initial transient of problems with rough data.  Each step size
-    must be a whole number of the smallest by ``step_count``.
+    initial transient of problems with rough data.  ``t_end`` must be
+    positive, and each step size a whole number of the smallest and
+    t_end a whole number of each step by ``step_count``; all of this is
+    checked before the reference is built.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     if len(taus) < 2:
@@ -266,9 +295,13 @@ def run_convergence(
         raise ValueError("duplicate step sizes in ladder")
     if sample not in ("final", "max"):
         raise ValueError(f"unknown sample mode {sample!r}")
+    if not t_end > 0.0:
+        raise ValueError(f"t_end {t_end!r} must be positive")
     sys = problem.system
     tau_min = min(taus)
     strides = [step_count(tau, tau_min) for tau in taus]
+    for tau in taus:
+        step_count(t_end, tau)
 
     ref = None
     exact = None

@@ -41,6 +41,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import DEFAULT_TOL, DaeOperator, flow as krylov_flow
+from .flow import DEFAULT_TOL, DaeOperator, exact_flow, flow as krylov_flow
 from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd
 
 __all__ = [
@@ -124,7 +125,14 @@ class ConstrainedSystem:
     kept; both are deterministic, so a run on a system whose maps are
     built gives the same bits as a run on a fresh one.  The only solves
     that run every step and refine are the kernel solves.
+
+    ``propagators`` maps a flow duration to its dense exact flow map
+    (``flow.exact_propagators``); a flow over a listed duration is one
+    product with it instead of a Krylov flow.  It is empty here: only
+    the shallow copy that ``harness.build_reference`` flows on sets it.
     """
+
+    propagators = MappingProxyType({})
 
     def __init__(
         self,
@@ -275,8 +283,13 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     """Flow z0 over tau, warm-started from flow ``slot`` of the step that made ``state``.
 
     Returns the endpoint and the basis size to record in that slot of the
-    next state's ``flow_bases``: the accepted one, or 0 if the flow halved.
+    next state's ``flow_bases``: the accepted one, or 0 if the flow halved
+    or, over a duration in ``sys.propagators``, was the exact flow, which
+    counts nothing in ``diag``.
     """
+    propagator = sys.propagators.get(tau)
+    if propagator is not None:
+        return exact_flow(sys.flow_op, propagator, z0), 0
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
     result = krylov_flow(sys.flow_op, z0, tau, tol=config.flow_tol, basis_hint=hint)

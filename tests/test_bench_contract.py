@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` times a layer by replacing the module attributes and
 methods that callers look up at call time.  If a step routine bound one of
 them at import, or called around it, the traced counts would break their
-identities; this test runs the tracer over short integrations of both
-benchmark step functions and checks those identities.  The tracer file is
+identities; these tests run the tracer over short integrations of both
+benchmark step functions and over a reference build, whose exact flows go
+around the Krylov flow, and check those identities.  The tracer file is
 only imported, never changed.
 """
 
@@ -84,3 +85,24 @@ def test_traced_alt_euler_keeps_the_saddle_solve_identity():
         tracer.diagnostics.append(diag)
 
     assert tracer.self_check(("linalg", "flow")) == []
+
+
+def test_traced_reference_build_keeps_the_count_identities():
+    # The reference runs flow with exact dense propagators, around the
+    # Krylov flow the tracer counts: they must add nothing to the Krylov
+    # counters of Diagnostics either.
+    tracer = load_tracer().Tracer()
+    tau = 1 / 2560
+    with tracer:
+        harness = importlib.import_module("expidae.harness")
+        prob = importlib.import_module("expidae.problems").build_problem("nonsym", n_cells=16)
+        harness.build_reference(prob, 4 * tau, tau)
+
+    assert tracer.self_check(("linalg", "phi", "integrators", "harness")) == []
+    assert tracer.calls["integrators.step"] == 4 + 8
+    assert tracer.calls["flow.flow"] == tracer.calls["flow.arnoldi_step"] == 0
+    assert tracer.calls["phi.expm"] == 2
+    assert len(tracer.diagnostics) == 2
+    for diag in tracer.diagnostics:
+        counters = (diag.flow_substeps, diag.flow_checks, diag.arnoldi_steps, diag.max_basis_size)
+        assert counters == (0, 0, 0, 0)

@@ -205,6 +205,33 @@ class TestConverge:
         assert code == 2
         assert "span inf must be finite" in capsys.readouterr().err
 
+    def test_ladder_is_checked_before_the_reference_is_built(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        code = main(
+            [
+                "converge", "--problem", "toy", "--taus", "0.1,0.05", "--t-end", "0.25",
+                "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", "0.003125",
+                "--cache-dir", str(cache), "--out", str(tmp_path / "conv.csv"),
+            ]
+        )
+        assert code == 2
+        assert "span 0.25 is not a whole number of steps 0.1" in capsys.readouterr().err
+        assert not cache.exists() or list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("t_end", ["0", "-0.5", "nan"])
+    def test_non_positive_end_time_is_rejected_by_name(self, tmp_path, capsys, t_end):
+        code = main(
+            [
+                "converge", "--problem", "toy", "--taus", "0.1,0.05", "--t-end", t_end,
+                "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", "0.003125",
+                "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "conv.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"t_end {float(t_end)!r} must be positive" in err
+        assert not (tmp_path / "cache").exists()
+
     def test_coarse_reference_rejected(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = main(

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import ProductSpy, kernel_reduction_flow, make_operator, random_constrained
 from expidae.errors import ExpidaeError, InconsistentState, NoConvergence, ZeroInitialVector
-from expidae.flow import DEFAULT_TOL, DaeOperator, arnoldi, flow
+from expidae.flow import (
+    DEFAULT_TOL,
+    DaeOperator,
+    arnoldi,
+    exact_flow,
+    exact_propagators,
+    flow,
+)
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
@@ -376,3 +383,38 @@ class TestBasisHint:
         with pytest.raises(ValueError) as info:
             flow(op, np.ones(3), 1.0, basis_hint=hint)
         assert not isinstance(info.value, ExpidaeError)
+
+
+class TestExactFlow:
+    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 32})])
+    @pytest.mark.parametrize("t", [1 / 40960, 0.01])
+    def test_matches_the_oracle_and_the_krylov_flow(self, name, options, t):
+        op = build_problem(name, **options).system.flow_op
+        x0 = op.project(np.random.default_rng(3).standard_normal(op.n))
+        (propagator,) = exact_propagators(op, (t,)).values()
+        state = exact_flow(op, propagator, x0)
+
+        M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
+        oracle = kernel_reduction_flow(M, A, B, x0, t)
+        assert np.linalg.norm(state - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        tol = 1e-13
+        assert np.linalg.norm(state - flow(op, x0, t, tol=tol).state) <= 10 * tol
+        assert np.linalg.norm(B @ state) <= 1e-12 * np.linalg.norm(state)
+
+    def test_one_map_per_duration(self, monkeypatch):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        dims = _count_expm(monkeypatch)
+        maps = exact_propagators(op, (0.02, 0.01))
+        assert list(maps) == [0.02, 0.01]
+        assert len(dims) == 2
+        x0 = op.project(np.ones(op.n))
+        twice = exact_flow(op, maps[0.01], exact_flow(op, maps[0.01], x0))
+        once = exact_flow(op, maps[0.02], x0)
+        assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
+
+    def test_inconsistent_initial_state_raises(self):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        (propagator,) = exact_propagators(op, (0.01,)).values()
+        x0 = np.random.default_rng(4).standard_normal(op.n)
+        with pytest.raises(InconsistentState):
+            exact_flow(op, propagator, x0)

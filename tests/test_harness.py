@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ from expidae.harness import (
     read_convergence_csv,
     run_convergence,
 )
-from expidae.integrators import ConstrainedSystem, SchemeConfig
+from expidae.integrators import ConstrainedSystem, SchemeConfig, integrate
 from expidae.problems import ToyConfig, build_problem, build_toy
 
 
@@ -121,6 +123,53 @@ class TestBuildReference:
     def test_snapshot_step_must_be_whole_reference_steps(self):
         with pytest.raises(ValueError, match="whole number"):
             build_reference(toy_problem(), 0.5, 1.0 / 128, snapshot_tau=0.1)
+
+    def test_exact_flow_reference_runs_no_arnoldi_step(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=32)
+        flow_module = sys.modules["expidae.flow"]
+        exponentials, arnoldi_steps = [], []
+        expm, apply = flow_module.expm, flow_module.DaeOperator.apply
+
+        def counted_expm(a):
+            exponentials.append(a.shape[0])
+            return expm(a)
+
+        def counted_apply(op, x):
+            arnoldi_steps.append(1)
+            return apply(op, x)
+
+        monkeypatch.setattr(flow_module, "expm", counted_expm)
+        monkeypatch.setattr(flow_module.DaeOperator, "apply", counted_apply)
+        build_reference(prob, 0.05, 1 / 2560)
+        assert arnoldi_steps == []
+        assert len(exponentials) == 2
+        # The propagators lived on a copy; the ladder's system has none.
+        assert len(prob.system.propagators) == 0
+
+    def test_cap_takes_dynbc_at_h_1_32_and_not_at_h_1_64(self):
+        small, large = (build_problem("dynbc", n_cells=n).system.n for n in (32, 64))
+        assert small <= harness.EXACT_FLOW_MAX_N < large
+
+    def test_above_the_cap_the_reference_is_the_krylov_run(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=32)
+        monkeypatch.setattr(harness, "EXACT_FLOW_MAX_N", prob.system.n - 1)
+        ref = build_reference(prob, 0.05, 1 / 2560)
+        for tau, states in ((1 / 2560, ref.states), (1 / 5120, ref.check_states)):
+            traj, diag = integrate(
+                prob.system, harness.REFERENCE_SCHEME, prob.u0, 0.0, 0.05, tau,
+                snapshot_stride=10**6,
+            )
+            assert diag.arnoldi_steps > 0
+            np.testing.assert_array_equal(states, [st.u for st in traj])
+
+    def test_exact_and_krylov_references_agree(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=32)
+        exact = build_reference(prob, 0.05, 1 / 2560, snapshot_tau=0.0125)
+        monkeypatch.setattr(harness, "EXACT_FLOW_MAX_N", 0)
+        krylov = build_reference(prob, 0.05, 1 / 2560, snapshot_tau=0.0125)
+        assert exact.states.shape == krylov.states.shape == (5, prob.system.n)
+        for a, b in ((exact.states, krylov.states), (exact.check_states, krylov.check_states)):
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
 
 class TestRunConvergence:
