@@ -14,6 +14,8 @@ explicitly passed flags win over file values.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import fields
 
@@ -140,9 +142,17 @@ def _cmd_solve(args) -> int:
     trajectory, diag = integrate(
         problem.system, config, problem.u0, 0.0, float(args.t_end), float(args.tau)
     )
-    save_trajectory_csv(trajectory, diag, args.out)
-    if args.dump_state:
-        save_trajectory_binary(trajectory, args.dump_state)
+    # A failed write removes the output files this command created.
+    created = [p for p in (args.out, args.dump_state) if p and not os.path.lexists(p)]
+    try:
+        save_trajectory_csv(trajectory, diag, args.out)
+        if args.dump_state:
+            save_trajectory_binary(trajectory, args.dump_state)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        raise
     print(
         f"solve {args.problem} scheme={args.scheme} steps={diag.steps} "
         f"max_constraint_residual={diag.max_constraint_residual:.3e} "

@@ -16,9 +16,9 @@ meets the tolerance, the interval is halved recursively.  The accepted
 result is projected back onto the kernel of B to kill round-off drift,
 by the rank-m update x - W (B x) of ``DaeOperator.project``.
 
-For a system small enough to hold dense n x n matrices,
-``exact_propagators`` forms exp(X t) itself on ker B, and
-``exact_flow`` flows with one matrix-vector product and no tolerance.
+For a system small enough to hold dense n x n matrices, ``step_maps``
+forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
+itself on ker B, so that the step needs no flow and no tolerance.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
     "KrylovFlowResult",
     "arnoldi",
     "flow",
-    "exact_propagators",
-    "exact_flow",
+    "StepMaps",
+    "step_maps",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -337,25 +337,42 @@ def _require_consistent(op, x0) -> float:
     return norm0
 
 
-def exact_propagators(op: DaeOperator, durations) -> dict:
-    """Dense exact flow maps E(t) = Z exp(t X_K) Z^T, keyed by each t of ``durations``.
+@dataclass(frozen=True)
+class StepMaps:
+    """Dense maps of one exponential step of duration ``tau``, from ``step_maps``.
 
-    Z is an orthonormal basis of ker B and X_K = -(Z^T M Z)^{-1} Z^T A Z
-    the generator restricted to it, so E(t) x0 = exp(X t) x0 for every
-    consistent x0.  The reduction is formed once and each E(t) costs one
-    dense exponential; time O(n^3) and memory a few dense n x n arrays,
-    so this is for small systems only.
+    ``flow`` is E = exp(tau X) on ker B, and ``phi1`` and ``phi2`` are
+    Z tau phi_k(tau X_K) M_K^{-1} Z^T for k = 1, 2 (notation of
+    ``step_maps``), each an n x n array whose range is ker B.
+    """
+
+    tau: float
+    flow: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+
+
+def step_maps(op: DaeOperator, tau: float) -> StepMaps:
+    """The maps E, Phi_1 and Phi_2 of an exponential step of duration ``tau``.
+
+    With Z an orthonormal basis of ker B, M_K = Z^T M Z, A_K = Z^T A Z,
+    X_K = -M_K^{-1} A_K and K = Z A_K^{-1} Z^T (the kernel solve):
+
+        E = Z exp(tau X_K) Z^T,
+        Phi_1 = (I - E) K,
+        Phi_2 = K + (E - I) K M K / tau.
+
+    E x0 = exp(X tau) x0 for every consistent x0.  The build is one dense
+    exponential of the k x k generator, k = n - m, one dense solve with
+    A_K and a few dense products; time O(n^3) and memory a few dense
+    n x n arrays, so this is for small systems only.
     """
     Z = scipy.linalg.null_space(op.constraint.toarray())
-    generator = -np.linalg.solve(Z.T @ (op.mass @ Z), Z.T @ (op.stiffness @ Z))
-    return {t: (Z @ expm(t * generator)) @ Z.T for t in durations}
-
-
-def exact_flow(op: DaeOperator, propagator, x0) -> np.ndarray:
-    """exp(X t) x0 as ``propagator @ x0``, for E(t) from ``exact_propagators``.
-
-    Checks x0 and projects the endpoint as ``flow`` does.
-    """
-    x0 = as_vector(x0, op.n, "x0")
-    _require_consistent(op, x0)
-    return op.project(propagator @ x0)
+    mass_k = Z.T @ (op.mass @ Z)
+    stiff_k = Z.T @ (op.stiffness @ Z)
+    flow_map = (Z @ expm(-tau * np.linalg.solve(mass_k, stiff_k))) @ Z.T
+    kernel = Z @ np.linalg.solve(stiff_k, Z.T)
+    phi1 = kernel - flow_map @ kernel
+    # (E - I) K M K = -Phi_1 M K
+    phi2 = kernel - phi1 @ (op.mass @ kernel) / tau
+    return StepMaps(tau, flow_map, phi1, phi2)

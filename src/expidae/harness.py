@@ -10,11 +10,12 @@ that step; they are cached on disk keyed by problem, config, final
 time, reference step and numerics revision.
 
 The reference runs of a system with at most ``EXACT_FLOW_MAX_N``
-unknowns flow with the dense exact propagator exp(X tau) on ker B
-(``flow.exact_propagators``) instead of the Krylov flow: each flow is
-one matrix-vector product and carries no flow-tolerance error, and the
-ladder, which keeps the Krylov flow, is measured against a yardstick
-that does not share it.  Larger systems fall back to the Krylov flow.
+unknowns step through dense exact step maps on ker B
+(``flow.step_maps``) instead of kernel solves and Krylov flows: each
+step is three matrix-vector products and carries no flow-tolerance
+error, and the ladder, which keeps the Krylov flow, is measured
+against a yardstick that does not share it.  Larger systems fall back
+to the Krylov flow.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
-from .flow import exact_propagators
-from .integrators import ConstrainedSystem, SchemeConfig, integrate, step_count
+from .flow import step_maps
+from .integrators import ConstrainedSystem, SchemeConfig, integrate, lift_map, step_count
 from .linalg import as_vector
 from .problems import Problem
 
@@ -55,7 +56,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 8
+NUMERICS_REVISION = 9
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -63,9 +64,9 @@ PREASYMPTOTIC_FRACTION = 0.5
 
 REFERENCE_SCHEME = SchemeConfig(scheme="second-order", flow_tol=1e-12)
 
-# Reference runs of a system with at most this many unknowns flow with
-# dense exact propagators, 8 MB each at the cap; larger systems keep
-# the Krylov flow.
+# Reference runs of a system with at most this many unknowns step
+# through dense exact step maps, three n x n arrays (25 MB at the cap)
+# for one run at a time; larger systems keep the Krylov flow.
 EXACT_FLOW_MAX_N = 1024
 
 
@@ -208,7 +209,16 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
-def _snapshot_run(problem, system, t_end, tau, stride):
+def _snapshot_run(problem, t_end, tau, stride):
+    """One reference run, through the step maps of ``tau`` up to the size cap.
+
+    The maps live on a shallow copy of the problem's system and are
+    dropped with it when the run returns.
+    """
+    system = problem.system
+    if system.n <= EXACT_FLOW_MAX_N:
+        system = copy.copy(system)
+        system.step_maps = step_maps(system.flow_op, tau)
     traj, _ = integrate(
         system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
     )
@@ -233,14 +243,16 @@ def build_reference(
     calls with the same key; the key embeds ``repr`` of the problem's
     config and of ``REFERENCE_SCHEME``, so a change to either is a miss.
 
-    With at most ``EXACT_FLOW_MAX_N`` unknowns both runs flow on a
-    shallow copy of the system that carries the exact propagators for
-    tau_ref and tau_ref / 2, built for this call and dropped after it.
-    The problem's own system, which the ladder integrates with the
-    Krylov flow, is left as it was, so the ladder and the reference no
-    longer share a flow, and the reference carries no flow-tolerance
-    error.  Larger systems fall back to the Krylov flow with
-    ``REFERENCE_SCHEME.flow_tol``.
+    With at most ``EXACT_FLOW_MAX_N`` unknowns each run steps on a
+    shallow copy of the system that carries the dense step maps of its
+    step (``flow.step_maps``), built for that run and dropped after it,
+    so the maps of tau_ref and tau_ref / 2 are never held together.  The
+    lift matrix L is built on the problem's own system first, so the
+    copies and the ladder share it.  That system, which the ladder
+    integrates with the Krylov flow, carries no maps, so the ladder and
+    the reference do not share a flow, and the reference carries no
+    flow-tolerance error.  Larger systems fall back to the Krylov flow
+    with ``REFERENCE_SCHEME.flow_tol``.
     """
     stride = step_count(t_end if snapshot_tau is None else snapshot_tau, tau_ref)
 
@@ -253,12 +265,9 @@ def build_reference(
         if cached is not None:
             return ReferenceSolution(*cached, from_cache=True)
 
-    system = problem.system
-    if system.n <= EXACT_FLOW_MAX_N:
-        system = copy.copy(system)
-        system.propagators = exact_propagators(system.flow_op, (tau_ref, tau_ref / 2))
-    times, states = _snapshot_run(problem, system, t_end, tau_ref, stride)
-    _, check_states = _snapshot_run(problem, system, t_end, tau_ref / 2, 2 * stride)
+    lift_map(problem.system)  # before the copies, so that they share L
+    times, states = _snapshot_run(problem, t_end, tau_ref, stride)
+    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride)
 
     if cache_path is not None:
         _write_cache(cache_path, key, times, states, check_states)

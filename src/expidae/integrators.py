@@ -41,7 +41,6 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import DEFAULT_TOL, DaeOperator, exact_flow, flow as krylov_flow
+from .flow import DEFAULT_TOL, DaeOperator, _require_consistent, flow as krylov_flow
 from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd
 
 __all__ = [
@@ -60,6 +59,7 @@ __all__ = [
     "SCHEME_IDS",
     "lift_constraint",
     "kernel_solve",
+    "lift_map",
     "exponential_euler_step",
     "second_order_step",
     "second_order_family_step",
@@ -126,13 +126,14 @@ class ConstrainedSystem:
     built gives the same bits as a run on a fresh one.  The only solves
     that run every step and refine are the kernel solves.
 
-    ``propagators`` maps a flow duration to its dense exact flow map
-    (``flow.exact_propagators``); a flow over a listed duration is one
-    product with it instead of a Krylov flow.  It is empty here: only
-    the shallow copy that ``harness.build_reference`` flows on sets it.
+    ``step_maps`` holds the dense maps of one step duration
+    (``flow.step_maps``); an exponential step with its stage at c2 = 1
+    over that duration is then three products with them instead of
+    kernel solves and Krylov flows.  It is None here: only the shallow
+    copy that ``harness.build_reference`` integrates on sets it.
     """
 
-    propagators = MappingProxyType({})
+    step_maps = None
 
     def __init__(
         self,
@@ -283,13 +284,8 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     """Flow z0 over tau, warm-started from flow ``slot`` of the step that made ``state``.
 
     Returns the endpoint and the basis size to record in that slot of the
-    next state's ``flow_bases``: the accepted one, or 0 if the flow halved
-    or, over a duration in ``sys.propagators``, was the exact flow, which
-    counts nothing in ``diag``.
+    next state's ``flow_bases``: the accepted one, or 0 if the flow halved.
     """
-    propagator = sys.propagators.get(tau)
-    if propagator is not None:
-        return exact_flow(sys.flow_op, propagator, z0), 0
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
     result = krylov_flow(sys.flow_op, z0, tau, tol=config.flow_tol, basis_hint=hint)
@@ -297,14 +293,22 @@ def _run_flow(sys, z0, tau, config, diag, state, slot):
     return result.state, result.basis_size if result.substeps == 1 else 0
 
 
-def _lift(sys, g):
-    """``lift_constraint(sys, g)`` as the product L g, building L on first use."""
+def lift_map(sys: ConstrainedSystem) -> np.ndarray:
+    """The lift matrix L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use.
+
+    A shallow copy of ``sys`` made after the first call shares L.
+    """
     if sys._lift_map is None:
         L = np.empty((sys.n, sys.m))
         for i, e in enumerate(np.eye(sys.m)):
             L[:, i] = lift_constraint(sys, e)
         sys._lift_map = L
-    return sys._lift_map @ g
+    return sys._lift_map
+
+
+def _lift(sys, g):
+    """``lift_constraint(sys, g)`` as the product L g."""
+    return lift_map(sys) @ g
 
 
 def _finish_step(sys, t1, u1, lift_g1, diag):
@@ -337,8 +341,13 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
 
     When the stage is the endpoint (c2 = 1, the second-order scheme),
     by linearity only w'' is flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
+    At c2 = 1 over the duration of ``sys.step_maps`` the step is
+    ``_mapped_step`` instead.
     """
     diag = Diagnostics() if diag is None else diag
+    maps = sys.step_maps
+    if c2 == 1.0 and maps is not None and maps.tau == tau:
+        return _mapped_step(sys, state, maps, diag, stage_only)
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
     load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
@@ -366,6 +375,35 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         u1 = lift_g1 + z_end + w
     u1 = _finish_step(sys, t1, u1 - w_second + w_prime, lift_g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
+
+
+def _mapped_step(sys, state, maps, diag, stage_only):
+    """``_exponential_step`` at c2 = 1 through the dense maps of ``flow.step_maps``.
+
+    With l(t, u) = f(t, u) - M lift(g'(t)) the step is affine in its data:
+
+        u_s = lift(g_{n+1}) + E (u_n - lift(g_n)) + Phi_1 l(t_n, u_n),
+        u_{n+1} = u_s + Phi_2 (l(t_{n+1}, u_s) - l(t_n, u_n)),
+
+    the same stage and endpoint as the solve-and-flow sequence, with no
+    saddle solve and no Krylov flow.  u_n - lift(g_n) is checked as a
+    flow input is, and the kernel part of u_s and the Phi_2 increment
+    are projected as flow endpoints are.
+    """
+    op = sys.flow_op
+    t0, t1 = state.t, state.t + maps.tau
+    z0 = state.u - _lift(sys, sys.g(t0))
+    _require_consistent(op, z0)
+    load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
+    lift_g1 = _lift(sys, sys.g(t1))
+    u_stage = lift_g1 + op.project(maps.flow @ z0 + maps.phi1 @ load0)
+    if stage_only:
+        diag.rhs_evaluations += 1
+        return StepState(t1, _finish_step(sys, t1, u_stage, lift_g1, diag))
+    load1 = sys.load(t1, u_stage) - sys.mass @ _lift(sys, sys.gdot(t1))
+    diag.rhs_evaluations += 2
+    u1 = u_stage + op.project(maps.phi2 @ (load1 - load0))
+    return StepState(t1, _finish_step(sys, t1, u1, lift_g1, diag))
 
 
 def exponential_euler_step(
@@ -445,8 +483,10 @@ def integrate(
 ) -> tuple[list[StepState], Diagnostics]:
     """March from t0 to t_end on the uniform grid with step tau.
 
-    The step count is ``step_count(t_end - t0, tau)``, step times
-    accumulate as t + tau, and u0 must satisfy B u0 = g(t0).  The
+    The step count is ``step_count(t_end - t0, tau)``, step k ends at
+    t0 + k tau (a step computes its new time as state.t + tau, within
+    round-off of that grid time, and ``integrate`` then puts the state
+    on the grid), and u0 must satisfy B u0 = g(t0).  The
     returned trajectory holds every ``snapshot_stride``-th state (plus
     the final one); pass 1 to keep all steps.
     """
@@ -474,6 +514,7 @@ def integrate(
     trajectory = [state]
     for k in range(1, nsteps + 1):
         state = step(sys, state, tau, config, diag)
+        state.t = t0 + k * tau
         if not np.isfinite(state.u).all():
             raise NonFinite(f"state became non-finite at t={state.t}")
         if k % snapshot_stride == 0 or k == nsteps:

@@ -85,6 +85,18 @@ class TestSolve:
         n, count = struct.unpack("<qq", dump.read_bytes()[:16])
         assert count == 3
 
+    def test_failed_state_dump_writes_no_trajectory(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "toy", "--tau", "0.1", "--t-end", "0.2",
+                "--scheme", "exp-euler", "--out", str(out), "--dump-state", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_missing_flag_is_config_error(self, tmp_path):
         code = main(["solve", "--problem", "toy", "--tau", "0.1"])
         assert code == 2

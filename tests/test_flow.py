@@ -12,10 +12,10 @@ from expidae.flow import (
     DEFAULT_TOL,
     DaeOperator,
     arnoldi,
-    exact_flow,
-    exact_propagators,
     flow,
+    step_maps,
 )
+from expidae.integrators import kernel_solve
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
@@ -385,14 +385,13 @@ class TestBasisHint:
         assert not isinstance(info.value, ExpidaeError)
 
 
-class TestExactFlow:
+class TestStepMaps:
     @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 32})])
     @pytest.mark.parametrize("t", [1 / 40960, 0.01])
-    def test_matches_the_oracle_and_the_krylov_flow(self, name, options, t):
+    def test_flow_map_matches_the_oracle_and_the_krylov_flow(self, name, options, t):
         op = build_problem(name, **options).system.flow_op
         x0 = op.project(np.random.default_rng(3).standard_normal(op.n))
-        (propagator,) = exact_propagators(op, (t,)).values()
-        state = exact_flow(op, propagator, x0)
+        state = op.project(step_maps(op, t).flow @ x0)
 
         M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
         oracle = kernel_reduction_flow(M, A, B, x0, t)
@@ -401,20 +400,35 @@ class TestExactFlow:
         assert np.linalg.norm(state - flow(op, x0, t, tol=tol).state) <= 10 * tol
         assert np.linalg.norm(B @ state) <= 1e-12 * np.linalg.norm(state)
 
-    def test_one_map_per_duration(self, monkeypatch):
+    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 32})])
+    @pytest.mark.parametrize("t", [1 / 40960, 0.01])
+    def test_phi_maps_match_the_solve_based_sequence(self, name, options, t):
+        # Phi_1 l = w - E w and Phi_2 l = w - w'' + E w'', with w the kernel
+        # solve of l and w'' that of M w / t.  Both sides difference terms
+        # up to 6e9 times the result on toy at t = 1/40960, so they agree
+        # to round-off of the largest term summed, not of the result.
+        system = build_problem(name, **options).system
+        op = system.flow_op
+        M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
+        load = np.random.default_rng(4).standard_normal(op.n)
+        maps = step_maps(op, t)
+
+        w = kernel_solve(system, load)
+        w2 = kernel_solve(system, system.mass @ w / t)
+        phi1 = w - kernel_reduction_flow(M, A, B, w, t)
+        phi2 = w - w2 + kernel_reduction_flow(M, A, B, w2, t)
+        for phi_map, expected, scale in ((maps.phi1, phi1, w), (maps.phi2, phi2, w2)):
+            image = phi_map @ load
+            assert np.linalg.norm(image - expected) <= 1e-12 * np.linalg.norm(scale)
+            assert np.linalg.norm(B @ image) <= 1e-12 * np.linalg.norm(scale)
+
+    def test_one_exponential_per_build(self, monkeypatch):
         op = build_problem("nonsym", n_cells=16).system.flow_op
         dims = _count_expm(monkeypatch)
-        maps = exact_propagators(op, (0.02, 0.01))
-        assert list(maps) == [0.02, 0.01]
+        maps = {t: step_maps(op, t) for t in (0.02, 0.01)}
         assert len(dims) == 2
+        assert [maps[t].tau for t in maps] == [0.02, 0.01]
         x0 = op.project(np.ones(op.n))
-        twice = exact_flow(op, maps[0.01], exact_flow(op, maps[0.01], x0))
-        once = exact_flow(op, maps[0.02], x0)
+        twice = maps[0.01].flow @ (maps[0.01].flow @ x0)
+        once = maps[0.02].flow @ x0
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
-
-    def test_inconsistent_initial_state_raises(self):
-        op = build_problem("nonsym", n_cells=16).system.flow_op
-        (propagator,) = exact_propagators(op, (0.01,)).values()
-        x0 = np.random.default_rng(4).standard_normal(op.n)
-        with pytest.raises(InconsistentState):
-            exact_flow(op, propagator, x0)

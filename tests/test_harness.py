@@ -143,8 +143,8 @@ class TestBuildReference:
         build_reference(prob, 0.05, 1 / 2560)
         assert arnoldi_steps == []
         assert len(exponentials) == 2
-        # The propagators lived on a copy; the ladder's system has none.
-        assert len(prob.system.propagators) == 0
+        # The step maps lived on copies; the ladder's system has none.
+        assert prob.system.step_maps is None
 
     def test_cap_takes_dynbc_at_h_1_32_and_not_at_h_1_64(self):
         small, large = (build_problem("dynbc", n_cells=n).system.n for n in (32, 64))
@@ -234,6 +234,26 @@ class TestRunConvergence:
             run_convergence(
                 prob, SchemeConfig(), [0.1, 0.05], 1.0, reference="exact"
             )
+
+    def test_cold_study_builds_the_lift_matrix_once(self, tmp_path, monkeypatch):
+        # The reference runs on shallow copies of the system; they share
+        # L with the ladder instead of building their own.
+        integ_mod = sys.modules["expidae.integrators"]
+        lifts = []
+        lift_constraint = integ_mod.lift_constraint
+
+        def counted(*args):
+            lifts.append(1)
+            return lift_constraint(*args)
+
+        monkeypatch.setattr(integ_mod, "lift_constraint", counted)
+        prob = build_problem("nonsym", n_cells=16)
+        run_convergence(
+            prob, SchemeConfig(scheme="exp-euler"), [0.02, 0.01], 0.04,
+            norm="h1", tau_ref=0.01 / 16, cache_dir=tmp_path,
+        )
+        assert prob.system.m > 0
+        assert len(lifts) == prob.system.m
 
     def test_self_check_failure_detected(self, tmp_path, monkeypatch):
         # A first-order reference is not converged enough for a

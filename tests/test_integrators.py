@@ -1,3 +1,4 @@
+import copy
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -13,13 +14,15 @@ from conftest import CountingLU, random_constrained, random_spd
 from expidae.errors import (
     ExpidaeError,
     InconsistentInitialData,
+    InconsistentState,
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, _flow_recursive, flow
+from expidae.flow import DaeOperator, _flow_recursive, flow, step_maps
 from expidae.integrators import (
     SCHEME_IDS,
     ConstrainedSystem,
+    Diagnostics,
     SchemeConfig,
     StepState,
     _lift,
@@ -436,6 +439,14 @@ class TestIntegrate:
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(order, abs=tol)
 
+    def test_step_times_are_on_the_grid(self):
+        # Accumulating t + tau ends 30 steps of 0.1 at 3.0000000000000013.
+        prob = build_toy(ToyConfig())
+        traj, _ = integrate(prob.system, SchemeConfig(), prob.u0, 0.0, 3.0, 0.1)
+        assert len(traj) == 31
+        assert [st.t for st in traj] == [0.0 + k * 0.1 for k in range(31)]
+        assert traj[-1].t == 3.0
+
     def test_zero_steps(self):
         prob = build_toy(ToyConfig(n=8, m=1, seed=0))
         traj, diag = integrate(prob.system, SchemeConfig(), prob.u0, 0.0, 0.0, 0.1)
@@ -716,6 +727,78 @@ class TestSolveCounts:
         assert sum(steps for _, steps in warm) == sum(steps for _, steps in cold)
         assert sum(expms for expms, _ in warm) < sum(expms for expms, _ in cold)
         assert diag.flow_checks == sum(expms for expms, _ in warm)
+
+
+class TestMappedStep:
+    """Exponential steps at c2 = 1 through the dense maps of ``flow.step_maps``."""
+
+    @staticmethod
+    def _mapped(system, tau):
+        mapped = copy.copy(system)
+        mapped.step_maps = step_maps(system.flow_op, tau)
+        return mapped
+
+    @pytest.mark.parametrize("scheme", ["second-order", "exp-euler"])
+    def test_twenty_steps_match_the_krylov_steps(self, scheme):
+        prob = build_problem("nonsym", n_cells=32)
+        tau, config = 1 / 2560, SchemeConfig(scheme=scheme, flow_tol=1e-13)
+        mapped = self._mapped(prob.system, tau)
+        krylov, diag = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        exact, exact_diag = integrate(mapped, config, prob.u0, 0.0, 20 * tau, tau)
+        assert diag.arnoldi_steps > 0 and exact_diag.arnoldi_steps == 0
+        assert exact_diag.rhs_evaluations == diag.rhs_evaluations
+        assert exact_diag.max_constraint_residual <= 1e-12
+        for a, b in zip(exact[1:], krylov[1:]):
+            assert a.t == b.t
+            assert np.linalg.norm(a.u - b.u) <= 1e-11 * np.linalg.norm(b.u)
+
+    def test_makes_no_saddle_solve_and_no_krylov_flow(self, monkeypatch):
+        prob = build_problem("dynbc", n_cells=16)
+        tau = 1 / 2560
+        mapped = self._mapped(prob.system, tau)
+        # The first step builds L and W.
+        state = second_order_step(mapped, StepState(0.0, prob.u0), tau)
+        integ_mod = sys.modules["expidae.integrators"]
+        calls = Counter()
+
+        def spy(owner, attr):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(SaddleFactorization, "solve")
+        spy(integ_mod, "krylov_flow")
+        spy(DaeOperator, "project")
+        diag = Diagnostics()
+        state = second_order_step(mapped, state, tau, diag=diag)
+        assert calls == {"project": 2}
+        assert diag.rhs_evaluations == 2 and len(diag.constraint_residuals) == 1
+
+    def test_other_durations_and_stages_take_the_krylov_path(self):
+        prob = build_problem("nonsym", n_cells=16)
+        tau = 1 / 2560
+        mapped = self._mapped(prob.system, tau)
+        state = StepState(0.0, prob.u0)
+        for step, config, step_tau in (
+            (second_order_step, SchemeConfig(), tau / 2),
+            (second_order_family_step, SchemeConfig(scheme="second-order-family", c2=0.5), tau),
+        ):
+            diag = Diagnostics()
+            step(mapped, state, step_tau, config, diag)
+            assert diag.arnoldi_steps > 0
+
+    def test_inconsistent_state_raises(self):
+        prob = build_problem("nonsym", n_cells=16)
+        tau = 1 / 2560
+        mapped = self._mapped(prob.system, tau)
+        u = prob.u0 + np.random.default_rng(4).standard_normal(prob.system.n)
+        for step in (second_order_step, exponential_euler_step):
+            with pytest.raises(InconsistentState):
+                step(mapped, StepState(0.0, u), tau)
 
 
 def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
