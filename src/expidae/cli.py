@@ -38,12 +38,14 @@ EXIT_NUMERICAL = 3
 def _parse_h(text: str) -> int:
     """Mesh size given as '1/N' or as a float; returns N."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        value = float(num) / float(den)
-    else:
-        value = float(text)
-    if value <= 0 or value > 0.5:
+    num, slash, den = text.partition("/")
+    value = float(num)
+    if slash:
+        den = float(den)
+        if den == 0.0:
+            raise ValueError(f"mesh size h={text} has a zero denominator")
+        value /= den
+    if not 0.0 < value <= 0.5:
         raise ValueError(f"mesh size h={text} out of range")
     n_cells = round(1.0 / value)
     if abs(n_cells * value - 1.0) > 1e-9:

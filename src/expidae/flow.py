@@ -57,7 +57,7 @@ class KrylovFlowResult:
     ``checks`` counts the error-estimate evaluations over all substeps,
     each one dense exponential of the Hessenberg matrix bordered to
     (r+1) x (r+1).  ``arnoldi_steps`` counts the Arnoldi steps over all
-    shots, failed ones included, each one unrefined saddle solve.
+    shots, failed ones included, each one saddle solve.
     """
 
     state: np.ndarray
@@ -71,11 +71,11 @@ class KrylovFlowResult:
 class DaeOperator:
     """Action of the constrained-flow generator via mass saddle solves.
 
-    ``apply`` (one Arnoldi step) is one unrefined saddle solve with M.
+    ``apply`` (one Arnoldi step) is one saddle solve with M.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
     W = M^{-1} B^T (B M^{-1} B^T)^{-1}.  W is built on the first
-    projection from m refined ``kernel_project`` solves, as W = Y - P(Y)
+    projection from m ``kernel_project`` solves, as W = Y - P(Y)
     for the right inverse Y = B^+ of B.
 
     The matrices and the factorization are fixed at construction; W is
@@ -107,9 +107,7 @@ class DaeOperator:
     def apply(self, x0) -> np.ndarray:
         """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
         x0 = as_vector(x0, self.n, "x0")
-        # Unrefined: no constraint residual is read from an Arnoldi
-        # vector, and flow() ends with a projection that removes B y.
-        y, _ = self._saddle.solve(self._neg_stiffness @ x0, self._zero_dual, refine=False)
+        y, _ = self._saddle.solve(self._neg_stiffness @ x0, self._zero_dual)
         return y
 
     def project(self, x) -> np.ndarray:
@@ -300,8 +298,10 @@ def flow(
     passes.  ``tol`` bounds the estimated absolute error of the
     endpoint, summed over the substeps (the estimate carries the norm
     of x0 as a factor).  A shot that reaches the module constant
-    ``BASIS_CAP`` halves, and more than ``SUBSTEP_LIMIT`` shots raise
-    ``NoConvergence``.  The endpoint is projected onto the kernel of B.
+    ``BASIS_CAP`` halves its interval; a flow that needs more than
+    ``SUBSTEP_LIMIT`` accepted substeps raises ``NoConvergence`` (a shot
+    that fails at the cap uses none of that budget).  The endpoint is
+    projected onto the kernel of B.
 
     ``basis_hint``, a positive integer such as the basis a similar flow
     accepted, moves the first error check of the shot over the whole

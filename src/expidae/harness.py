@@ -56,7 +56,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 9
+NUMERICS_REVISION = 10
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -78,6 +78,7 @@ def error_norm(sys: ConstrainedSystem, e, norm: str) -> float:
     matrix.
     """
     e = as_vector(e, sys.n, "error vector")
+    _require_norm(sys, norm)
     if norm == "l2":
         val = float(e @ (sys.mass @ e))
     elif norm == "energy":
@@ -87,13 +88,17 @@ def error_norm(sys: ConstrainedSystem, e, norm: str) -> float:
                 f"energy quadratic form evaluated to {val:.3e}; "
                 "symmetric part of the operator is not elliptic here"
             )
-    elif norm == "h1":
-        if sys.h1_form is None:
-            raise ValueError("problem does not define an h1 form")
-        val = float(e @ (sys.h1_form @ e))
     else:
-        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
+        val = float(e @ (sys.h1_form @ e))
     return math.sqrt(max(val, 0.0))
+
+
+def _require_norm(sys: ConstrainedSystem, norm: str) -> None:
+    """Raise ``ValueError`` unless ``error_norm`` can measure ``norm`` on ``sys``."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
+    if norm == "h1" and sys.h1_form is None:
+        raise ValueError("problem does not define an h1 form")
 
 
 @dataclass(frozen=True)
@@ -293,9 +298,10 @@ def run_convergence(
     the error functional: "final" measures at t_end only, "max" takes
     the maximum over all time grid points, which is what resolves the
     initial transient of problems with rough data.  ``t_end`` must be
-    positive, and each step size a whole number of the smallest and
-    t_end a whole number of each step by ``step_count``; all of this is
-    checked before the reference is built.
+    positive, each step size a whole number of the smallest, t_end a
+    whole number of each step by ``step_count``, and ``norm`` one that
+    ``error_norm`` can measure on the problem; all of this is checked
+    before the reference is built.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     if len(taus) < 2:
@@ -307,6 +313,7 @@ def run_convergence(
     if not t_end > 0.0:
         raise ValueError(f"t_end {t_end!r} must be positive")
     sys = problem.system
+    _require_norm(sys, norm)
     tau_min = min(taus)
     strides = [step_count(tau, tau_min) for tau in taus]
     for tau in taus:

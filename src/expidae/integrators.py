@@ -121,10 +121,9 @@ class ConstrainedSystem:
     L = [lift_constraint(e_1) ... lift_constraint(e_m)]; no lift is
     carried from one step to the next.  The steps project with
     ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
-    W are built on first use, each from m refined saddle solves, and
-    kept; both are deterministic, so a run on a system whose maps are
-    built gives the same bits as a run on a fresh one.  The only solves
-    that run every step and refine are the kernel solves.
+    W are built on first use, each from m saddle solves, and kept; both
+    are deterministic, so a run on a system whose maps are built gives
+    the same bits as a run on a fresh one.
 
     ``step_maps`` holds the dense maps of one step duration
     (``flow.step_maps``); an exponential step with its stage at c2 = 1

@@ -68,19 +68,9 @@ class SaddleFactorization:
     fine.  The object keeps references to S and B so projections can
     be formed without re-assembly.
 
-    By default a solve forms its residual and makes one step of
-    iterative refinement when that residual is not already at
-    round-off.  LU with partial pivoting is backward stable, so the
-    step only pays on ill-conditioned blocks (it fires on about half
-    the stiffness solves of the ``nonsym`` problem and moves them by
-    ~1e-14).  The kernel solves of every step keep it, and so do the m
-    lifts and m kernel projections that build, once per system, the
-    lift matrix L (lifts are L g) and the projection matrix W
-    (projections are x - W (B x)), because their results feed
-    constraint residuals.  ``refine=False`` returns the direct solution
-    and forms no residual: the Arnoldi steps of the Krylov flow use it,
-    since the flow projects its endpoint and B W = I to the accuracy of
-    the refined solves that built W.
+    Every solve is one SuperLU solve.  LU with partial pivoting is
+    normwise backward stable, and every step checks and repairs its
+    constraint residual (``integrators._finish_step``).
 
     Raises SingularSaddle if the block matrix is structurally singular
     or a pivot falls below the module constant ``PIVOT_RTOL`` times
@@ -103,12 +93,12 @@ class SaddleFactorization:
         self.m = m
 
         blocks = [[self.S, self.B.T], [self.B, None]]
-        self._block = block = sp.bmat(blocks, format="csr", dtype=np.float64)
+        block = sp.bmat(blocks, format="csc", dtype=np.float64)
         scale = np.abs(block.data).max() if block.nnz else 0.0
         if scale == 0.0:
             raise SingularSaddle("saddle block matrix is all zero")
         try:
-            self._lu = splu(block.tocsc(), permc_spec="COLAMD")
+            self._lu = splu(block, permc_spec="COLAMD")
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSaddle(f"saddle factorization failed: {exc}") from exc
         pivots = np.abs(self._lu.U.diagonal())
@@ -117,25 +107,11 @@ class SaddleFactorization:
                 f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
             )
 
-    def solve(
-        self, rhs_primal, rhs_constraint, refine: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve S x + B^T mult = rhs_primal, B x = rhs_constraint.
-
-        With ``refine=False`` the direct LU solution is returned
-        without forming the residual.
-        """
+    def solve(self, rhs_primal, rhs_constraint) -> tuple[np.ndarray, np.ndarray]:
+        """Solve S x + B^T mult = rhs_primal, B x = rhs_constraint."""
         rp = as_vector(rhs_primal, self.n, "rhs_primal")
         rc = as_vector(rhs_constraint, self.m, "rhs_constraint")
-        rhs = np.concatenate([rp, rc])
-        sol = self._lu.solve(rhs)
-        if not refine:
-            return sol[: self.n], sol[self.n :]
-        # One refinement pass if the direct solve left a visible residual.
-        res = rhs - self._block @ sol
-        rhs_scale = np.linalg.norm(rhs)
-        if rhs_scale > 0 and np.linalg.norm(res) > 1e-13 * rhs_scale:
-            sol = sol + self._lu.solve(res)
+        sol = self._lu.solve(np.concatenate([rp, rc]))
         return sol[: self.n], sol[self.n :]
 
 

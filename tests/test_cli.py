@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from conftest import push_flows_off_kernel
 from test_bench_contract import load_tracer
 
 from expidae.cli import main
@@ -58,6 +61,46 @@ class TestSolve:
         assert f" checks={diag.flow_checks} " in summary
         assert diag.arnoldi_steps == tracer.calls["flow.arnoldi_step"] > 0
         assert f" checks={diag.flow_checks} arnoldi_steps={diag.arnoldi_steps} " in summary
+
+    def test_summary_shows_a_repair(self, tmp_path, capsys, monkeypatch):
+        push_flows_off_kernel(monkeypatch)
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", "1/16", "--tau", "0.01",
+                "--t-end", "0.01", "--scheme", "exp-euler", "--out", str(tmp_path / "traj.csv"),
+            ]
+        )
+        assert code == 0
+        assert " repairs=1 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h", ["1/0", "0.25/0", "nan"])
+    def test_bad_mesh_size_is_config_error(self, tmp_path, capsys, h):
+        out = tmp_path / "traj.csv"
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"h = {h}\n")
+        for extra in (["--h", h], ["--config", str(cfg)]):
+            code = main(
+                [
+                    "solve", "--problem", "nonsym", "--tau", "0.1", "--t-end", "0.2",
+                    "--scheme", "exp-euler", "--out", str(out), *extra,
+                ]
+            )
+            assert code == 2
+            assert f"mesh size h={h} " in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_flow_substep_limit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        flow_module = sys.modules["expidae.flow"]
+        monkeypatch.setattr(flow_module, "BASIS_CAP", 8)
+        monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", 2)
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", "1/16", "--tau", "0.05",
+                "--t-end", "0.05", "--scheme", "exp-euler", "--out", str(tmp_path / "traj.csv"),
+            ]
+        )
+        assert code == 3
+        assert "flow substep limit exceeded" in capsys.readouterr().err
 
     def test_mesh_flag_fraction(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -187,6 +230,26 @@ class TestConverge:
         cfg.write_text("wibble = 3\n")
         code = main(["converge", "--config", str(cfg)])
         assert code == 2
+
+    def test_unknown_norm_in_config_file_is_rejected_before_the_reference(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            "problem = nonsym\n"
+            "h = 1/8\n"
+            "taus = 0.1,0.05\n"
+            "t_end = 0.5\n"
+            "scheme = exp-euler\n"
+            "norm = bogus\n"
+            f"ref_tau = {0.05 / 16}\n"
+            f"cache_dir = {cache}\n"
+            f"out = {tmp_path / 'conv.csv'}\n"
+        )
+        code = main(["converge", "--config", str(cfg)])
+        assert code == 2
+        assert "unknown norm 'bogus'" in capsys.readouterr().err
+        assert not cache.exists() or list(cache.iterdir()) == []
+        assert not (tmp_path / "conv.csv").exists()
 
     def test_truncated_cache_is_rebuilt(self, tmp_path, caplog):
         cache = tmp_path / "cache"

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ProductSpy, kernel_reduction_flow, make_operator, random_constrained
+from conftest import kernel_reduction_flow, make_operator, random_constrained
 from expidae.errors import ExpidaeError, InconsistentState, NoConvergence, ZeroInitialVector
 from expidae.flow import (
     DEFAULT_TOL,
@@ -16,7 +16,6 @@ from expidae.flow import (
     step_maps,
 )
 from expidae.integrators import kernel_solve
-from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
 
@@ -89,26 +88,6 @@ class TestArnoldi:
         op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))
         with pytest.raises(ZeroInitialVector):
             arnoldi(op, np.zeros(2), 3)
-
-    def test_steps_form_no_residual_and_match_refined_steps(self, monkeypatch):
-        prob = build_problem("nonsym", n_cells=64)
-        op = prob.system.flow_op
-        spy = ProductSpy(op._saddle._block)
-        monkeypatch.setattr(op._saddle, "_block", spy)
-        V, H, h_next = arnoldi(op, prob.u0, 20)
-        assert H.shape == (20, 20)
-        assert spy.products == 0
-
-        solve = SaddleFactorization.solve
-        monkeypatch.setattr(
-            SaddleFactorization, "solve",
-            lambda self, rhs_p, rhs_c, refine=True: solve(self, rhs_p, rhs_c),
-        )
-        V_ref, H_ref, h_next_ref = arnoldi(op, prob.u0, 20)
-        assert spy.products == 20
-        np.testing.assert_array_equal(V, V_ref)
-        np.testing.assert_array_equal(H, H_ref)
-        assert h_next == h_next_ref
 
 
 class TestFlow:
@@ -198,6 +177,19 @@ class TestFlow:
         monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", 4)
         with pytest.raises(NoConvergence):
             flow(op, np.ones(n), 1.0, tol=1e-12)
+
+    def test_substep_limit_counts_accepted_substeps(self, monkeypatch):
+        # At a cap of 16 the flow halves; shots that fail at the cap use no budget.
+        prob = build_problem("nonsym", n_cells=16)
+        op, x0 = prob.system.flow_op, prob.u0
+        monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
+        substeps = flow(op, x0, 0.05).substeps
+        assert substeps > 2
+        monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", substeps)
+        assert flow(op, x0, 0.05).substeps == substeps
+        monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", substeps - 1)
+        with pytest.raises(NoConvergence, match="flow substep limit exceeded"):
+            flow(op, x0, 0.05)
 
     def test_substepping_recovers_accuracy(self, monkeypatch):
         # Oscillatory part forces interval halving at a small basis cap

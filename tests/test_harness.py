@@ -1,4 +1,6 @@
+import copy
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +121,14 @@ class TestBuildReference:
         exact = prob.exact(0.25)
         assert np.linalg.norm(mid - exact) <= 1e-5 * np.linalg.norm(exact)
 
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.np, "savez", fail)
+        with pytest.raises(OSError, match="disk full"):
+            build_reference(toy_problem(), 0.5, 1.0 / 256, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_snapshot_step_must_be_whole_reference_steps(self):
         with pytest.raises(ValueError, match="whole number"):
@@ -227,6 +237,20 @@ class TestRunConvergence:
     def test_ladder_must_be_whole_multiples_of_its_smallest_step(self):
         with pytest.raises(ValueError, match="whole number"):
             run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.03], 1.0, reference="exact")
+
+    @pytest.mark.parametrize("norm", ["bogus", "h1"])
+    def test_norm_is_checked_before_the_reference_is_built(self, tmp_path, monkeypatch, norm):
+        prob = toy_problem()
+        system = copy.copy(prob.system)
+        system.h1_form = None
+        built = []
+        monkeypatch.setattr(harness, "build_reference", lambda *a, **k: built.append(a))
+        with pytest.raises(ValueError, match="norm 'bogus'|h1 form"):
+            run_convergence(
+                replace(prob, system=system), SchemeConfig(), [0.1, 0.05], 0.5,
+                norm=norm, tau_ref=0.05 / 16, cache_dir=tmp_path,
+            )
+        assert built == [] and list(tmp_path.iterdir()) == []
 
     def test_missing_reference_mode(self):
         prob = build_problem("nonsym", n_cells=8)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingLU, random_constrained, random_spd
+from conftest import CountingLU, push_flows_off_kernel, random_constrained, random_spd
 from expidae.errors import (
     ExpidaeError,
     InconsistentInitialData,
@@ -560,6 +560,21 @@ def _spoiled(fn, value, t_bad):
     return spoiled
 
 
+class TestConsistencyRepair:
+    def test_step_that_leaves_the_constraint_is_repaired(self, monkeypatch, caplog):
+        prob = build_problem("nonsym", n_cells=16)
+        sys_, tau = prob.system, 1 / 2560
+        push_flows_off_kernel(monkeypatch)
+        diag = Diagnostics()
+        with caplog.at_level("WARNING", logger="expidae.integrators"):
+            state = exponential_euler_step(sys_, StepState(0.0, prob.u0), tau, diag=diag)
+        assert diag.repairs == 1
+        (res,) = diag.constraint_residuals
+        assert res <= 1e-9
+        assert res == sys_.constraint_residual(tau, state.u)
+        assert "above tolerance" in caplog.text and "reprojecting" in caplog.text
+
+
 class TestNonFiniteConstraintData:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -632,7 +647,8 @@ class TestSolveCounts:
         """A second-order step after the first one, which built L and W.
 
         It makes no lift solve, 3 kernel solves, 2 projections without a
-        saddle solve, and one SuperLU solve per Arnoldi step.
+        saddle solve, one SuperLU solve per Arnoldi step, and exactly one
+        SuperLU solve per saddle solve.
         """
         linalg_mod = sys.modules["expidae.linalg"]
         integ_mod = sys.modules["expidae.integrators"]
@@ -684,6 +700,7 @@ class TestSolveCounts:
 
         monkeypatch.setattr(DaeOperator, "apply", counted_apply)
         monkeypatch.setattr(DaeOperator, "project", counted_project)
+        before = lu_solves()
         second_order_step(sys_, state, tau)
 
         assert (counts["lifts"], counts["kernel solves"], counts["projections"]) == (0, 3, 2)
@@ -691,6 +708,7 @@ class TestSolveCounts:
         assert counts["saddle solves"] == len(arnoldi_lu_solves) + 3
         assert len(arnoldi_lu_solves) > 0
         assert set(arnoldi_lu_solves) == {1}
+        assert lu_solves() - before == counts["saddle solves"]
 
     def test_second_order_step_of_nonsym(self, monkeypatch):
         self._gate_second_order_step(monkeypatch, "nonsym", 64)
