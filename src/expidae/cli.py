@@ -35,13 +35,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _number(value, name: str) -> float:
+    """``float(value)``, or a ``ValueError`` naming the flag of option ``name``."""
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"--{name.replace('_', '-')}: {value!r} is not a number") from None
+
+
 def _parse_h(text: str) -> int:
     """Mesh size given as '1/N' or as a float; returns N."""
     text = text.strip()
     num, slash, den = text.partition("/")
-    value = float(num)
+    value = _number(num, "h")
     if slash:
-        den = float(den)
+        den = _number(den, "h")
         if den == 0.0:
             raise ValueError(f"mesh size h={text} has a zero denominator")
         value /= den
@@ -54,7 +62,7 @@ def _parse_h(text: str) -> int:
 
 
 def _parse_taus(text: str) -> list[float]:
-    taus = [float(tok) for tok in text.split(",") if tok.strip()]
+    taus = [_number(tok, "taus") for tok in text.split(",") if tok.strip()]
     if not taus:
         raise ValueError("empty step-size list")
     return taus
@@ -128,12 +136,9 @@ def _build(args):
 
 def _scheme_config(args) -> SchemeConfig:
     kwargs = {"scheme": args.scheme}
-    if getattr(args, "c2", None) is not None:
-        kwargs["c2"] = float(args.c2)
-    if getattr(args, "theta", None) is not None:
-        kwargs["theta"] = float(args.theta)
-    if getattr(args, "flow_tol", None) is not None:
-        kwargs["flow_tol"] = float(args.flow_tol)
+    for name in ("c2", "theta", "flow_tol"):
+        if getattr(args, name, None) is not None:
+            kwargs[name] = _number(getattr(args, name), name)
     return SchemeConfig(**kwargs)
 
 
@@ -141,9 +146,8 @@ def _cmd_solve(args) -> int:
     _require(args, "problem", "tau", "t_end", "scheme", "out")
     problem = _build(args)
     config = _scheme_config(args)
-    trajectory, diag = integrate(
-        problem.system, config, problem.u0, 0.0, float(args.t_end), float(args.tau)
-    )
+    t_end, tau = _number(args.t_end, "t_end"), _number(args.tau, "tau")
+    trajectory, diag = integrate(problem.system, config, problem.u0, 0.0, t_end, tau)
     # A failed write removes the output files this command created.
     created = [p for p in (args.out, args.dump_state) if p and not os.path.lexists(p)]
     try:
@@ -173,9 +177,9 @@ def _cmd_converge(args) -> int:
         problem,
         config,
         taus,
-        float(args.t_end),
+        _number(args.t_end, "t_end"),
         norm=args.norm,
-        tau_ref=float(args.ref_tau),
+        tau_ref=_number(args.ref_tau, "ref_tau"),
         cache_dir=args.cache_dir,
         sample=args.sample or "final",
     )

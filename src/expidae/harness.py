@@ -9,9 +9,9 @@ a much finer step and validated by comparing against a run with half
 that step; they are cached on disk keyed by problem, config, final
 time, reference step and numerics revision.
 
-The reference runs of a system with at most ``EXACT_FLOW_MAX_N``
-unknowns step through dense exact step maps on ker B
-(``flow.step_maps``) instead of kernel solves and Krylov flows: each
+Every propagation of the reference runs of a system with at most
+``EXACT_FLOW_MAX_N`` unknowns takes the dense exact step maps on ker B
+(``flow.step_maps``) instead of kernel solves and a Krylov flow: each
 step is three matrix-vector products and carries no flow-tolerance
 error, and the ladder, which keeps the Krylov flow, is measured
 against a yardstick that does not share it.  Larger systems fall back
@@ -56,7 +56,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 10
+NUMERICS_REVISION = 11
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -248,9 +248,9 @@ def build_reference(
     calls with the same key; the key embeds ``repr`` of the problem's
     config and of ``REFERENCE_SCHEME``, so a change to either is a miss.
 
-    With at most ``EXACT_FLOW_MAX_N`` unknowns each run steps on a
-    shallow copy of the system that carries the dense step maps of its
-    step (``flow.step_maps``), built for that run and dropped after it,
+    With at most ``EXACT_FLOW_MAX_N`` unknowns every propagation of a
+    run takes the dense step maps of its step (``flow.step_maps``) on a
+    shallow copy of the system, built for that run and dropped after it,
     so the maps of tau_ref and tau_ref / 2 are never held together.  The
     lift matrix L is built on the problem's own system first, so the
     copies and the ladder share it.  That system, which the ladder

@@ -5,26 +5,18 @@ The semidiscrete problem is
     M u'(t) + A u(t) + B^T lambda(t) = f(t, u),      B u(t) = g(t),
 
 with M symmetric positive definite, B of full row rank and A invertible
-on the kernel of B.  One step of the first-order scheme lifts g_n,
-g_{n+1} and g'_n into the state space, solves one stationary saddle
-problem (the kernel correction w_n) and one homogeneous transient
-problem, evaluated by the Krylov flow:
+on the kernel of B.  Every scheme is an exponential integrator in
+phi-form: a step over a duration t maps z on ker B and loads b_1, b_2 to
 
-    u_{n+1} = lift(g_{n+1}) + exp(X tau)(u_n - lift(g_n) - w_n) + w_n.
+    E(t) z + Phi_1(t) b_1 + Phi_2(t) b_2,
+    E(t) = exp(t X),   Phi_k(t) = Z t phi_k(t X_K) M_K^{-1} Z^T,
 
-The lift is linear in g, so a step forms each lift as the product L g
-with the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use.
-
-The second-order schemes form a one-parameter family: an internal
-stage at t_n + c2 tau, two more kernel solves (w', w'') and a second
-flow.  The second-order scheme is its member c2 = 1, whose stage is
-the Euler predictor at t_{n+1} and whose second flow starts from w''
-alone.  The first-order scheme is the family's stage at c2 = 1, so
-all three run through one routine.  The alternative first-order
-scheme solves a single stationary problem with a theta-blend of g_n and
-g_{n+1} on the constraint row and flows the (projected) remainder.
-Every step function takes (sys, state, tau, config, diag) and reads
-c2 and theta from the ``SchemeConfig``.
+with X the generator of the homogeneous constrained flow (notation of
+``flow.step_maps``), and adds the lift of g at the new time.
+``_propagate`` evaluates that sum, through dense maps or a Krylov
+flow; ``_exponential_step`` runs the exponential Euler step and the
+second-order family through it.  Every lift is the product L g with
+the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use.
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -37,6 +29,7 @@ Galerkin image of the continuous one.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -126,10 +119,11 @@ class ConstrainedSystem:
     the same bits as a run on a fresh one.
 
     ``step_maps`` holds the dense maps of one step duration
-    (``flow.step_maps``); an exponential step with its stage at c2 = 1
-    over that duration is then three products with them instead of
-    kernel solves and Krylov flows.  It is None here: only the shallow
-    copy that ``harness.build_reference`` integrates on sets it.
+    (``flow.step_maps``); every propagation over that duration, in any
+    scheme, is then up to three products with them instead of kernel
+    solves and a Krylov flow (``_propagate``).  It is None here: only
+    the shallow copy that ``harness.build_reference`` integrates on
+    sets it.
     """
 
     step_maps = None
@@ -198,10 +192,10 @@ class StepState:
 
     ``flow_bases`` holds the accepted Krylov basis size of each flow of
     the step that produced this state, in call order, with 0 for a flow
-    that halved its interval; the next step starts the error checks of
-    its flow in the same slot there (see ``flow``'s ``basis_hint``).
-    It is empty for an initial state, whose step runs the cold check
-    schedule.
+    that halved its interval or went through dense maps; the next step
+    starts the error checks of its flow in the same slot there (see
+    ``flow``'s ``basis_hint``).  It is empty for an initial state, whose
+    step runs the cold check schedule.
     """
 
     t: float
@@ -279,19 +273,6 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
     return w
 
 
-def _run_flow(sys, z0, tau, config, diag, state, slot):
-    """Flow z0 over tau, warm-started from flow ``slot`` of the step that made ``state``.
-
-    Returns the endpoint and the basis size to record in that slot of the
-    next state's ``flow_bases``: the accepted one, or 0 if the flow halved.
-    """
-    bases = state.flow_bases
-    hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
-    result = krylov_flow(sys.flow_op, z0, tau, tol=config.flow_tol, basis_hint=hint)
-    diag.record_flow(result)
-    return result.state, result.basis_size if result.substeps == 1 else 0
-
-
 def lift_map(sys: ConstrainedSystem) -> np.ndarray:
     """The lift matrix L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use.
 
@@ -324,85 +305,97 @@ def _finish_step(sys, t1, u1, lift_g1, diag):
     return u1
 
 
+class _Load:
+    """A load vector and its kernel solve, made on first use."""
+
+    def __init__(self, sys, vector):
+        self.sys, self.vector = sys, vector
+
+    @functools.cached_property
+    def solved(self):
+        return kernel_solve(self.sys, self.vector)
+
+
+def _propagate(sys, t, z, load, slope, config, diag, state, slot):
+    """E(t) z + Phi_1(t) load + Phi_2(t) slope on ker B, and the basis to record.
+
+    A term that is None is dropped; ``load`` is a ``_Load``.  If
+    ``sys.step_maps`` holds the maps of duration t, this is up to three
+    dense products and one projection, after z is checked against the
+    constraint as a flow input is, and the basis to record is 0.
+    Otherwise, with w = K load, w' = K slope and w'' = K M w' / t (K
+    the kernel solve), Phi_1 = (I - E) K and Phi_2 = K + (E - I) K M K / t
+    make the sum one Krylov flow plus kernel vectors:
+
+        E (z - w + w'') + w + w' - w''.
+
+    The flow is warm-started from flow ``slot`` of the step that made
+    ``state``, and the basis to record in that slot of the next state's
+    ``flow_bases`` is the accepted one, or 0 if the flow halved.
+    """
+    maps = sys.step_maps
+    if maps is not None and maps.tau == t:
+        if z is not None:
+            _require_consistent(sys.flow_op, z)
+        x = 0.0 if z is None else maps.flow @ z
+        x = x if load is None else x + maps.phi1 @ load.vector
+        x = x if slope is None else x + maps.phi2 @ slope
+        return sys.flow_op.project(x), 0
+    x0, rest = (0.0 if z is None else z), 0.0
+    if load is not None:
+        x0, rest = x0 - load.solved, load.solved
+    if slope is not None:
+        w_prime = kernel_solve(sys, slope)
+        w_second = kernel_solve(sys, (sys.mass @ w_prime) / t)
+        x0, rest = x0 + w_second, rest + w_prime - w_second
+    bases = state.flow_bases
+    hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
+    result = krylov_flow(sys.flow_op, x0, t, tol=config.flow_tol, basis_hint=hint)
+    diag.record_flow(result)
+    return result.state + rest, result.basis_size if result.substeps == 1 else 0
+
+
 def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     """One step of the exponential schemes, with its stage at t_n + c2 tau.
 
-    The stage u_s is an exponential Euler step of length c2 tau from
-    z0 = u_n - lift(g_n) - w, with w the kernel solve of f_n - M lift(g'_n):
+    With l(t, u) = f(t, u) - M lift(g'(t)), l_0 = l(t_n, u_n) and
+    z_0 = u_n - lift(g_n), the stage is an exponential Euler step of
+    length c2 tau,
 
-        u_s = lift(g(t_n + c2 tau)) + exp(X c2 tau) z0 + w.
+        u_s = lift(g(t_n + c2 tau)) + E(c2 tau) z_0 + Phi_1(c2 tau) l_0.
 
     The first-order scheme is this stage at c2 = 1 (``stage_only``).
-    The second-order schemes go on with w' the kernel solve of the load
-    difference over c2 and w'' the kernel solve of M w' / tau,
+    The second-order schemes go on with the slope
+    d = (l(t_n + c2 tau, u_s) - l_0) / c2,
 
-        u_{n+1} = lift(g_{n+1}) + exp(X tau)(z0 + w'') + w + w' - w''.
+        u_{n+1} = lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0 + Phi_2(tau) d,
 
-    When the stage is the endpoint (c2 = 1, the second-order scheme),
-    by linearity only w'' is flowed: u_{n+1} = u_s + exp(X tau) w'' - w'' + w'.
-    At c2 = 1 over the duration of ``sys.step_maps`` the step is
-    ``_mapped_step`` instead.
+    which at c2 = 1 is u_s + Phi_2(tau) d.  Every term goes through
+    ``_propagate``, and K l_0 is solved once for both of its Krylov uses.
     """
     diag = Diagnostics() if diag is None else diag
-    maps = sys.step_maps
-    if c2 == 1.0 and maps is not None and maps.tau == tau:
-        return _mapped_step(sys, state, maps, diag, stage_only)
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
-    load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
-    w = kernel_solve(sys, load0)
-    z0 = state.u - _lift(sys, sys.g(t0)) - w
-    z_stage, basis0 = _run_flow(sys, z0, c2 * tau, config, diag, state, 0)
+    load0 = _Load(sys, sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0)))
+    z0 = state.u - _lift(sys, sys.g(t0))
+    z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
     lift_g_stage = _lift(sys, sys.g(t_stage))
-    u_stage = lift_g_stage + z_stage + w
+    u_stage = lift_g_stage + z_stage
     if stage_only:
         diag.rhs_evaluations += 1
         u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
-    f_stage = sys.load(t_stage, u_stage)
+    load_stage = sys.load(t_stage, u_stage) - sys.mass @ _lift(sys, sys.gdot(t_stage))
     diag.rhs_evaluations += 2
-    load_stage = f_stage - sys.mass @ _lift(sys, sys.gdot(t_stage))
-    w_prime = kernel_solve(sys, (load_stage - load0) / c2)
-    w_second = kernel_solve(sys, (sys.mass @ w_prime) / tau)
-    if t_stage == t1:
-        z_end, basis1 = _run_flow(sys, w_second, tau, config, diag, state, 1)
-        lift_g1, u1 = lift_g_stage, u_stage + z_end
+    slope = (load_stage - load0.vector) / c2
+    if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
+        lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
     else:
-        z_end, basis1 = _run_flow(sys, z0 + w_second, tau, config, diag, state, 1)
-        lift_g1 = _lift(sys, sys.g(t1))
-        u1 = lift_g1 + z_end + w
-    u1 = _finish_step(sys, t1, u1 - w_second + w_prime, lift_g1, diag)
+        lift_g1 = base = _lift(sys, sys.g(t1))
+    z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
+    u1 = _finish_step(sys, t1, base + z_end, lift_g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
-
-
-def _mapped_step(sys, state, maps, diag, stage_only):
-    """``_exponential_step`` at c2 = 1 through the dense maps of ``flow.step_maps``.
-
-    With l(t, u) = f(t, u) - M lift(g'(t)) the step is affine in its data:
-
-        u_s = lift(g_{n+1}) + E (u_n - lift(g_n)) + Phi_1 l(t_n, u_n),
-        u_{n+1} = u_s + Phi_2 (l(t_{n+1}, u_s) - l(t_n, u_n)),
-
-    the same stage and endpoint as the solve-and-flow sequence, with no
-    saddle solve and no Krylov flow.  u_n - lift(g_n) is checked as a
-    flow input is, and the kernel part of u_s and the Phi_2 increment
-    are projected as flow endpoints are.
-    """
-    op = sys.flow_op
-    t0, t1 = state.t, state.t + maps.tau
-    z0 = state.u - _lift(sys, sys.g(t0))
-    _require_consistent(op, z0)
-    load0 = sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0))
-    lift_g1 = _lift(sys, sys.g(t1))
-    u_stage = lift_g1 + op.project(maps.flow @ z0 + maps.phi1 @ load0)
-    if stage_only:
-        diag.rhs_evaluations += 1
-        return StepState(t1, _finish_step(sys, t1, u_stage, lift_g1, diag))
-    load1 = sys.load(t1, u_stage) - sys.mass @ _lift(sys, sys.gdot(t1))
-    diag.rhs_evaluations += 2
-    u1 = u_stage + op.project(maps.phi2 @ (load1 - load0))
-    return StepState(t1, _finish_step(sys, t1, u1, lift_g1, diag))
 
 
 def exponential_euler_step(
@@ -447,10 +440,10 @@ def alt_euler_step(
 ) -> StepState:
     """One step of the alternative first-order scheme, with theta = ``config.theta``.
 
-    The stationary solution w with the theta-blend g_b of g_n and g_{n+1}
-    on its constraint row is the kernel solve of f_n plus L g_b; u_n - w is flowed
-    homogeneously (projected first if the blend made it inconsistent)
-    and added back.  theta = 0 enforces the constraint at t_{n+1},
+    With g_b the theta-blend of g_n and g_{n+1} and z = u_n - lift(g_b),
+    projected onto ker B first if the blend made it inconsistent, the
+    step is u_{n+1} = lift(g_b) + E(tau) z + Phi_1(tau) f_n
+    (``_propagate``).  theta = 0 enforces the constraint at t_{n+1},
     theta = 1 keeps the flow initial value consistent instead; no
     consistency repair is applied because the residual is the scheme's
     own theta-controlled behavior.
@@ -460,13 +453,12 @@ def alt_euler_step(
     g_blend = config.theta * sys.g(t0) + (1.0 - config.theta) * sys.g(t1)
     f0 = sys.load(t0, state.u)
     diag.rhs_evaluations += 1
-    w_bar = kernel_solve(sys, f0) + _lift(sys, g_blend)
-    z0 = state.u - w_bar
-    defect = sys.flow_op.constraint_defect(z0)
-    if defect > 1e-12 * (1.0 + np.linalg.norm(z0)):
-        z0 = sys.flow_op.project(z0)
-    z_end, basis = _run_flow(sys, z0, tau, config, diag, state, 0)
-    u1 = z_end + w_bar
+    lift_blend = _lift(sys, g_blend)
+    z = state.u - lift_blend
+    if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
+        z = sys.flow_op.project(z)
+    z_end, basis = _propagate(sys, tau, z, _Load(sys, f0), None, config, diag, state, 0)
+    u1 = lift_blend + z_end
     diag.record_residual(sys.constraint_residual(t1, u1))
     return StepState(t1, u1, flow_bases=(basis,))
 

@@ -72,19 +72,31 @@ def test_traced_integrations_keep_the_count_identities():
     assert all(attr.startswith("__") for _, attr in set(after) - set(before))
 
 
-def test_traced_alt_euler_keeps_the_saddle_solve_identity():
-    # The alternative scheme's stationary solution is a kernel solve plus
-    # a lift, so every saddle solve it makes goes through a traced entry.
+def traced_run(**config):
+    """The tracer of a run of 4 steps on ``nonsym`` h=1/16 with ``SchemeConfig(**config)``."""
     tracer = load_tracer().Tracer()
     tau = 1 / 2560
     with tracer:
         integ = importlib.import_module("expidae.integrators")
         prob = importlib.import_module("expidae.problems").build_problem("nonsym", n_cells=16)
-        config = integ.SchemeConfig(scheme="alt-euler")
-        _, diag = integ.integrate(prob.system, config, prob.u0, 0.0, 4 * tau, tau)
+        _, diag = integ.integrate(
+            prob.system, integ.SchemeConfig(**config), prob.u0, 0.0, 4 * tau, tau
+        )
         tracer.diagnostics.append(diag)
+    return tracer
 
+
+def test_traced_alt_euler_keeps_the_saddle_solve_identity():
+    # The alternative scheme's stationary solution is a kernel solve plus
+    # a lift, so every saddle solve it makes goes through a traced entry.
+    assert traced_run(scheme="alt-euler").self_check(("linalg", "flow")) == []
+
+
+def test_traced_family_keeps_the_saddle_solve_identity():
+    # The family's stage and endpoint share one kernel solve of l_0.
+    tracer = traced_run(scheme="second-order-family", c2=0.5)
     assert tracer.self_check(("linalg", "flow")) == []
+    assert tracer.calls["integrators.kernel_solve"] == 4 * 3
 
 
 def test_traced_reference_build_keeps_the_count_identities():

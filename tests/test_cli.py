@@ -189,6 +189,34 @@ class TestSolve:
         assert code == 3
 
 
+SOLVE_TOY = ["solve", "--problem", "toy", "--tau", "0.1", "--scheme", "second-order-family",
+             "--out", "out.csv"]
+
+
+class TestMalformedNumber:
+    @pytest.mark.parametrize(
+        "argv, config, flag",
+        [
+            (["solve", "--problem", "nonsym", "--h", "abc", "--tau", "0.1", "--t-end", "0.2",
+              "--scheme", "exp-euler", "--out", "out.csv"], None, "--h"),
+            (["converge", "--problem", "toy", "--taus", "0.05,abc", "--t-end", "0.5",
+              "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", "0.001",
+              "--cache-dir", "cache", "--out", "out.csv"], None, "--taus"),
+            (SOLVE_TOY, "t_end = abc\n", "--t-end"),
+            (SOLVE_TOY + ["--t-end", "0.2"], "c2 = x\n", "--c2"),
+        ],
+        ids=["h", "taus", "config-t_end", "config-c2"],
+    )
+    def test_names_its_option(self, tmp_path, capsys, monkeypatch, argv, config, flag):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert main(argv) == 2
+        assert f"invalid configuration: {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "cache").exists()
+
+
 class TestConverge:
     def test_toy_study(self, tmp_path):
         out = tmp_path / "conv.csv"

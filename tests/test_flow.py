@@ -165,7 +165,7 @@ class TestFlow:
         with pytest.raises(InconsistentState):
             flow(op, np.array([1.0, 1.0]), 1.0)
 
-    def test_substep_limit_exhaustion(self, monkeypatch):
+    def test_halving_depth_limit_exhaustion(self, monkeypatch):
         # Oscillation-dominated operator (no decay to hide behind) with
         # a tiny basis cap and budget.
         rng = np.random.default_rng(13)
@@ -175,7 +175,7 @@ class TestFlow:
         op = make_operator(np.eye(n), A, np.zeros((0, n)))
         monkeypatch.setattr(flow_module, "BASIS_CAP", 3)
         monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", 4)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match="recursion too deep"):
             flow(op, np.ones(n), 1.0, tol=1e-12)
 
     def test_substep_limit_counts_accepted_substeps(self, monkeypatch):

@@ -643,12 +643,13 @@ class TestSolveCounts:
     """Deterministic count gate: saddle and SuperLU solves of one step."""
 
     @staticmethod
-    def _gate_second_order_step(monkeypatch, name, n_cells):
-        """A second-order step after the first one, which built L and W.
+    def _gate_step(monkeypatch, name, n_cells, step, config, kernel_solves, projections):
+        """A step of ``step`` after the first one, which built L and W.
 
-        It makes no lift solve, 3 kernel solves, 2 projections without a
-        saddle solve, one SuperLU solve per Arnoldi step, and exactly one
-        SuperLU solve per saddle solve.
+        It makes no lift solve, ``kernel_solves`` kernel solves,
+        ``projections`` projections without a saddle solve, one SuperLU
+        solve per Arnoldi step, and exactly one SuperLU solve per saddle
+        solve.
         """
         linalg_mod = sys.modules["expidae.linalg"]
         integ_mod = sys.modules["expidae.integrators"]
@@ -663,7 +664,7 @@ class TestSolveCounts:
         prob = build_problem(name, n_cells=n_cells)
         sys_, tau = prob.system, 1 / 2560
         # The first step builds L and W.
-        state = second_order_step(sys_, StepState(0.0, prob.u0), tau)
+        state = step(sys_, StepState(0.0, prob.u0), tau, config)
 
         counts = Counter()
         arnoldi_lu_solves = []
@@ -701,20 +702,34 @@ class TestSolveCounts:
         monkeypatch.setattr(DaeOperator, "apply", counted_apply)
         monkeypatch.setattr(DaeOperator, "project", counted_project)
         before = lu_solves()
-        second_order_step(sys_, state, tau)
+        step(sys_, state, tau, config)
 
-        assert (counts["lifts"], counts["kernel solves"], counts["projections"]) == (0, 3, 2)
+        assert counts["lifts"] == 0
+        assert (counts["kernel solves"], counts["projections"]) == (kernel_solves, projections)
         assert counts["projection saddle solves"] == 0
-        assert counts["saddle solves"] == len(arnoldi_lu_solves) + 3
+        assert counts["saddle solves"] == len(arnoldi_lu_solves) + kernel_solves
         assert len(arnoldi_lu_solves) > 0
         assert set(arnoldi_lu_solves) == {1}
         assert lu_solves() - before == counts["saddle solves"]
 
     def test_second_order_step_of_nonsym(self, monkeypatch):
-        self._gate_second_order_step(monkeypatch, "nonsym", 64)
+        self._gate_step(monkeypatch, "nonsym", 64, second_order_step, SchemeConfig(), 3, 2)
 
     def test_second_order_step_of_dynbc(self, monkeypatch):
-        self._gate_second_order_step(monkeypatch, "dynbc", 32)
+        self._gate_step(monkeypatch, "dynbc", 32, second_order_step, SchemeConfig(), 3, 2)
+
+    @pytest.mark.parametrize("name, n_cells", [("nonsym", 64), ("dynbc", 32)])
+    def test_family_step(self, monkeypatch, name, n_cells):
+        # The stage and the endpoint share the kernel solve of l_0.
+        config = SchemeConfig(scheme="second-order-family", c2=0.5)
+        self._gate_step(monkeypatch, name, n_cells, second_order_family_step, config, 3, 2)
+
+    @pytest.mark.parametrize("name, n_cells, projections", [("nonsym", 64, 2), ("dynbc", 32, 1)])
+    def test_alt_euler_step(self, monkeypatch, name, n_cells, projections):
+        # At theta = 1 a step ends on g_n, so on nonsym, whose g moves,
+        # the next flow input is projected before the flow.
+        config = SchemeConfig(scheme="alt-euler")
+        self._gate_step(monkeypatch, name, n_cells, alt_euler_step, config, 1, projections)
 
     def test_warm_started_flows_of_nonsym_check_at_most_twice(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=64)
@@ -795,6 +810,26 @@ class TestMappedStep:
         state = second_order_step(mapped, state, tau, diag=diag)
         assert calls == {"project": 2}
         assert diag.rhs_evaluations == 2 and len(diag.constraint_residuals) == 1
+
+    def test_family_endpoint_takes_the_maps(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=32)
+        tau = 1 / 2560
+        config = SchemeConfig(scheme="second-order-family", c2=0.5, flow_tol=1e-13)
+        mapped = self._mapped(prob.system, tau)
+        krylov, _ = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        integ_mod = sys.modules["expidae.integrators"]
+        krylov_flow, durations = integ_mod.krylov_flow, []
+
+        def counted(op, x0, t, **kwargs):
+            durations.append(t)
+            return krylov_flow(op, x0, t, **kwargs)
+
+        monkeypatch.setattr(integ_mod, "krylov_flow", counted)
+        exact, _ = integrate(mapped, config, prob.u0, 0.0, 20 * tau, tau)
+        # Only the stage, over c2 tau, has no maps.
+        assert durations == [0.5 * tau] * 20
+        for a, b in zip(exact[1:], krylov[1:]):
+            assert np.linalg.norm(a.u - b.u) <= 1e-11 * np.linalg.norm(b.u)
 
     def test_other_durations_and_stages_take_the_krylov_path(self):
         prob = build_problem("nonsym", n_cells=16)
