@@ -16,6 +16,13 @@ meets the tolerance, the interval is halved recursively.  The accepted
 result is projected back onto the kernel of B to kill round-off drift,
 by the rank-m update x - W (B x) of ``DaeOperator.project``.
 
+An Arnoldi step is one sparse product and one saddle solve, a few
+microseconds of kernel each at the sizes of the benchmark problems.  So
+the products of the Arnoldi step, the projection and the consistency
+check go through ``linalg.spmv`` (the CSR kernel without SciPy's
+dispatch), and their vector norms are sqrt(x . x), the same bits as
+``np.linalg.norm`` for less overhead.
+
 For a system small enough to hold dense n x n matrices, ``step_maps``
 forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
 itself on ker B, so that the step needs no flow and no tolerance.
@@ -25,13 +32,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InconsistentState, NoConvergence, ZeroInitialVector
-from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project
+from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
 from .phi import expm
 
 __all__ = [
@@ -39,6 +46,8 @@ __all__ = [
     "KrylovFlowResult",
     "arnoldi",
     "flow",
+    "KernelReduction",
+    "kernel_reduction",
     "StepMaps",
     "step_maps",
 ]
@@ -106,8 +115,7 @@ class DaeOperator:
 
     def apply(self, x0) -> np.ndarray:
         """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
-        x0 = as_vector(x0, self.n, "x0")
-        y, _ = self._saddle.solve(self._neg_stiffness @ x0, self._zero_dual)
+        y, _ = self._saddle.solve(spmv(self._neg_stiffness, x0), self._zero_dual)
         return y
 
     def project(self, x) -> np.ndarray:
@@ -115,7 +123,7 @@ class DaeOperator:
         x = as_vector(x, self.n, "x")
         if self._projector is None:
             self._projector = self._build_projector()
-        return x - self._projector @ (self.constraint @ x)
+        return x - self._projector @ spmv(self.constraint, x)
 
     def _build_projector(self) -> np.ndarray:
         # P(Y) = Y - W B Y = Y - W for any Y with B Y = I.
@@ -126,7 +134,8 @@ class DaeOperator:
         return W
 
     def constraint_defect(self, x) -> float:
-        return float(np.linalg.norm(self.constraint @ x))
+        defect = spmv(self.constraint, x)
+        return math.sqrt(defect.dot(defect))
 
 
 def _arnoldi_extend(op, V, H, j):
@@ -260,7 +269,7 @@ def _flow_recursive(op, x0, dt, tol, budget, depth, basis_hint=None):
         raise NoConvergence("flow substep limit exceeded")
     if depth > 16:
         raise NoConvergence("flow interval-halving recursion too deep")
-    beta = np.linalg.norm(x0)
+    beta = math.sqrt(x0.dot(x0))
     if beta == 0.0:
         budget[0] -= 1
         return KrylovFlowResult(x0.copy(), 0, 0.0, 1)
@@ -322,19 +331,53 @@ def flow(
     if t == 0.0 or norm0 == 0.0:
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
-    result = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
-    return replace(result, state=op.project(result.state))
+    r = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
+    return KrylovFlowResult(
+        op.project(r.state),
+        r.basis_size,
+        r.residual_estimate,
+        r.substeps,
+        r.checks,
+        r.arnoldi_steps,
+    )
 
 
 def _require_consistent(op, x0) -> float:
     """|x0|, after raising ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|)."""
-    norm0 = np.linalg.norm(x0)
+    norm0 = math.sqrt(x0.dot(x0))
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * (1.0 + norm0):
         raise InconsistentState(
             f"initial value violates constraint: |B x0| = {defect:.3e}, |x0| = {norm0:.3e}"
         )
     return norm0
+
+
+@dataclass(frozen=True)
+class KernelReduction:
+    """The part of ``step_maps`` that does not depend on the step, from ``kernel_reduction``.
+
+    ``basis`` is Z, ``generator`` is M_K^{-1} A_K = -X_K and ``kernel``
+    is K = Z A_K^{-1} Z^T (notation of ``step_maps``).
+    """
+
+    basis: np.ndarray
+    generator: np.ndarray
+    kernel: np.ndarray
+
+
+def kernel_reduction(op: DaeOperator) -> KernelReduction:
+    """Z = ``null_space(B)``, M_K^{-1} A_K and K of ``step_maps``, for any step.
+
+    One SVD of B, two reduced products and two dense solves; ``step_maps``
+    of several steps on one operator can share them.
+    """
+    Z = scipy.linalg.null_space(op.constraint.toarray())
+    mass_k = Z.T @ (op.mass @ Z)
+    stiff_k = Z.T @ (op.stiffness @ Z)
+    generator = np.linalg.solve(mass_k, stiff_k)
+    kernel = Z @ np.linalg.solve(stiff_k, Z.T)
+    return KernelReduction(Z, generator, kernel)
 
 
 @dataclass(frozen=True)
@@ -352,7 +395,9 @@ class StepMaps:
     phi2: np.ndarray
 
 
-def step_maps(op: DaeOperator, tau: float) -> StepMaps:
+def step_maps(
+    op: DaeOperator, tau: float, reduction: KernelReduction | None = None
+) -> StepMaps:
     """The maps E, Phi_1 and Phi_2 of an exponential step of duration ``tau``.
 
     With Z an orthonormal basis of ker B, M_K = Z^T M Z, A_K = Z^T A Z,
@@ -362,16 +407,15 @@ def step_maps(op: DaeOperator, tau: float) -> StepMaps:
         Phi_1 = (I - E) K,
         Phi_2 = K + (E - I) K M K / tau.
 
-    E x0 = exp(X tau) x0 for every consistent x0.  The build is one dense
-    exponential of the k x k generator, k = n - m, one dense solve with
-    A_K and a few dense products; time O(n^3) and memory a few dense
-    n x n arrays, so this is for small systems only.
+    E x0 = exp(X tau) x0 for every consistent x0.  The step-independent
+    part is ``reduction``, ``kernel_reduction(op)`` if None.  The rest
+    is one dense exponential of the k x k generator, k = n - m, and a
+    few dense products; time O(n^3) and memory a few dense n x n
+    arrays, so this is for small systems only.
     """
-    Z = scipy.linalg.null_space(op.constraint.toarray())
-    mass_k = Z.T @ (op.mass @ Z)
-    stiff_k = Z.T @ (op.stiffness @ Z)
-    flow_map = (Z @ expm(-tau * np.linalg.solve(mass_k, stiff_k))) @ Z.T
-    kernel = Z @ np.linalg.solve(stiff_k, Z.T)
+    red = kernel_reduction(op) if reduction is None else reduction
+    Z, kernel = red.basis, red.kernel
+    flow_map = (Z @ expm(-tau * red.generator)) @ Z.T
     phi1 = kernel - flow_map @ kernel
     # (E - I) K M K = -Phi_1 M K
     phi2 = kernel - phi1 @ (op.mass @ kernel) / tau

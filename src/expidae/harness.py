@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
-from .flow import step_maps
+from .flow import kernel_reduction, step_maps
 from .integrators import ConstrainedSystem, SchemeConfig, integrate, lift_map, step_count
 from .linalg import as_vector
 from .problems import Problem
@@ -214,16 +214,18 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
-def _snapshot_run(problem, t_end, tau, stride):
-    """One reference run, through the step maps of ``tau`` up to the size cap.
+def _snapshot_run(problem, t_end, tau, stride, reduction):
+    """One reference run, through the step maps of ``tau`` if ``reduction`` is given.
 
-    The maps live on a shallow copy of the problem's system and are
-    dropped with it when the run returns.
+    The maps, built from ``reduction`` (``flow.kernel_reduction``), live
+    on a shallow copy of the problem's system and are dropped with it
+    when the run returns.  Without a reduction the run takes the Krylov
+    flow.
     """
     system = problem.system
-    if system.n <= EXACT_FLOW_MAX_N:
+    if reduction is not None:
         system = copy.copy(system)
-        system.step_maps = step_maps(system.flow_op, tau)
+        system.step_maps = step_maps(system.flow_op, tau, reduction)
     traj, _ = integrate(
         system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
     )
@@ -252,11 +254,12 @@ def build_reference(
     run takes the dense step maps of its step (``flow.step_maps``) on a
     shallow copy of the system, built for that run and dropped after it,
     so the maps of tau_ref and tau_ref / 2 are never held together.  The
-    lift matrix L is built on the problem's own system first, so the
-    copies and the ladder share it.  That system, which the ladder
-    integrates with the Krylov flow, carries no maps, so the ladder and
-    the reference do not share a flow, and the reference carries no
-    flow-tolerance error.  Larger systems fall back to the Krylov flow
+    step-independent part of the maps (``flow.kernel_reduction``) and the
+    lift matrix L are built once, on the problem's own system, before
+    the copies, so both runs share them and the ladder shares L.  That
+    system, which the ladder integrates with the Krylov flow, carries no
+    maps, so the ladder and the reference do not share a flow, and the
+    reference carries no flow-tolerance error.  Larger systems fall back to the Krylov flow
     with ``REFERENCE_SCHEME.flow_tol``.
     """
     stride = step_count(t_end if snapshot_tau is None else snapshot_tau, tau_ref)
@@ -270,9 +273,11 @@ def build_reference(
         if cached is not None:
             return ReferenceSolution(*cached, from_cache=True)
 
-    lift_map(problem.system)  # before the copies, so that they share L
-    times, states = _snapshot_run(problem, t_end, tau_ref, stride)
-    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride)
+    system = problem.system
+    lift_map(system)  # before the copies, so that they share L
+    reduction = kernel_reduction(system.flow_op) if system.n <= EXACT_FLOW_MAX_N else None
+    times, states = _snapshot_run(problem, t_end, tau_ref, stride, reduction)
+    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride, reduction)
 
     if cache_path is not None:
         _write_cache(cache_path, key, times, states, check_states)
@@ -314,10 +319,10 @@ def run_convergence(
         raise ValueError(f"t_end {t_end!r} must be positive")
     sys = problem.system
     _require_norm(sys, norm)
+    for tau in taus:  # every step first, so that a bad one is named as a step
+        step_count(t_end, tau)
     tau_min = min(taus)
     strides = [step_count(tau, tau_min) for tau in taus]
-    for tau in taus:
-        step_count(t_end, tau)
 
     ref = None
     exact = None

@@ -43,7 +43,7 @@ from .errors import (
     NonFinite,
 )
 from .flow import DEFAULT_TOL, DaeOperator, _require_consistent, flow as krylov_flow
-from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd
+from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd, spmv
 
 __all__ = [
     "ConstrainedSystem",
@@ -174,14 +174,19 @@ class ConstrainedSystem:
     def constraint_residual(self, t: float, u) -> float:
         """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
         gval = self.g(t)
-        defect = self.constraint @ u - gval
-        return float(np.linalg.norm(defect) / (1.0 + np.linalg.norm(gval)))
+        defect = spmv(self.constraint, u) - gval
+        return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
 
 
 def _finite(value, length, name, t) -> np.ndarray:
-    """``value`` of callback ``name`` at t as a vector, checked for finiteness."""
+    """``value`` of callback ``name`` at t as a vector, checked for finiteness.
+
+    The test is one sum, with the entrywise scan only when the sum is
+    not finite (a finite vector whose sum overflows, for which numpy
+    warns about the overflow).
+    """
     v = as_vector(value, length, f"{name} value")
-    if not np.isfinite(v).all():
+    if not (math.isfinite(v.sum()) or np.isfinite(v).all()):
         raise NonFinite(f"{name} returned non-finite values at t={t}")
     return v
 
@@ -346,7 +351,7 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
         x0, rest = x0 - load.solved, load.solved
     if slope is not None:
         w_prime = kernel_solve(sys, slope)
-        w_second = kernel_solve(sys, (sys.mass @ w_prime) / t)
+        w_second = kernel_solve(sys, spmv(sys.mass, w_prime) / t)
         x0, rest = x0 + w_second, rest + w_prime - w_second
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
@@ -376,7 +381,7 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
-    load0 = _Load(sys, sys.load(t0, state.u) - sys.mass @ _lift(sys, sys.gdot(t0)))
+    load0 = _Load(sys, sys.load(t0, state.u) - spmv(sys.mass, _lift(sys, sys.gdot(t0))))
     z0 = state.u - _lift(sys, sys.g(t0))
     z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
     lift_g_stage = _lift(sys, sys.g(t_stage))
@@ -386,7 +391,7 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
-    load_stage = sys.load(t_stage, u_stage) - sys.mass @ _lift(sys, sys.gdot(t_stage))
+    load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, _lift(sys, sys.gdot(t_stage)))
     diag.rhs_evaluations += 2
     slope = (load_stage - load0.vector) / c2
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0

@@ -25,17 +25,20 @@ def expm(a) -> np.ndarray:
     """Matrix exponential (SciPy's scaling-and-squaring Pade algorithm).
 
     Raises ``DimensionMismatch`` for a non-square argument and
-    ``NonFinite`` for non-finite input or an overflowing result.
+    ``NonFinite`` for non-finite input or an overflowing result.  Each
+    finiteness test is one sum, with the entrywise scan only when the
+    sum is not finite (a finite matrix whose sum overflows); overflow
+    warnings stay suppressed.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expm needs a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("expm input has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
+        if not (math.isfinite(a.sum()) or np.isfinite(a).all()):
+            raise NonFinite("expm input has non-finite entries")
         result = scipy.linalg.expm(a)
-    if not np.isfinite(result).all():
-        raise NonFinite("matrix exponential overflowed")
+        if not (math.isfinite(result.sum()) or np.isfinite(result).all()):
+            raise NonFinite("matrix exponential overflowed")
     return result
 
 

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import ConstrainedSystem
+from .linalg import spmv
 
 __all__ = [
     "DynBcConfig",
@@ -198,7 +199,7 @@ def build_dynbc(cfg: DynBcConfig = DynBcConfig()) -> Problem:
     def forcing(t, x):
         p = x[n_bulk:]
         nodal = 3.0 * np.cos(2.0 * np.pi * t) - sin_edge - p**3
-        return np.concatenate([zeros_bulk, M_edge @ nodal])
+        return np.concatenate([zeros_bulk, spmv(M_edge, nodal)])
 
     g = lambda t: zeros_edge
     gdot = lambda t: zeros_edge
@@ -244,7 +245,7 @@ def build_nonsym(cfg: NonSymConfig = NonSymConfig()) -> Problem:
     def forcing(t, x):
         u = x[:n]
         v = x[n:]
-        return np.concatenate([-(M1 @ u**3), -(M1 @ v**3)])
+        return np.concatenate([-spmv(M1, u**3), -spmv(M1, v**3)])
 
     g = lambda t: np.array([np.exp(2.0 * t) - 1.0])
     gdot = lambda t: np.array([2.0 * np.exp(2.0 * t)])

@@ -296,17 +296,26 @@ class TestConverge:
         assert cached.read_bytes() == complete
         assert [p.name for p in cache.iterdir()] == [cached.name]
 
-    @pytest.mark.parametrize("taus, t_end", [("inf,0.05", "0.5"), ("0.1,0.05", "inf")])
+    @pytest.mark.parametrize(
+        "taus, t_end",
+        [("inf,0.05", "0.5"), ("0.1,0.05", "inf"), ("0.05,nan", "0.5"), ("0.05,inf", "0.5")],
+    )
     def test_non_finite_step_or_end_time_is_config_error(self, tmp_path, capsys, taus, t_end):
+        cache = tmp_path / "cache"
         code = main(
             [
                 "converge", "--problem", "toy", "--taus", taus, "--t-end", t_end,
                 "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", str(0.05 / 16),
-                "--out", str(tmp_path / "conv.csv"),
+                "--cache-dir", str(cache), "--out", str(tmp_path / "conv.csv"),
             ]
         )
         assert code == 2
-        assert "span inf must be finite" in capsys.readouterr().err
+        # Every ladder step is checked, by name, before t_end is divided by the smallest.
+        bad = "nan" if "nan" in taus else "inf"
+        expected = "span inf must be finite" if t_end == "inf" else f"step {bad} must be finite"
+        assert expected in capsys.readouterr().err
+        assert not cache.exists() or list(cache.iterdir()) == []
+        assert not (tmp_path / "conv.csv").exists()
 
     def test_ladder_is_checked_before_the_reference_is_built(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from expidae import harness
@@ -155,6 +156,22 @@ class TestBuildReference:
         assert len(exponentials) == 2
         # The step maps lived on copies; the ladder's system has none.
         assert prob.system.step_maps is None
+
+    def test_kernel_reduction_is_built_once_per_cold_build(self, monkeypatch, tmp_path):
+        # Both reference runs share null_space(B), Z^T M Z, Z^T A Z and the solves.
+        calls = []
+        null_space = scipy.linalg.null_space
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return null_space(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "null_space", counted)
+        prob = build_problem("nonsym", n_cells=16)
+        cold = build_reference(prob, 0.05, 1 / 2560, cache_dir=tmp_path)
+        assert not cold.from_cache and len(calls) == 1
+        warm = build_reference(prob, 0.05, 1 / 2560, cache_dir=tmp_path)
+        assert warm.from_cache and len(calls) == 1
 
     def test_cap_takes_dynbc_at_h_1_32_and_not_at_h_1_64(self):
         small, large = (build_problem("dynbc", n_cells=n).system.n for n in (32, 64))

@@ -19,12 +19,14 @@ from expidae.errors import (
     SingularSaddle,
 )
 from expidae.flow import DaeOperator, _flow_recursive, flow, step_maps
+from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
     ConstrainedSystem,
     Diagnostics,
     SchemeConfig,
     StepState,
+    _finite,
     _lift,
     alt_euler_step,
     exponential_euler_step,
@@ -599,6 +601,66 @@ class TestNonFiniteConstraintData:
         bad = ConstrainedSystem(sys_.mass, sys_.stiffness, sys_.constraint, sys_._forcing, g, gdot)
         with pytest.raises(NonFinite, match=f"{callback} returned non-finite values at t=0.05"):
             integrate(bad, SchemeConfig(scheme=scheme, c2=0.5), prob.u0, 0.0, 0.2, 0.05)
+
+
+class TestFiniteCheck:
+    """``_finite``: one sum, and the entrywise scan only when the sum is not finite."""
+
+    def test_finite_vector_whose_sum_overflows_is_accepted(self):
+        v = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):  # numpy flags the overflow of the test sum
+            assert np.array_equal(_finite(v, 2, "forcing", 0.5), v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "value", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [np.nan, -np.inf]]
+    )
+    def test_non_finite_vector_is_reported_by_callback_name(self, value):
+        with pytest.raises(NonFinite, match="forcing returned non-finite values at t=0.5"):
+            _finite(np.array(value), 2, "forcing", 0.5)
+
+    def test_opposite_infinities_are_reported(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the test sum
+            with pytest.raises(NonFinite, match="constraint_rhs returned non-finite"):
+                _finite(np.array([np.inf, -np.inf]), 2, "constraint_rhs", 0.5)
+
+
+class TestNoSparseDispatch:
+    """Per-step sparse products go through ``linalg.spmv``, never SciPy's operators."""
+
+    @staticmethod
+    def _spy(monkeypatch, matrix):
+        owner = next(c for c in type(matrix).__mro__ if "__matmul__" in vars(c))
+        calls = []
+        for attr in ("__matmul__", "__rmatmul__", "dot"):
+            raw = getattr(owner, attr)
+
+            def counted(self, other, _raw=raw, _attr=attr):
+                calls.append(_attr)
+                return _raw(self, other)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def _check(self, monkeypatch, mapped, config):
+        prob = build_problem("nonsym", n_cells=16)
+        system, tau = prob.system, 1 / 2560
+        if mapped:
+            system = copy.copy(system)
+            system.step_maps = step_maps(system.flow_op, tau)
+        # The first step builds L and W.
+        state = second_order_step(system, StepState(0.0, prob.u0), tau, config)
+        calls = self._spy(monkeypatch, system.mass)
+        second_order_step(system, state, tau, config)
+        assert calls == []
+        system.mass @ prob.u0  # the spy sees an operator product
+        assert calls == ["__matmul__"]
+
+    def test_steady_state_second_order_step(self, monkeypatch):
+        self._check(monkeypatch, False, SchemeConfig())
+
+    def test_mapped_reference_step(self, monkeypatch):
+        self._check(monkeypatch, True, REFERENCE_SCHEME)
 
 
 class TestTrajectoryExport:

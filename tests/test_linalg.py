@@ -9,10 +9,10 @@ from conftest import CountingLU, random_spd
 from expidae.errors import DimensionMismatch, SingularSaddle
 from expidae.linalg import (
     SaddleFactorization,
-    as_vector,
     canonical_csr,
     kernel_project,
     require_spd,
+    spmv,
 )
 from expidae.problems import build_problem
 
@@ -53,25 +53,40 @@ class TestCanonicalCsr:
 
 
 class TestSpmv:
-    """Products of canonical CSR matrices with validated vectors."""
+    """``spmv``: the CSR kernel of ``a @ x`` without SciPy's dispatch."""
 
     def test_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(canonical_csr(sp.eye(3)) @ v, v)
+        assert np.array_equal(spmv(canonical_csr(sp.eye(3)), v), v)
 
     def test_zero_matrix(self):
-        out = canonical_csr(sp.csr_matrix((2, 2))) @ np.ones(2)
+        out = spmv(canonical_csr(sp.csr_matrix((2, 2))), np.ones(2))
         assert np.array_equal(out, np.zeros(2))
 
     def test_hand_computed(self):
         mat = canonical_csr(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(mat @ np.ones(2), np.array([3.0, 7.0]))
+        assert np.array_equal(spmv(mat, np.ones(2)), np.array([3.0, 7.0]))
 
-    def test_dimension_mismatch(self):
-        # The library validates operands with as_vector before forming products.
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_dimension_mismatch(self, shape):
+        # The kernel checks no bounds: a short operand must never reach it.
         mat = canonical_csr(sp.eye(3))
         with pytest.raises(DimensionMismatch):
-            as_vector(np.ones(4), mat.shape[1], "operand")
+            spmv(mat, np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "name, options", [("toy", {}), ("nonsym", {"n_cells": 64}), ("dynbc", {"n_cells": 32})]
+    )
+    def test_bitwise_equal_to_matmul(self, name, options):
+        system = build_problem(name, **options).system
+        rng = np.random.default_rng(1)
+        for mat in (system.mass, system.stiffness, system.constraint, -system.stiffness):
+            x = rng.standard_normal(mat.shape[1])
+            assert np.array_equal(spmv(mat, x), mat @ x)
+            column = rng.standard_normal((mat.shape[1], 3))[:, 1]  # strided, as c3's V[:, j]
+            assert not column.flags.c_contiguous
+            assert np.array_equal(spmv(mat, column), mat @ column)
+            assert np.array_equal(spmv(mat, column), mat @ column.copy())
 
 
 class TestAssembleSaddle:
@@ -154,6 +169,20 @@ class TestSaddleSolve:
         fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
         with pytest.raises(DimensionMismatch):
             fact.solve(np.zeros(3), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "primal, constraint", [(np.zeros(2), 0.0), (1.0, np.zeros(1)), (np.zeros((2, 1)), [0.0])]
+    )
+    def test_broadcastable_parts_rejected(self, primal, constraint):
+        # Parts that would broadcast into the stacked right-hand side.
+        fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
+        with pytest.raises(DimensionMismatch):
+            fact.solve(primal, constraint)
+
+    def test_lists_are_accepted(self):
+        fact = SaddleFactorization(sp.eye(2, format="csr"), canonical_csr([[1.0, 0.0]]))
+        x, nu = fact.solve([1.0, 2.0], [0.5])
+        assert np.array_equal(x, [0.5, 2.0]) and np.array_equal(nu, [0.5])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(4, 16), st.integers(0, 3), st.integers(0, 10_000))

@@ -64,6 +64,27 @@ class TestExpm:
         with pytest.raises(NonFinite):
             expm(np.array([[np.inf]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "entries", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)], ids=str
+    )
+    def test_nonfinite_input_raises_without_a_warning(self, entries):
+        a = np.eye(3)
+        for i, value in enumerate(entries):
+            a[i, 2] = value
+        with pytest.raises(NonFinite, match="input"):
+            expm(a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_a_warning(self):
+        with pytest.raises(NonFinite, match="overflowed"):
+            expm(np.array([[2000.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_input_whose_sum_overflows(self):
+        # The one-sum test fails, so the entrywise scan decides.
+        assert np.array_equal(expm(np.diag([-1e308, -1e308])), np.zeros((2, 2)))
+
     def test_nonsquare_raises(self):
         with pytest.raises(DimensionMismatch):
             expm(np.ones((2, 3)))
