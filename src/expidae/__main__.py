@@ -1,0 +1,6 @@
+"""``python -m expidae``: the ``expidae`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

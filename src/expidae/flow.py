@@ -138,11 +138,29 @@ class DaeOperator:
         return math.sqrt(defect.dot(defect))
 
 
-def _arnoldi_extend(op, V, H, j):
-    """One Arnoldi step: fill column j of H, normalize v_{j+1}.
+def _arnoldi_start(op, x0, beta, r_cap):
+    """Arnoldi storage V, H for up to ``r_cap`` steps from x0 / beta.
+
+    V has shape (r_cap + 1, n), one basis vector per row, with v_1 =
+    x0 / beta filled in; H is the zero (r_cap + 1, r_cap) Hessenberg
+    matrix.
+    """
+    V = np.empty((r_cap + 1, op.n))
+    H = np.zeros((r_cap + 1, r_cap))
+    V[0] = x0 / beta
+    return V, H
+
+
+def _arnoldi_extend(op, V, H, j, sumsq):
+    """Arnoldi step j + 1: fill column j of H and normalize v_{j+2} into V[j + 1].
 
     Classical Gram-Schmidt with a single refinement pass on the basis
-    rows V[:j+1]; returns the subdiagonal entry h_{j+1,j}.
+    rows V[:j+1].  ``sumsq`` is the squared Frobenius norm of the
+    finished entries of H before the step.  Returns (h_next, sumsq,
+    breakdown): the subdiagonal entry h_{j+2,j+1}, the updated sum, and
+    whether the step is a happy breakdown, h_next at round-off relative
+    to the Frobenius norm of H_{j+1}.  After a breakdown h_next is not
+    added to the sum, and the basis must not be extended further.
     """
     w = op.apply(V[j])
     basis = V[: j + 1]
@@ -151,38 +169,17 @@ def _arnoldi_extend(op, V, H, j):
     w -= h.dot(basis)
     h2 = basis.dot(w)
     w -= h2.dot(basis)
-    H[: j + 1, j] = h + h2
+    column = H[: j + 1, j]
+    column[:] = h + h2
     hnext = math.sqrt(w.dot(w))
     H[j + 1, j] = hnext
     if hnext > 0.0:
         np.divide(w, hnext, out=V[j + 1])
-    return hnext
-
-
-def _arnoldi_steps(op, x0, beta, r_max):
-    """Arnoldi iteration from x0 / beta, yielding after every step.
-
-    Yields (V, H, r, h_next, breakdown) after step r.  V and H are the
-    iteration's storage of shapes (r_cap + 1, n), one basis vector per
-    row, and (r_cap + 1, r_cap); their first r rows and leading r x r
-    block are final.  A happy breakdown (h_next at round-off relative
-    to the Frobenius norm of H_r) is the last yield.
-    """
-    r_cap = min(r_max, op.n)
-    V = np.empty((r_cap + 1, op.n))
-    H = np.zeros((r_cap + 1, r_cap))
-    V[0] = x0 / beta
-    sumsq = 0.0  # squared Frobenius norm of the finished entries of H
-    for j in range(r_cap):
-        hnext = _arnoldi_extend(op, V, H, j)
-        r = j + 1
-        column = H[:r, j]
-        sumsq += column.dot(column)
-        breakdown = hnext <= BREAKDOWN_RTOL * max(math.sqrt(sumsq), 1.0)
-        yield V, H, r, hnext, breakdown
-        if breakdown:
-            return
+    sumsq += column.dot(column)
+    breakdown = hnext <= BREAKDOWN_RTOL * max(math.sqrt(sumsq), 1.0)
+    if not breakdown:
         sumsq += hnext * hnext
+    return hnext, sumsq, breakdown
 
 
 def arnoldi(op: DaeOperator, x0, r_max: int):
@@ -191,7 +188,8 @@ def arnoldi(op: DaeOperator, x0, r_max: int):
     Returns (V, H, h_next) with V of shape (n, r), H of shape (r, r) and
     h_next the first neglected subdiagonal entry.  A happy breakdown
     (h_next at round-off relative to H) terminates early with h_next
-    reported as 0.0.
+    reported as 0.0.  The steps are ``_arnoldi_extend``, the steps of
+    every flow.
     """
     x0 = as_vector(x0, op.n, "x0")
     beta = np.linalg.norm(x0)
@@ -199,8 +197,14 @@ def arnoldi(op: DaeOperator, x0, r_max: int):
         raise ZeroInitialVector("Arnoldi started from the zero vector")
     if r_max < 1:
         raise ValueError("Arnoldi needs r_max >= 1")
-    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_max):
-        pass
+    r_cap = min(r_max, op.n)
+    V, H = _arnoldi_start(op, x0, beta, r_cap)
+    sumsq = 0.0
+    for j in range(r_cap):
+        hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
+        if breakdown:
+            break
+    r = j + 1
     return V[:r].T.copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
 
 
@@ -224,9 +228,12 @@ def _next_check(r, estimate, previous, tol):
 def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     """Single Krylov approximation of exp(X dt) x0.
 
-    Each check is one dense exponential of the bordered matrix
-    [[dt H_r, e_1], [0, 0]], whose first column holds exp(dt H_r) e_1
-    (the state) and whose last holds phi_1(dt H_r) e_1.  The latter
+    The shot is a plain loop of ``_arnoldi_extend`` steps.  Each check
+    is one ``expm`` of the bordered matrix [[dt H_r, e_1], [0, 0]]; for
+    r >= 2 that matrix has a nonzero sub- and superdiagonal, so
+    ``phi.expm`` takes SciPy's Pade kernels without the dispatch of
+    ``scipy.linalg.expm``.  Its first column holds exp(dt H_r) e_1
+    (the state) and its last holds phi_1(dt H_r) e_1.  The latter
     gives Saad's first-term estimate of the absolute endpoint error,
     beta dt |h_{r+1,r} [phi_1(dt H_r)]_{r,1}| (SIAM J. Numer. Anal. 29,
     1992).  Checks are made only at check points: r =
@@ -240,8 +247,11 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     ``BASIS_CAP`` is exhausted before the error estimate meets ``tol``.
     """
     r_cap = min(BASIS_CAP, op.n)
-    check, failed, checks, r = first_check, None, 0, 0
-    for V, H, r, hnext, breakdown in _arnoldi_steps(op, x0, beta, r_cap):
+    V, H = _arnoldi_start(op, x0, beta, r_cap)
+    check, failed, checks, sumsq = first_check, None, 0, 0.0
+    for j in range(r_cap):
+        hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
+        r = j + 1
         if r < check and r < r_cap and not breakdown:
             continue
         checks += 1
@@ -317,14 +327,22 @@ def flow(
     interval to ``min(basis_hint - 1, cap)`` instead of 1; ``None``
     starts the check schedule cold.  Acceptance is unchanged, so a wrong
     hint costs Arnoldi steps or exponentials but never accuracy.
+
+    A non-finite or negative ``t``, a ``tol`` that is not positive and a
+    ``basis_hint`` that is not a positive integer (a bool is not) raise
+    ``ValueError``.
     """
     x0 = as_vector(x0, op.n, "x0")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not tol > 0:
         raise ValueError("flow tolerance must be positive")
     if basis_hint is not None and (
-        not isinstance(basis_hint, numbers.Integral) or basis_hint < 1
+        isinstance(basis_hint, bool)
+        or not isinstance(basis_hint, numbers.Integral)
+        or basis_hint < 1
     ):
         raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
     norm0 = _require_consistent(op, x0)

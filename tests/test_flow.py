@@ -226,6 +226,14 @@ class TestFlow:
         with pytest.raises(ValueError):
             flow(op, np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_a_configuration_error(self, t):
+        op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))
+        # A ValueError is not an ExpidaeError, so the CLI exits with 2.
+        with pytest.raises(ValueError, match="flow time must be finite") as info:
+            flow(op, np.ones(2), t)
+        assert not isinstance(info.value, ExpidaeError)
+
     @pytest.mark.parametrize("n_cells", [32, 64])
     @pytest.mark.parametrize("t", [0.01, 0.05])
     def test_stiff_nonsym_flow_is_not_accepted_at_one_vector(self, n_cells, t):
@@ -375,6 +383,12 @@ class TestBasisHint:
         with pytest.raises(ValueError) as info:
             flow(op, np.ones(3), 1.0, basis_hint=hint)
         assert not isinstance(info.value, ExpidaeError)
+
+    @pytest.mark.parametrize("hint", [True, False, np.True_])
+    def test_bool_hint_is_rejected(self, hint):
+        op = make_operator(np.eye(3), np.eye(3), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="basis_hint"):
+            flow(op, np.ones(3), 1.0, basis_hint=hint)
 
 
 class TestStepMaps:

@@ -663,6 +663,44 @@ class TestNoSparseDispatch:
         self._check(monkeypatch, True, REFERENCE_SCHEME)
 
 
+class TestNoExpmDispatch:
+    """Krylov checks past one vector take SciPy's Pade kernels, not ``scipy.linalg.expm``."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        phi_mod = sys.modules["expidae.phi"]
+        if phi_mod._PADE_KERNELS is None:
+            pytest.skip("SciPy's Pade kernels did not pass the self-check")
+        calls = []
+        raw = phi_mod.scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return raw(a)
+
+        monkeypatch.setattr(phi_mod.scipy.linalg, "expm", counted)
+        return calls
+
+    def test_warm_second_order_step(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=16)
+        tau = 1 / 2560
+        state = second_order_step(prob.system, StepState(0.0, prob.u0), tau, SchemeConfig())
+        assert min(state.flow_bases) > 2  # so no warm shot checks at one vector
+        calls = self._spy(monkeypatch)
+        diag = Diagnostics()
+        second_order_step(prob.system, state, tau, SchemeConfig(), diag)
+        assert diag.flow_checks > 0
+        assert calls == []
+
+    def test_cold_shot_checks_one_vector_through_scipy(self, monkeypatch):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        x0 = op.project(np.random.default_rng(0).standard_normal(op.n))
+        calls = self._spy(monkeypatch)
+        result = flow(op, x0, 1 / 2560)
+        assert result.checks > 1
+        assert calls == [2]
+
+
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path):
         prob = build_toy(ToyConfig(n=8, m=1, seed=2))

@@ -1,11 +1,20 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
+import scipy.linalg
 from scipy.integrate import quad
 
 from expidae.errors import DimensionMismatch, NonFinite, OrderTooHigh
+from expidae.flow import kernel_reduction
 from expidae.phi import expm, phi, polyrhs_solution
+from expidae.problems import build_problem
+
+# The package exports the function ``phi`` under the module's name.
+phi_module = sys.modules["expidae.phi"]
 
 
 def expm_series(a):
@@ -88,6 +97,169 @@ class TestExpm:
     def test_nonsquare_raises(self):
         with pytest.raises(DimensionMismatch):
             expm(np.ones((2, 3)))
+
+
+def _bordered_hessenberg(rng, r, scale):
+    """[[scale H_r, e_1], [0, 0]] for a random upper Hessenberg H_r, as a Krylov check forms it."""
+    a = np.zeros((r + 1, r + 1))
+    a[:r, :r] = scale * np.triu(rng.standard_normal((r, r)), -1)
+    a[0, r] = 1.0
+    return a
+
+
+def _squarings(a):
+    """The number of squarings SciPy's Pade structure picks for ``a``."""
+    work = np.empty((5,) + a.shape)
+    work[0] = a
+    return phi_module._matfuncs_expm.pick_pade_structure(work)[1]
+
+
+def _assert_bitwise_scipy(a):
+    out = expm(a)
+    np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
+    return out
+
+
+def _spy_scipy_expm(monkeypatch):
+    """Record the shape of every ``scipy.linalg.expm`` call that ``phi.expm`` makes."""
+    calls = []
+    raw = phi_module.scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return raw(a)
+
+    monkeypatch.setattr(phi_module.scipy.linalg, "expm", counted)
+    return calls
+
+
+@pytest.mark.skipif(
+    phi_module._PADE_KERNELS is None, reason="SciPy's Pade kernels did not pass the self-check"
+)
+class TestDirectPade:
+    """``expm`` on SciPy's Pade kernels gives the bits of ``scipy.linalg.expm``."""
+
+    def test_bordered_hessenberg_up_to_sixty_vectors(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        cases = [
+            _bordered_hessenberg(rng, r, scale)
+            for r in range(1, 61)
+            for scale in (1e-3, 0.3, 5.0, 40.0)
+        ]
+        assert {_squarings(a) > 0 for a in cases} == {False, True}
+        expected = [scipy.linalg.expm(a) for a in cases]
+        calls = _spy_scipy_expm(monkeypatch)
+        for a, reference in zip(cases, expected):
+            np.testing.assert_array_equal(expm(a), reference, strict=True)
+        # Only r = 1, a triangular 2 x 2, goes through scipy.linalg.expm.
+        assert calls == [2] * 4
+
+    @pytest.mark.parametrize(
+        "kind", ["diagonal", "upper", "lower", "one-by-one", "dense", "corner-only"]
+    )
+    def test_other_structures(self, kind):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 8, 20):
+            for scale in (0.01, 1.0, 30.0):
+                a = scale * rng.standard_normal((n, n))
+                if kind == "diagonal":
+                    a = np.diag(np.diag(a))
+                elif kind == "upper":
+                    a = np.triu(a)
+                elif kind == "lower":
+                    a = np.tril(a)
+                elif kind == "one-by-one":
+                    a = a[:1, :1]
+                elif kind == "corner-only":
+                    # No first sub- or superdiagonal, so the band tests fall through.
+                    a = np.triu(a, 2) + np.tril(a, -2) + np.diag(np.diag(a))
+                _assert_bitwise_scipy(a)
+
+    def test_step_maps_generator_of_nonsym(self):
+        op = build_problem("nonsym", n_cells=32).system.flow_op
+        generator = kernel_reduction(op).generator
+        for tau in (1 / 40960, 1 / 2560, 0.05):
+            _assert_bitwise_scipy(-tau * generator)
+
+    @pytest.mark.parametrize("scale", [0.01, 50.0])
+    def test_result_owns_its_data(self, scale):
+        a = _bordered_hessenberg(np.random.default_rng(1), 12, scale)
+        assert (_squarings(a) > 0) == (scale > 1)
+        out = expm(a)
+        assert out.flags.owndata and out.base is None
+        assert out.flags.c_contiguous and out.flags.writeable
+
+
+@pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 17),
+    reason="the direct path is checked only on SciPy 1.17 and later",
+)
+def test_pade_kernels_are_bound_on_current_scipy():
+    assert phi_module._PADE_KERNELS is not None
+
+
+class TestPadeSelfCheck:
+    """A failed self-check routes every call to ``scipy.linalg.expm``."""
+
+    def _kernels(self):
+        return phi_module._matfuncs_expm
+
+    @pytest.mark.skipif(
+        phi_module._PADE_KERNELS is None, reason="SciPy's Pade kernels did not pass the self-check"
+    )
+    def test_working_kernels_pass(self):
+        assert phi_module._bind_pade_kernels(self._kernels()) is not None
+
+    def test_missing_names_fail(self):
+        assert phi_module._bind_pade_kernels(SimpleNamespace()) is None
+
+    def test_wrong_signature_fails(self):
+        # SciPy 1.10 took pade_UV_calc(Am, n, m) and scaled in Python.
+        kernels = SimpleNamespace(
+            pick_pade_structure=lambda work: (13, 2), pade_UV_calc=lambda work, n, m: 0
+        )
+        assert phi_module._bind_pade_kernels(kernels) is None
+
+    def test_kernel_that_skips_the_scaling_fails(self):
+        real = self._kernels()
+
+        def unscaled(work):
+            original = work[0].copy()
+            m, s = real.pick_pade_structure(work)
+            work[0] = original
+            return m, s
+
+        kernels = SimpleNamespace(pick_pade_structure=unscaled, pade_UV_calc=real.pade_UV_calc)
+        assert phi_module._bind_pade_kernels(kernels) is None
+
+    def test_failing_kernel_fails(self):
+        real = self._kernels()
+        kernels = SimpleNamespace(
+            pick_pade_structure=real.pick_pade_structure, pade_UV_calc=lambda work, m: -11
+        )
+        assert phi_module._bind_pade_kernels(kernels) is None
+
+    def test_unbound_kernels_send_every_call_to_scipy(self, monkeypatch):
+        monkeypatch.setattr(phi_module, "_PADE_KERNELS", None)
+        calls = _spy_scipy_expm(monkeypatch)
+        rng = np.random.default_rng(3)
+        matrices = [_bordered_hessenberg(rng, r, 4.0) for r in (1, 5, 30)]
+        matrices.append(rng.standard_normal((6, 6)))
+        for a in matrices:
+            out = expm(a)
+            np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
+        assert calls == [a.shape[0] for a in matrices for _ in range(2)]
+
+    def test_kernel_failure_falls_back_to_scipy(self, monkeypatch):
+        real = self._kernels()
+        monkeypatch.setattr(
+            phi_module, "_PADE_KERNELS", (real.pick_pade_structure, lambda work, m: 1)
+        )
+        calls = _spy_scipy_expm(monkeypatch)
+        a = _bordered_hessenberg(np.random.default_rng(4), 6, 2.0)
+        out = expm(a)
+        assert calls == [7]
+        np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
 
 
 class TestPhi:
