@@ -75,3 +75,17 @@ def push_flows_off_kernel(monkeypatch, scale=1e-6):
 def session_cache_dir(tmp_path_factory):
     """Reference-solution cache shared by all tests in one run."""
     return tmp_path_factory.mktemp("refcache")
+
+
+def spy_scipy_expm(monkeypatch):
+    """Record the size of every ``scipy.linalg.expm`` call, such as those ``phi.expm`` makes."""
+    phi_module = sys.modules["expidae.phi"]
+    calls = []
+    raw = phi_module.scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return raw(a)
+
+    monkeypatch.setattr(phi_module.scipy.linalg, "expm", counted)
+    return calls

@@ -10,7 +10,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingLU, push_flows_off_kernel, random_constrained, random_spd
+from conftest import (
+    CountingLU,
+    push_flows_off_kernel,
+    random_constrained,
+    random_spd,
+    spy_scipy_expm,
+)
 from expidae.errors import (
     ExpidaeError,
     InconsistentInitialData,
@@ -668,18 +674,9 @@ class TestNoExpmDispatch:
 
     @staticmethod
     def _spy(monkeypatch):
-        phi_mod = sys.modules["expidae.phi"]
-        if phi_mod._PADE_KERNELS is None:
+        if sys.modules["expidae.phi"]._PADE_KERNELS is None:
             pytest.skip("SciPy's Pade kernels did not pass the self-check")
-        calls = []
-        raw = phi_mod.scipy.linalg.expm
-
-        def counted(a):
-            calls.append(a.shape[0])
-            return raw(a)
-
-        monkeypatch.setattr(phi_mod.scipy.linalg, "expm", counted)
-        return calls
+        return spy_scipy_expm(monkeypatch)
 
     def test_warm_second_order_step(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=16)

@@ -4,10 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 import scipy.linalg
 from scipy.integrate import quad
 
+from conftest import spy_scipy_expm
 from expidae.errors import DimensionMismatch, NonFinite, OrderTooHigh
 from expidae.flow import kernel_reduction
 from expidae.phi import expm, phi, polyrhs_solution
@@ -115,22 +115,7 @@ def _squarings(a):
 
 
 def _assert_bitwise_scipy(a):
-    out = expm(a)
-    np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
-    return out
-
-
-def _spy_scipy_expm(monkeypatch):
-    """Record the shape of every ``scipy.linalg.expm`` call that ``phi.expm`` makes."""
-    calls = []
-    raw = phi_module.scipy.linalg.expm
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return raw(a)
-
-    monkeypatch.setattr(phi_module.scipy.linalg, "expm", counted)
-    return calls
+    np.testing.assert_array_equal(expm(a), scipy.linalg.expm(a), strict=True)
 
 
 @pytest.mark.skipif(
@@ -148,7 +133,7 @@ class TestDirectPade:
         ]
         assert {_squarings(a) > 0 for a in cases} == {False, True}
         expected = [scipy.linalg.expm(a) for a in cases]
-        calls = _spy_scipy_expm(monkeypatch)
+        calls = spy_scipy_expm(monkeypatch)
         for a, reference in zip(cases, expected):
             np.testing.assert_array_equal(expm(a), reference, strict=True)
         # Only r = 1, a triangular 2 x 2, goes through scipy.linalg.expm.
@@ -240,26 +225,26 @@ class TestPadeSelfCheck:
         assert phi_module._bind_pade_kernels(kernels) is None
 
     def test_unbound_kernels_send_every_call_to_scipy(self, monkeypatch):
-        monkeypatch.setattr(phi_module, "_PADE_KERNELS", None)
-        calls = _spy_scipy_expm(monkeypatch)
         rng = np.random.default_rng(3)
         matrices = [_bordered_hessenberg(rng, r, 4.0) for r in (1, 5, 30)]
         matrices.append(rng.standard_normal((6, 6)))
-        for a in matrices:
-            out = expm(a)
-            np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
-        assert calls == [a.shape[0] for a in matrices for _ in range(2)]
+        expected = [scipy.linalg.expm(a) for a in matrices]
+        monkeypatch.setattr(phi_module, "_PADE_KERNELS", None)
+        calls = spy_scipy_expm(monkeypatch)
+        for a, reference in zip(matrices, expected):
+            np.testing.assert_array_equal(expm(a), reference, strict=True)
+        assert calls == [a.shape[0] for a in matrices]
 
     def test_kernel_failure_falls_back_to_scipy(self, monkeypatch):
         real = self._kernels()
         monkeypatch.setattr(
             phi_module, "_PADE_KERNELS", (real.pick_pade_structure, lambda work, m: 1)
         )
-        calls = _spy_scipy_expm(monkeypatch)
         a = _bordered_hessenberg(np.random.default_rng(4), 6, 2.0)
-        out = expm(a)
+        reference = scipy.linalg.expm(a)
+        calls = spy_scipy_expm(monkeypatch)
+        np.testing.assert_array_equal(expm(a), reference, strict=True)
         assert calls == [7]
-        np.testing.assert_array_equal(out, scipy.linalg.expm(a), strict=True)
 
 
 class TestPhi:
