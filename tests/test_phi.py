@@ -166,6 +166,13 @@ class TestDirectPade:
         for tau in (1 / 40960, 1 / 2560, 0.05):
             _assert_bitwise_scipy(-tau * generator)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_a_warning(self, monkeypatch):
+        calls = spy_scipy_expm(monkeypatch)
+        with pytest.raises(NonFinite, match="overflowed"):
+            expm(np.array([[2000.0, 1.0], [1.0, 1.0]]))
+        assert calls == []
+
     @pytest.mark.parametrize("scale", [0.01, 50.0])
     def test_result_owns_its_data(self, scale):
         a = _bordered_hessenberg(np.random.default_rng(1), 12, scale)
