@@ -8,12 +8,10 @@ from .errors import (
     NegativeEnergy,
     NoConvergence,
     NonFinite,
-    OrderTooHigh,
     SelfCheckFailed,
     SingularSaddle,
-    ZeroInitialVector,
 )
-from .flow import DaeOperator, KrylovFlowResult, arnoldi, flow
+from .flow import DaeOperator, KrylovFlowResult, flow
 from .harness import (
     ConvergenceTable,
     ReferenceSolution,
@@ -36,7 +34,7 @@ from .integrators import (
     second_order_step,
 )
 from .linalg import SaddleFactorization, kernel_project
-from .phi import expm, phi, polyrhs_solution
+from .phi import expm
 from .problems import (
     DynBcConfig,
     NonSymConfig,

@@ -17,14 +17,6 @@ class NonFinite(ExpidaeError):
     """A computation produced inf or nan entries."""
 
 
-class OrderTooHigh(ExpidaeError):
-    """Requested phi-function order exceeds the supported range."""
-
-
-class ZeroInitialVector(ExpidaeError):
-    """Arnoldi iteration started from the zero vector."""
-
-
 class InconsistentState(ExpidaeError):
     """State violates the algebraic constraint beyond tolerance."""
 

@@ -11,6 +11,7 @@ with consistent initial value has solution z(t) = exp(X t) z0 for a
 
 exp(X t) z0 is approximated in the Krylov subspace built by the Arnoldi
 iteration, using the dense exponential of the small Hessenberg matrix.
+Each shot runs its own loop of the one Arnoldi step, ``_arnoldi_extend``.
 If the basis cap is reached before Saad's a-posteriori error estimate
 meets the tolerance, the interval is halved recursively.  The accepted
 result is projected back onto the kernel of B to kill round-off drift,
@@ -37,14 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InconsistentState, NoConvergence, ZeroInitialVector
+from .errors import InconsistentState, NoConvergence
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
 from .phi import expm
 
 __all__ = [
     "DaeOperator",
     "KrylovFlowResult",
-    "arnoldi",
     "flow",
     "KernelReduction",
     "kernel_reduction",
@@ -138,19 +138,6 @@ class DaeOperator:
         return math.sqrt(defect.dot(defect))
 
 
-def _arnoldi_start(op, x0, beta, r_cap):
-    """Arnoldi storage V, H for up to ``r_cap`` steps from x0 / beta.
-
-    V has shape (r_cap + 1, n), one basis vector per row, with v_1 =
-    x0 / beta filled in; H is the zero (r_cap + 1, r_cap) Hessenberg
-    matrix.
-    """
-    V = np.empty((r_cap + 1, op.n))
-    H = np.zeros((r_cap + 1, r_cap))
-    V[0] = x0 / beta
-    return V, H
-
-
 def _arnoldi_extend(op, V, H, j, sumsq):
     """Arnoldi step j + 1: fill column j of H and normalize v_{j+2} into V[j + 1].
 
@@ -180,32 +167,6 @@ def _arnoldi_extend(op, V, H, j, sumsq):
     if not breakdown:
         sumsq += hnext * hnext
     return hnext, sumsq, breakdown
-
-
-def arnoldi(op: DaeOperator, x0, r_max: int):
-    """Orthonormal Krylov basis of span{x0, X x0, ...} and its Hessenberg matrix.
-
-    Returns (V, H, h_next) with V of shape (n, r), H of shape (r, r) and
-    h_next the first neglected subdiagonal entry.  A happy breakdown
-    (h_next at round-off relative to H) terminates early with h_next
-    reported as 0.0.  The steps are ``_arnoldi_extend``, the steps of
-    every flow.
-    """
-    x0 = as_vector(x0, op.n, "x0")
-    beta = np.linalg.norm(x0)
-    if beta == 0.0:
-        raise ZeroInitialVector("Arnoldi started from the zero vector")
-    if r_max < 1:
-        raise ValueError("Arnoldi needs r_max >= 1")
-    r_cap = min(r_max, op.n)
-    V, H = _arnoldi_start(op, x0, beta, r_cap)
-    sumsq = 0.0
-    for j in range(r_cap):
-        hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
-        if breakdown:
-            break
-    r = j + 1
-    return V[:r].T.copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
 
 
 def _next_check(r, estimate, previous, tol):
@@ -247,7 +208,9 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     ``BASIS_CAP`` is exhausted before the error estimate meets ``tol``.
     """
     r_cap = min(BASIS_CAP, op.n)
-    V, H = _arnoldi_start(op, x0, beta, r_cap)
+    V = np.empty((r_cap + 1, op.n))  # one basis vector per row
+    H = np.zeros((r_cap + 1, r_cap))
+    V[0] = x0 / beta
     check, failed, checks, sumsq = first_check, None, 0, 0.0
     for j in range(r_cap):
         hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
@@ -413,9 +376,7 @@ class StepMaps:
     phi2: np.ndarray
 
 
-def step_maps(
-    op: DaeOperator, tau: float, reduction: KernelReduction | None = None
-) -> StepMaps:
+def step_maps(op: DaeOperator, tau: float, reduction: KernelReduction) -> StepMaps:
     """The maps E, Phi_1 and Phi_2 of an exponential step of duration ``tau``.
 
     With Z an orthonormal basis of ker B, M_K = Z^T M Z, A_K = Z^T A Z,
@@ -426,14 +387,13 @@ def step_maps(
         Phi_2 = K + (E - I) K M K / tau.
 
     E x0 = exp(X tau) x0 for every consistent x0.  The step-independent
-    part is ``reduction``, ``kernel_reduction(op)`` if None.  The rest
-    is one dense exponential of the k x k generator, k = n - m, and a
+    part is ``reduction``, from ``kernel_reduction(op)``.  The rest is
+    one dense exponential of the k x k generator, k = n - m, and a
     few dense products; time O(n^3) and memory a few dense n x n
     arrays, so this is for small systems only.
     """
-    red = kernel_reduction(op) if reduction is None else reduction
-    Z, kernel = red.basis, red.kernel
-    flow_map = (Z @ expm(-tau * red.generator)) @ Z.T
+    Z, kernel = reduction.basis, reduction.kernel
+    flow_map = (Z @ expm(-tau * reduction.generator)) @ Z.T
     phi1 = kernel - flow_map @ kernel
     # (E - I) K M K = -Phi_1 M K
     phi2 = kernel - phi1 @ (op.mass @ kernel) / tau

@@ -4,10 +4,12 @@ A study integrates one problem over a ladder of step sizes, measures
 the error against a reference solution in a chosen discrete norm
 (at the final time, or as the maximum over the time grid) and fits the
 observed order as the least-squares slope of log(error) versus
-log(step size).  References are produced by the second-order scheme at
-a much finer step and validated by comparing against a run with half
-that step; they are cached on disk keyed by problem, config, final
-time, reference step and numerics revision.
+log(step size).  Given a reference step, the reference is produced by
+the second-order scheme at that much finer step and validated by
+comparing against a run with half that step; it is cached on disk keyed
+by problem, config, final time, reference step and numerics revision.
+Without a reference step the study measures against the problem's exact
+solution, which only a manufactured problem has.
 
 Every propagation of the reference runs of a system with at most
 ``EXACT_FLOW_MAX_N`` unknowns takes the dense exact step maps on ker B
@@ -186,12 +188,13 @@ def _read_cache(path: Path, key: str):
 
     A missing file, another key, or a file that cannot be read (for
     instance one truncated by an interrupted writer) is a miss; the
-    last is logged.
+    last is logged.  The file is opened here, so that its handle is
+    closed also when ``np.load`` fails on it.
     """
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if str(data["key"]) != key:
                 return None
             return data["times"], data["states"], data["check_states"]
@@ -292,17 +295,18 @@ def run_convergence(
     norm: str = "energy",
     tau_ref: float | None = None,
     cache_dir=None,
-    reference: str = "integrate",
     sample: str = "final",
 ) -> ConvergenceTable:
     """Integrate the ladder of step sizes and fit the observed order.
 
-    ``reference`` is either "integrate" (:func:`build_reference`, requires
-    ``tau_ref`` at most min(taus)/16) or "exact" (manufactured
-    solution, available for the toy problem only).  ``sample`` selects
-    the error functional: "final" measures at t_end only, "max" takes
-    the maximum over all time grid points, which is what resolves the
-    initial transient of problems with rough data.  ``t_end`` must be
+    With a ``tau_ref`` the reference is :func:`build_reference` at that
+    step, which must be a whole number of t_end (and, for "max", of
+    min(taus)) by ``step_count`` and at most min(taus)/16; without one it
+    is the problem's exact solution, and a problem that has none raises
+    ``ValueError``.  ``sample``
+    selects the error functional: "final" measures at t_end only, "max"
+    takes the maximum over all time grid points, which is what resolves
+    the initial transient of problems with rough data.  ``t_end`` must be
     positive, each step size a whole number of the smallest, t_end a
     whole number of each step by ``step_count``, and ``norm`` one that
     ``error_norm`` can measure on the problem; all of this is checked
@@ -326,28 +330,28 @@ def run_convergence(
 
     ref = None
     exact = None
-    if reference == "exact":
+    if tau_ref is None:
         if problem.exact is None:
-            raise ValueError(f"problem {problem.name!r} has no exact solution")
+            raise ValueError(
+                f"problem {problem.name!r} has no exact solution; give a reference step tau_ref"
+            )
         exact = problem.exact
         ref_state = np.asarray(exact(t_end), dtype=float)
-    elif reference == "integrate":
-        if tau_ref is None:
-            raise ValueError("tau_ref is required when integrating the reference")
+    else:
+        snapshot_tau = tau_min if sample == "max" else None
+        for span in (t_end,) if snapshot_tau is None else (t_end, snapshot_tau):
+            try:
+                step_count(span, tau_ref)
+            except ValueError as exc:
+                raise ValueError(f"reference step tau_ref={tau_ref!r}: {exc}") from None
         if tau_ref > tau_min / 16 + 1e-15:
             raise ValueError(
                 f"tau_ref={tau_ref} too coarse; must be <= min(taus)/16 = {tau_min / 16}"
             )
         ref = build_reference(
-            problem,
-            t_end,
-            tau_ref,
-            cache_dir=cache_dir,
-            snapshot_tau=tau_min if sample == "max" else None,
+            problem, t_end, tau_ref, cache_dir=cache_dir, snapshot_tau=snapshot_tau
         )
         ref_state = ref.state
-    else:
-        raise ValueError(f"unknown reference mode {reference!r}")
 
     errors = []
     max_residual = 0.0
@@ -388,7 +392,7 @@ def run_convergence(
         max_constraint_residual=max_residual,
         self_check_gap=gap,
         sample=sample,
-        tau_ref=tau_ref if ref is not None else None,
+        tau_ref=tau_ref,
         flow_tol=scheme.flow_tol,
     )
 

@@ -57,12 +57,12 @@ def canonical_csr(matrix) -> sp.csr_matrix:
     return out
 
 
-def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and convert ``x`` to a 1-d float64 array."""
+def as_vector(x, length: int, name: str = "vector") -> np.ndarray:
+    """Validate and convert ``x`` to a 1-d float64 array of ``length`` entries."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-d, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
+    if v.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {length}")
     return v
 

@@ -1,5 +1,6 @@
 """Shared helpers: random constrained instances, dense oracles and call counters."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from expidae.flow import DaeOperator
+from expidae.flow import DaeOperator, _arnoldi_extend
 from expidae.phi import expm
 
 
@@ -41,6 +42,66 @@ def kernel_reduction_flow(M, A, B, x0, t):
         basis = np.eye(M.shape[0])
     reduced = np.linalg.solve(basis.T @ M @ basis, basis.T @ A @ basis)
     return basis @ (expm(-t * reduced) @ (basis.T @ x0))
+
+
+def phi(order, z):
+    """phi_order at a scalar or square matrix argument, by the production ``expm``.
+
+    phi_0 is the exponential and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.
+    phi_order(Z) is the top-right n x n block of the exponential of the
+    block companion matrix [[Z, I, 0, ..., 0], [0, 0, I, ..., 0], ...,
+    [0, ..., 0, 0]] with ``order`` identity blocks (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 2011, Thm 2.1), which has no cancellation
+    at small Z.  Z = 0 returns I / order! exactly.  A scalar argument
+    returns a float.
+    """
+    scalar = np.ndim(z) == 0
+    mat = np.array([[z]] if scalar else z, dtype=np.float64)
+    n = mat.shape[0]
+    if not mat.any():
+        out = np.eye(n) / math.factorial(order)
+    else:
+        dim = n * (order + 1)
+        w = np.zeros((dim, dim))
+        w[:n, :n] = mat
+        for i in range(order):
+            w[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
+        out = expm(w)[:n, order * n :]
+    return float(out[0, 0]) if scalar else out
+
+
+def polyrhs_solution(a, u0, forcing, t):
+    """Exact solution of u' + a u = sum_k f_k t^(k-1) / (k-1)! at time t.
+
+    ``forcing`` is the (possibly empty) list of coefficient vectors
+    f_1..f_n; the solution is phi_0(-t a) u0 + sum_k phi_k(-t a) f_k t^k.
+    """
+    z = -t * np.asarray(a, dtype=np.float64)
+    u = phi(0, z) @ np.asarray(u0, dtype=np.float64)
+    for k, fk in enumerate(forcing, start=1):
+        u = u + (t**k) * (phi(k, z) @ np.asarray(fk, dtype=np.float64))
+    return u
+
+
+def arnoldi(op, x0, r_max):
+    """Orthonormal Krylov basis of span{x0, X x0, ...} and its Hessenberg matrix.
+
+    The steps are the production ``flow._arnoldi_extend``, the loop body
+    of every Krylov shot.  Returns (V, H, h_next) with V of shape (n, r),
+    H of shape (r, r) and h_next the first neglected subdiagonal entry;
+    a happy breakdown stops early with h_next reported as 0.0.
+    """
+    r_cap = min(r_max, op.n)
+    V = np.empty((r_cap + 1, op.n))
+    H = np.zeros((r_cap + 1, r_cap))
+    V[0] = x0 / np.linalg.norm(x0)
+    sumsq = 0.0
+    for j in range(r_cap):
+        hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
+        if breakdown:
+            break
+    r = j + 1
+    return V[:r].T.copy(), H[:r, :r].copy(), 0.0 if breakdown else float(hnext)
 
 
 class CountingLU:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import kernel_reduction_flow, make_operator, random_constrained
-from expidae.flow import arnoldi, flow
+from conftest import arnoldi, kernel_reduction_flow, make_operator, phi, random_constrained
+from expidae.flow import flow
 from expidae.harness import emit_csv, error_norm, run_convergence
 from expidae.integrators import (
     SchemeConfig,
@@ -26,7 +26,6 @@ from expidae.integrators import (
     second_order_family_step,
     second_order_step,
 )
-from expidae.phi import phi
 from expidae.problems import (
     DynBcConfig,
     NonSymConfig,
@@ -174,7 +173,6 @@ def test_c4_manufactured_orders():
             taus,
             1.0,
             norm="l2",
-            reference="exact",
         )
         fits[scheme] = table.fitted_order
         _track("toy", table.max_constraint_residual)

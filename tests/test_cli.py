@@ -360,6 +360,29 @@ class TestConverge:
         assert f"t_end {float(t_end)!r} must be positive" in err
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize(
+        "t_end, sample, ref_tau, expected",
+        [
+            ("0.5", "final", "nan", "tau_ref=nan: step nan must be finite and positive"),
+            ("0.5", "final", "-1", "tau_ref=-1.0: step -1.0 must be finite and positive"),
+            ("0.5", "final", "0.003", "tau_ref=0.003: span 0.5 is not a whole number"),
+            ("0.3", "max", "0.003", "tau_ref=0.003: span 0.05 is not a whole number"),
+        ],
+    )
+    def test_bad_reference_step_is_named(self, tmp_path, capsys, t_end, sample, ref_tau, expected):
+        cache, out = tmp_path / "cache", tmp_path / "conv.csv"
+        code = main(
+            [
+                "converge", "--problem", "toy", "--taus", "0.1,0.05", "--t-end", t_end,
+                "--scheme", "exp-euler", "--norm", "l2", "--sample", sample,
+                "--ref-tau", ref_tau, "--cache-dir", str(cache), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"reference step {expected}" in capsys.readouterr().err
+        assert not cache.exists() or list(cache.iterdir()) == []
+        assert not out.exists()
+
     def test_coarse_reference_rejected(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = main(

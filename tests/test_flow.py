@@ -6,13 +6,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_reduction_flow, make_operator, random_constrained
-from expidae.errors import ExpidaeError, InconsistentState, NoConvergence, ZeroInitialVector
+from conftest import arnoldi, kernel_reduction_flow, make_operator, random_constrained
+from expidae.errors import ExpidaeError, InconsistentState, NoConvergence
 from expidae.flow import (
     DEFAULT_TOL,
     DaeOperator,
-    arnoldi,
     flow,
+    kernel_reduction,
     step_maps,
 )
 from expidae.integrators import kernel_solve
@@ -84,10 +84,21 @@ class TestArnoldi:
         assert np.linalg.norm(defect[:, :-1]) <= 1e-9 * scale
         assert abs(np.linalg.norm(defect[:, -1]) - h_next) <= 1e-9 * scale
 
-    def test_zero_vector_raises(self):
-        op = make_operator(np.eye(2), np.eye(2), np.zeros((0, 2)))
-        with pytest.raises(ZeroInitialVector):
-            arnoldi(op, np.zeros(2), 3)
+    @pytest.mark.parametrize("source", ["nonsym", "random"])
+    def test_oracle_rebuilds_the_flow_endpoint(self, source):
+        # The oracle's basis at the accepted size of a one-shot flow gives
+        # the flow's endpoint, so the oracle runs the steps every flow runs.
+        rng = np.random.default_rng(8)
+        if source == "nonsym":
+            op, t = build_problem("nonsym", n_cells=16).system.flow_op, 1 / 2560
+        else:
+            op, t = make_operator(*random_constrained(rng, 40, 3, symmetric=False)), 1.0
+        x0 = op.project(rng.standard_normal(op.n))
+        result = flow(op, x0, t)
+        assert result.substeps == 1 and result.basis_size > 1
+        V, H, _ = arnoldi(op, x0, result.basis_size)
+        rebuilt = op.project(np.linalg.norm(x0) * (V @ expm(t * H)[:, 0]))
+        assert np.linalg.norm(rebuilt - result.state) <= 1e-13 * np.linalg.norm(result.state)
 
 
 class TestFlow:
@@ -397,7 +408,7 @@ class TestStepMaps:
     def test_flow_map_matches_the_oracle_and_the_krylov_flow(self, name, options, t):
         op = build_problem(name, **options).system.flow_op
         x0 = op.project(np.random.default_rng(3).standard_normal(op.n))
-        state = op.project(step_maps(op, t).flow @ x0)
+        state = op.project(step_maps(op, t, kernel_reduction(op)).flow @ x0)
 
         M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
         oracle = kernel_reduction_flow(M, A, B, x0, t)
@@ -417,7 +428,7 @@ class TestStepMaps:
         op = system.flow_op
         M, A, B = (mat.toarray() for mat in (op.mass, op.stiffness, op.constraint))
         load = np.random.default_rng(4).standard_normal(op.n)
-        maps = step_maps(op, t)
+        maps = step_maps(op, t, kernel_reduction(op))
 
         w = kernel_solve(system, load)
         w2 = kernel_solve(system, system.mass @ w / t)
@@ -430,8 +441,9 @@ class TestStepMaps:
 
     def test_one_exponential_per_build(self, monkeypatch):
         op = build_problem("nonsym", n_cells=16).system.flow_op
+        reduction = kernel_reduction(op)
         dims = _count_expm(monkeypatch)
-        maps = {t: step_maps(op, t) for t in (0.02, 0.01)}
+        maps = {t: step_maps(op, t, reduction) for t in (0.02, 0.01)}
         assert len(dims) == 2
         assert [maps[t].tau for t in maps] == [0.02, 0.01]
         x0 = op.project(np.ones(op.n))

@@ -1,3 +1,4 @@
+import builtins
 import copy
 import sys
 from dataclasses import replace
@@ -122,6 +123,23 @@ class TestBuildReference:
         exact = prob.exact(0.25)
         assert np.linalg.norm(mid - exact) <= 1e-5 * np.linalg.norm(exact)
 
+    def test_unreadable_cache_file_is_closed(self, tmp_path, monkeypatch):
+        # A truncated file makes np.load raise after the file was opened.
+        path = tmp_path / "ref.npz"
+        harness._write_cache(path, "key", np.zeros(2), np.ones((2, 3)), np.ones((2, 3)))
+        path.write_bytes(path.read_bytes()[:100])
+        opened = []
+        raw_open = builtins.open
+
+        def recorded(*args, **kwargs):
+            opened.append(raw_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(builtins, "open", recorded)
+        assert harness._read_cache(path, "key") is None
+        monkeypatch.undo()
+        assert opened and all(fh.closed for fh in opened)
+
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise OSError("disk full")
@@ -208,7 +226,6 @@ class TestRunConvergence:
             [0.1 / 2**k for k in range(4)],
             1.0,
             norm="l2",
-            reference="exact",
         )
         assert table.fitted_order == pytest.approx(1.0, abs=0.1)
         assert all(np.diff(table.errors) < 0)
@@ -253,7 +270,7 @@ class TestRunConvergence:
 
     def test_ladder_must_be_whole_multiples_of_its_smallest_step(self):
         with pytest.raises(ValueError, match="whole number"):
-            run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.03], 1.0, reference="exact")
+            run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.03], 1.0)
 
     @pytest.mark.parametrize("norm", ["bogus", "h1"])
     def test_norm_is_checked_before_the_reference_is_built(self, tmp_path, monkeypatch, norm):
@@ -271,10 +288,8 @@ class TestRunConvergence:
 
     def test_missing_reference_mode(self):
         prob = build_problem("nonsym", n_cells=8)
-        with pytest.raises(ValueError):
-            run_convergence(
-                prob, SchemeConfig(), [0.1, 0.05], 1.0, reference="exact"
-            )
+        with pytest.raises(ValueError, match="no exact solution.*tau_ref"):
+            run_convergence(prob, SchemeConfig(), [0.1, 0.05], 1.0)
 
     def test_cold_study_builds_the_lift_matrix_once(self, tmp_path, monkeypatch):
         # The reference runs on shallow copies of the system; they share

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CountingLU,
+    polyrhs_solution,
     push_flows_off_kernel,
     random_constrained,
     random_spd,
@@ -24,7 +25,7 @@ from expidae.errors import (
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, _flow_recursive, flow, step_maps
+from expidae.flow import DaeOperator, _flow_recursive, flow, kernel_reduction, step_maps
 from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
@@ -46,7 +47,6 @@ from expidae.integrators import (
     step_count,
 )
 from expidae.linalg import SaddleFactorization, kernel_project
-from expidae.phi import polyrhs_solution
 from expidae.problems import ToyConfig, build_problem, build_toy
 
 
@@ -653,7 +653,7 @@ class TestNoSparseDispatch:
         system, tau = prob.system, 1 / 2560
         if mapped:
             system = copy.copy(system)
-            system.step_maps = step_maps(system.flow_op, tau)
+            system.step_maps = step_maps(system.flow_op, tau, kernel_reduction(system.flow_op))
         # The first step builds L and W.
         state = second_order_step(system, StepState(0.0, prob.u0), tau, config)
         calls = self._spy(monkeypatch, system.mass)
@@ -865,7 +865,7 @@ class TestMappedStep:
     @staticmethod
     def _mapped(system, tau):
         mapped = copy.copy(system)
-        mapped.step_maps = step_maps(system.flow_op, tau)
+        mapped.step_maps = step_maps(system.flow_op, tau, kernel_reduction(system.flow_op))
         return mapped
 
     @pytest.mark.parametrize("scheme", ["second-order", "exp-euler"])
