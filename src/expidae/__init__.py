@@ -36,8 +36,7 @@ from .integrators import (
 from .linalg import SaddleFactorization, kernel_project
 from .phi import expm
 from .problems import (
-    DynBcConfig,
-    NonSymConfig,
+    MeshConfig,
     Problem,
     ToyConfig,
     build_dynbc,

@@ -28,7 +28,7 @@ from .integrators import (
     save_trajectory_binary,
     save_trajectory_csv,
 )
-from .problems import PROBLEMS, build_problem, parse_config_file
+from .problems import PROBLEMS, MeshConfig, build_problem, parse_config_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,10 +128,11 @@ def _require(args, *names):
 
 
 def _build(args):
-    overrides = {}
-    if args.h is not None:
-        overrides["n_cells"] = _parse_h(str(args.h))
-    return build_problem(args.problem, **overrides)
+    if args.h is None:
+        return build_problem(args.problem)
+    if args.problem in PROBLEMS and PROBLEMS[args.problem][0] is not MeshConfig:
+        raise ValueError(f"--h: problem {args.problem} has no mesh")
+    return build_problem(args.problem, n_cells=_parse_h(str(args.h)))
 
 
 def _scheme_config(args) -> SchemeConfig:

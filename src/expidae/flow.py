@@ -13,9 +13,10 @@ exp(X t) z0 is approximated in the Krylov subspace built by the Arnoldi
 iteration, using the dense exponential of the small Hessenberg matrix.
 Each shot runs its own loop of the one Arnoldi step, ``_arnoldi_extend``.
 If the basis cap is reached before Saad's a-posteriori error estimate
-meets the tolerance, the interval is halved recursively.  The accepted
-result is projected back onto the kernel of B to kill round-off drift,
-by the rank-m update x - W (B x) of ``DaeOperator.project``.
+meets the tolerance, ``flow`` replaces the interval by its two halves,
+in one loop over a stack of pending intervals.  The accepted result is
+projected back onto the kernel of B to kill round-off drift, by the
+rank-m update x - W (B x) of ``DaeOperator.project``.
 
 An Arnoldi step is one sparse product and one saddle solve, a few
 microseconds of kernel each at the sizes of the benchmark problems.  So
@@ -31,6 +32,7 @@ itself on ker B, so that the step needs no flow and no tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InconsistentState, NoConvergence
+from .errors import DimensionMismatch, InconsistentState, NoConvergence
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
 from .phi import expm
 
@@ -97,21 +99,14 @@ class DaeOperator:
     def __init__(self, mass, stiffness, constraint):
         self.stiffness = canonical_csr(stiffness)
         self._saddle = SaddleFactorization(mass, constraint)
-        if self.stiffness.shape != (self._saddle.n, self._saddle.n):
-            raise ValueError("stiffness shape does not match mass/constraint")
         self.n = self._saddle.n
         self.m = self._saddle.m
+        if self.stiffness.shape != (self.n, self.n):
+            raise DimensionMismatch("stiffness shape does not match mass/constraint")
+        self.mass = self._saddle.S
+        self.constraint = self._saddle.B
         self._neg_stiffness = -self.stiffness
         self._zero_dual = np.zeros(self.m)
-        self._projector = None  # W, built by the first project()
-
-    @property
-    def mass(self):
-        return self._saddle.S
-
-    @property
-    def constraint(self):
-        return self._saddle.B
 
     def apply(self, x0) -> np.ndarray:
         """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
@@ -121,11 +116,11 @@ class DaeOperator:
     def project(self, x) -> np.ndarray:
         """Mass-orthogonal projection onto the kernel of B: x - W (B x)."""
         x = as_vector(x, self.n, "x")
-        if self._projector is None:
-            self._projector = self._build_projector()
         return x - self._projector @ spmv(self.constraint, x)
 
-    def _build_projector(self) -> np.ndarray:
+    @functools.cached_property
+    def _projector(self) -> np.ndarray:
+        """W, built by the first ``project``."""
         # P(Y) = Y - W B Y = Y - W for any Y with B Y = I.
         Y = np.linalg.pinv(self.constraint.toarray())
         W = np.empty((self.n, self.m), order="F")
@@ -231,40 +226,6 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     return checks, r, None
 
 
-def _flow_recursive(op, x0, dt, tol, budget, depth, basis_hint=None):
-    """Flow over dt, halving the interval when a shot exhausts the cap.
-
-    Returns a ``KrylovFlowResult`` whose state is not yet projected.
-    Only the shot over the whole interval uses ``basis_hint``: it makes
-    its first check at ``basis_hint - 1``.  The halves start cold at r = 1.
-    """
-    if budget[0] <= 0:
-        raise NoConvergence("flow substep limit exceeded")
-    if depth > 16:
-        raise NoConvergence("flow interval-halving recursion too deep")
-    beta = math.sqrt(x0.dot(x0))
-    if beta == 0.0:
-        budget[0] -= 1
-        return KrylovFlowResult(x0.copy(), 0, 0.0, 1)
-    first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
-    checks, steps, shot = _krylov_shot(op, x0, beta, dt, tol, first_check)
-    if shot is not None:
-        state, r, estimate = shot
-        budget[0] -= 1
-        return KrylovFlowResult(state, r, estimate, 1, checks, steps)
-    half = (dt / 2, tol / 2, budget, depth + 1)
-    a = _flow_recursive(op, x0, *half)
-    b = _flow_recursive(op, a.state, *half)
-    return KrylovFlowResult(
-        b.state,
-        max(a.basis_size, b.basis_size),
-        a.residual_estimate + b.residual_estimate,
-        a.substeps + b.substeps,
-        checks + a.checks + b.checks,
-        steps + a.arnoldi_steps + b.arnoldi_steps,
-    )
-
-
 def flow(
     op: DaeOperator,
     x0,
@@ -312,15 +273,31 @@ def flow(
     if t == 0.0 or norm0 == 0.0:
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
-    r = _flow_recursive(op, x0, t, tol, [SUBSTEP_LIMIT], 0, basis_hint)
-    return KrylovFlowResult(
-        op.project(r.state),
-        r.basis_size,
-        r.residual_estimate,
-        r.substeps,
-        r.checks,
-        r.arnoldi_steps,
-    )
+    state, basis_size, estimate, substeps, checks, steps = x0, 0, 0.0, 0, 0, 0
+    first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
+    pending = [(t, tol, 0)]  # (duration, tolerance, depth), the next one last
+    while pending:
+        dt, dt_tol, depth = pending.pop()
+        if substeps >= SUBSTEP_LIMIT:
+            raise NoConvergence("flow substep limit exceeded")
+        if depth > 16:
+            raise NoConvergence("flow interval-halving recursion too deep")
+        beta = math.sqrt(state.dot(state))
+        if beta == 0.0:
+            substeps += 1
+            continue
+        shot_checks, shot_steps, shot = _krylov_shot(op, state, beta, dt, dt_tol, first_check)
+        first_check = 1
+        checks += shot_checks
+        steps += shot_steps
+        if shot is None:
+            pending += [(dt / 2, dt_tol / 2, depth + 1)] * 2
+            continue
+        state, r, shot_estimate = shot
+        basis_size = max(basis_size, r)
+        estimate += shot_estimate
+        substeps += 1
+    return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
 
 
 def _require_consistent(op, x0) -> float:

@@ -150,6 +150,8 @@ class ConstrainedSystem:
         self.n = n
         self.m = self.constraint.shape[0]
         self.h1_form = canonical_csr(h1_form) if h1_form is not None else None
+        if self.h1_form is not None and self.h1_form.shape != (n, n):
+            raise DimensionMismatch("h1_form shape does not match mass")
         self._forcing = forcing
         self._g = constraint_rhs
         self._gdot = constraint_rate

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from expidae.flow import DaeOperator, _arnoldi_extend
+from expidae.flow import DaeOperator, _arnoldi_extend, flow
 from expidae.phi import expm
 
 
@@ -31,6 +31,16 @@ def random_constrained(rng, n, m, symmetric=True):
 
 def make_operator(M, A, B):
     return DaeOperator(sp.csr_matrix(M), sp.csr_matrix(A), sp.csr_matrix(B))
+
+
+def raw_flow_endpoint(op, x0, t):
+    """The state of ``flow(op, x0, t)`` before its final projection onto ker B."""
+    endpoints = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DaeOperator, "project", lambda self, x: endpoints.append(x) or x)
+        flow(op, x0, t)
+    (raw,) = endpoints
+    return raw
 
 
 def kernel_reduction_flow(M, A, B, x0, t):

@@ -27,8 +27,7 @@ from expidae.integrators import (
     second_order_step,
 )
 from expidae.problems import (
-    DynBcConfig,
-    NonSymConfig,
+    MeshConfig,
     ToyConfig,
     build_dynbc,
     build_nonsym,
@@ -57,12 +56,12 @@ def _track(problem: str, value: float) -> None:
 
 @pytest.fixture(scope="module")
 def dynbc_problem():
-    return build_dynbc(DynBcConfig(n_cells=32))
+    return build_dynbc(MeshConfig(n_cells=32))
 
 
 @pytest.fixture(scope="module")
 def nonsym_problems():
-    return {n: build_nonsym(NonSymConfig(n_cells=n)) for n in (32, 64)}
+    return {n: build_nonsym(MeshConfig(n_cells=n)) for n in (32, 64)}
 
 
 def test_c1_phi_identities():
@@ -163,7 +162,7 @@ def test_c2_c3_krylov_flow_and_arnoldi():
 
 def test_c4_manufactured_orders():
     t0 = time.time()
-    prob = build_toy(ToyConfig(n=40, m=3, seed=0, symmetric=True))
+    prob = build_toy(ToyConfig(n=40, m=3, seed=0))
     taus = [0.1 / 2**k for k in range(6)]
     fits = {}
     for scheme, tol in (("exp-euler", 0.05), ("second-order", 0.1)):

@@ -15,9 +15,11 @@ from expidae.harness import read_convergence_csv
 class TestListProblems:
     def test_exit_zero_and_names(self, capsys):
         assert main(["list-problems"]) == 0
-        out = capsys.readouterr().out
-        for name in ("dynbc", "nonsym", "toy"):
-            assert name in out
+        assert capsys.readouterr().out.splitlines() == [
+            "dynbc: n_cells=32",
+            "nonsym: n_cells=32",
+            "toy: n=40, m=3, seed=0",
+        ]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -104,6 +106,18 @@ class TestSolve:
             assert code == 2
             assert f"mesh size h={h} " in capsys.readouterr().err
             assert not out.exists()
+
+    def test_mesh_size_on_a_problem_without_a_mesh_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "toy", "--h", "1/8", "--tau", "0.1",
+                "--t-end", "0.2", "--scheme", "exp-euler", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--h" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flow_substep_limit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         flow_module = sys.modules["expidae.flow"]

@@ -6,8 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arnoldi, kernel_reduction_flow, make_operator, random_constrained
-from expidae.errors import ExpidaeError, InconsistentState, NoConvergence
+from conftest import (
+    arnoldi,
+    kernel_reduction_flow,
+    make_operator,
+    random_constrained,
+    raw_flow_endpoint,
+)
+from expidae.errors import DimensionMismatch, ExpidaeError, InconsistentState, NoConvergence
 from expidae.flow import (
     DEFAULT_TOL,
     DaeOperator,
@@ -49,6 +55,10 @@ class TestApply:
         x0 = op.project(rng.standard_normal(30))
         y = op.apply(x0)
         assert np.linalg.norm(B @ y) <= 1e-11 * np.linalg.norm(y)
+
+    def test_stiffness_of_the_wrong_shape_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="stiffness"):
+            make_operator(np.eye(4), np.eye(3), np.zeros((0, 4)))
 
 
 class TestArnoldi:
@@ -222,13 +232,11 @@ class TestFlow:
     def test_preprojection_drift_small(self):
         # The final projection is a safety net: the raw Krylov endpoint
         # must already sit near the constraint manifold.
-        from expidae.flow import _flow_recursive
-
         rng = np.random.default_rng(21)
         M, A, B = random_constrained(rng, 60, 4)
         op = make_operator(M, A, B)
         x0 = op.project(rng.standard_normal(60))
-        raw = _flow_recursive(op, x0, 1.0, 1e-10, [30], 0).state
+        raw = raw_flow_endpoint(op, x0, 1.0)
         drift = np.linalg.norm(B @ raw) / np.linalg.norm(raw)
         assert drift <= 1e-7
 
@@ -312,6 +320,28 @@ class TestCheckSchedule:
         assert len(dims) - scheduled == every_step.basis_size
         assert every_step.basis_size == result.basis_size
         np.testing.assert_array_equal(every_step.state, result.state)
+
+    def test_halving_flow_counts_every_shot(self, monkeypatch):
+        prob = build_problem("nonsym", n_cells=16)
+        monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
+        dims = _count_expm(monkeypatch)
+        applied = []
+        apply = DaeOperator.apply
+        monkeypatch.setattr(
+            DaeOperator, "apply", lambda op, x: applied.append(1) or apply(op, x)
+        )
+        result = flow(prob.system.flow_op, prob.u0, 0.05, basis_hint=10)
+        assert result.substeps > 1
+        # Failed shots count too.
+        assert result.checks == len(dims)
+        assert result.arnoldi_steps == len(applied)
+        # Checks grow with r within a shot, so a shot starts where r does not.
+        starts = [0] + [i for i in range(1, len(dims)) if dims[i] <= dims[i - 1]]
+        # The hinted whole-interval shot first checks at hint - 1, the halves at 1.
+        assert dims[0] == 9
+        assert [dims[i] for i in starts[1:]] == [1] * (len(starts) - 1)
+        # Each failed shot is replaced by two, so k accepted shots took 2k - 1.
+        assert len(starts) == 2 * result.substeps - 1
 
     def test_unconverged_shot_checks_at_the_cap_before_halving(self, monkeypatch):
         rng = np.random.default_rng(11)

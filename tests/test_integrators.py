@@ -16,16 +16,18 @@ from conftest import (
     push_flows_off_kernel,
     random_constrained,
     random_spd,
+    raw_flow_endpoint,
     spy_scipy_expm,
 )
 from expidae.errors import (
+    DimensionMismatch,
     ExpidaeError,
     InconsistentInitialData,
     InconsistentState,
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, _flow_recursive, flow, kernel_reduction, step_maps
+from expidae.flow import DaeOperator, flow, kernel_reduction, step_maps
 from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
@@ -71,6 +73,15 @@ class TestConstrainedSystem:
         B = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(SingularSaddle):
             make_system(np.eye(3), np.eye(3), B)
+
+    def test_rejects_h1_form_of_the_wrong_shape(self):
+        with pytest.raises(DimensionMismatch, match="h1_form"):
+            ConstrainedSystem(
+                sp.identity(10, format="csr"), sp.identity(10, format="csr"),
+                sp.csr_matrix((0, 10)), lambda t, x: np.zeros(10),
+                lambda t: np.zeros(0), lambda t: np.zeros(0),
+                h1_form=sp.identity(7, format="csr"),
+            )
 
     def test_forcing_validated(self):
         sys_ = make_system(
@@ -159,7 +170,7 @@ class TestLinearMaps:
         # Arnoldi solves over about one time constant of the system.
         x = rng.standard_normal(n)
         t = 0.5 * 10.0 ** (mass_exp - stiff_exp)
-        raw = _flow_recursive(op, op.project(x), t, 1e-10, [30], 0).state
+        raw = raw_flow_endpoint(op, op.project(x), t)
         for v in (x, raw):
             p = op.project(v)
             assert np.linalg.norm(p - kernel_project(op._saddle, v)) <= 1e-12 * np.linalg.norm(v)
@@ -183,9 +194,9 @@ class TestLinearMaps:
             np.random.default_rng(9).standard_normal(12)
         )
         integrate(built, config, u0, 0.0, 0.2, 0.05)
-        assert built._lift_map is not None and built.flow_op._projector is not None
+        assert built._lift_map is not None and "_projector" in vars(built.flow_op)
         fresh = system()
-        assert fresh._lift_map is None and fresh.flow_op._projector is None
+        assert fresh._lift_map is None and "_projector" not in vars(fresh.flow_op)
         runs = [integrate(s, config, u0, 0.0, 0.2, 0.05)[0] for s in (built, fresh)]
         assert [s.u.tobytes() for s in runs[0]] == [s.u.tobytes() for s in runs[1]]
 

@@ -4,9 +4,8 @@ import pytest
 from expidae.harness import error_norm
 from expidae.integrators import ConstrainedSystem, SchemeConfig, integrate
 from expidae.problems import (
-    DynBcConfig,
-    NonSymConfig,
     PROBLEMS,
+    MeshConfig,
     ToyConfig,
     build_dynbc,
     build_nonsym,
@@ -58,22 +57,22 @@ class TestAssemblyHelpers:
 
 class TestDynBc:
     def test_dimensions_n8(self):
-        prob = build_dynbc(DynBcConfig(n_cells=8))
+        prob = build_dynbc(MeshConfig(n_cells=8))
         assert prob.system.n == 63   # 56 bulk + 7 boundary unknowns
         assert prob.system.m == 7
 
     def test_initial_value_consistent_exactly(self):
-        prob = build_dynbc(DynBcConfig(n_cells=8))
+        prob = build_dynbc(MeshConfig(n_cells=8))
         defect = prob.system.constraint @ prob.u0
         assert np.abs(defect).max() == 0.0
 
     def test_constraint_rhs_identically_zero(self):
-        prob = build_dynbc(DynBcConfig(n_cells=8))
+        prob = build_dynbc(MeshConfig(n_cells=8))
         assert np.linalg.norm(prob.system.g(0.37)) == 0.0
         assert np.linalg.norm(prob.system.gdot(1.2)) == 0.0
 
     def test_operator_blocks(self):
-        cfg = DynBcConfig(n_cells=8, kappa=0.02, alpha=1.0)
+        cfg = MeshConfig(n_cells=8)
         prob = build_dynbc(cfg)
         A = prob.system.stiffness
         n_bulk = prob.system.n - prob.system.m
@@ -83,7 +82,7 @@ class TestDynBc:
         assert sym_defect.max() <= 1e-14 if sym_defect.nnz else True
 
     def test_forcing_lives_on_boundary_block(self):
-        prob = build_dynbc(DynBcConfig(n_cells=8))
+        prob = build_dynbc(MeshConfig(n_cells=8))
         s = prob.system
         load = s.load(0.0, prob.u0)
         n_bulk = s.n - s.m
@@ -93,7 +92,7 @@ class TestDynBc:
     def test_energy_estimate_linearized(self):
         # Frozen forcing: the energy at each grid time is bounded by the
         # initial energy plus the accumulated forcing integral.
-        cfg = DynBcConfig(n_cells=8)
+        cfg = MeshConfig(n_cells=8)
         prob = build_dynbc(cfg)
         s = prob.system
         n_bulk = s.n - s.m
@@ -127,7 +126,7 @@ class TestDynBc:
     def test_snapshot_run_stays_bounded(self):
         # Solution-snapshot configuration: trajectory remains bounded
         # and on the constraint manifold over the whole interval.
-        prob = build_dynbc(DynBcConfig(n_cells=32))
+        prob = build_dynbc(MeshConfig(n_cells=32))
         traj, diag = integrate(
             prob.system, SchemeConfig(scheme="exp-euler"), prob.u0, 0.0, 0.7, 1.0 / 100
         )
@@ -141,7 +140,7 @@ class TestDynBc:
         # bilinear elements); guards the assembly scale factors.
         vals = {}
         for n in (8, 16):
-            prob = build_dynbc(DynBcConfig(n_cells=n))
+            prob = build_dynbc(MeshConfig(n_cells=n))
             s = prob.system
             traj, _ = integrate(
                 s, SchemeConfig(scheme="second-order"), prob.u0, 0.0, 0.25, 1.0 / 64
@@ -156,22 +155,22 @@ class TestDynBc:
 
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
-            DynBcConfig(n_cells=2)
+            MeshConfig(n_cells=2)
 
 
 class TestNonSym:
     def test_dimensions(self):
-        prob = build_nonsym(NonSymConfig(n_cells=16))
+        prob = build_nonsym(MeshConfig(n_cells=16))
         assert prob.system.n == 32
         assert prob.system.m == 1
 
     def test_operator_not_symmetric(self):
-        prob = build_nonsym(NonSymConfig(n_cells=16))
+        prob = build_nonsym(MeshConfig(n_cells=16))
         A = prob.system.stiffness
         assert abs(A - A.T).max() > 0.0
 
     def test_initial_value_consistent(self):
-        prob = build_nonsym(NonSymConfig(n_cells=16))
+        prob = build_nonsym(MeshConfig(n_cells=16))
         s = prob.system
         assert np.linalg.norm(s.constraint @ prob.u0 - s.g(0.0)) == 0.0
         assert s.g(0.0)[0] == 0.0
@@ -183,8 +182,25 @@ class TestNonSym:
         ).max()
         assert diff < 1e-3
 
+    @pytest.mark.parametrize("n_cells", [16, 64, 512])
+    def test_meshes_to_512_start_from_the_1000_term_profile(self, n_cells):
+        u0 = build_nonsym(MeshConfig(n_cells=n_cells)).u0
+        xs = (1.0 / n_cells) * np.arange(1, n_cells + 1)  # the builder's nodes
+        profile = nonsym_initial_profile(xs, 1000)
+        assert u0.tobytes() == np.concatenate([profile, profile]).tobytes()
+
+    def test_fine_mesh_builds_with_a_longer_series(self):
+        # 1000 terms drift by 7.8e-3 at h = 1/1024; the builder doubles them.
+        prob = build_problem("nonsym", n_cells=1024)
+        s = prob.system
+        assert s.n == 2048
+        assert np.linalg.norm(s.constraint @ prob.u0 - s.g(0.0)) == 0.0
+        xs = (1.0 / 1024) * np.arange(1, 1025)
+        drift = np.abs(prob.u0[:1024] - nonsym_initial_profile(xs, 4000)).max()
+        assert drift <= 5e-3
+
     def test_constraint_selects_endpoint_difference(self):
-        prob = build_nonsym(NonSymConfig(n_cells=16))
+        prob = build_nonsym(MeshConfig(n_cells=16))
         B = prob.system.constraint.toarray().ravel()
         expected = np.zeros(32)
         expected[15] = 1.0
@@ -193,7 +209,7 @@ class TestNonSym:
 
     def test_linear_part_bounded(self):
         # Cubic terms off, homogeneous constraint: no blow-up on [0, 1].
-        prob = build_nonsym(NonSymConfig(n_cells=16))
+        prob = build_nonsym(MeshConfig(n_cells=16))
         s = prob.system
         lin = ConstrainedSystem(
             s.mass, s.stiffness, s.constraint,
@@ -230,14 +246,6 @@ class TestToy:
             bt = s.constraint.toarray().T
             coeffs, *_ = np.linalg.lstsq(bt, res, rcond=None)
             assert np.linalg.norm(res - bt @ coeffs) <= 1e-6 * max(np.linalg.norm(res), 1.0)
-
-    def test_symmetric_flag(self):
-        sym = build_toy(ToyConfig(n=10, m=2, seed=0, symmetric=True))
-        asym = build_toy(ToyConfig(n=10, m=2, seed=0, symmetric=False))
-        As = sym.system.stiffness
-        Aa = asym.system.stiffness
-        assert abs(As - As.T).max() <= 1e-12
-        assert abs(Aa - Aa.T).max() > 1e-3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
