@@ -44,7 +44,11 @@ def _number(value, name: str) -> float:
 
 
 def _parse_h(text: str) -> int:
-    """Mesh size given as '1/N' or as a float; returns N."""
+    """Mesh size given as '1/N' or as a float; returns N.
+
+    h must lie in (0, 1/4], the four cells a mesh needs at least
+    (``MeshConfig``).
+    """
     text = text.strip()
     num, slash, den = text.partition("/")
     value = _number(num, "h")
@@ -53,8 +57,8 @@ def _parse_h(text: str) -> int:
         if den == 0.0:
             raise ValueError(f"mesh size h={text} has a zero denominator")
         value /= den
-    if not 0.0 < value <= 0.5:
-        raise ValueError(f"mesh size h={text} out of range")
+    if not 0.0 < value <= 0.25:
+        raise ValueError(f"--h: mesh size h={text} out of range (0, 1/4]")
     n_cells = round(1.0 / value)
     if abs(n_cells * value - 1.0) > 1e-9:
         raise ValueError(f"mesh size h={text} is not the reciprocal of an integer")

@@ -1,4 +1,4 @@
-"""Krylov evaluation of the homogeneous constrained flow.
+"""Krylov evaluation of the constrained flow in phi-form.
 
 The linear DAE
 
@@ -9,21 +9,28 @@ with consistent initial value has solution z(t) = exp(X t) z0 for a
 
     M y + B^T mu = -A z0,   B y = 0   =>   y = X z0.
 
-exp(X t) z0 is approximated in the Krylov subspace built by the Arnoldi
-iteration, using the dense exponential of the small Hessenberg matrix.
-Each shot runs its own loop of the one Arnoldi step, ``_arnoldi_extend``.
-If the basis cap is reached before Saad's a-posteriori error estimate
-meets the tolerance, ``flow`` replaces the interval by its two halves,
-in one loop over a stack of pending intervals.  The accepted result is
-projected back onto the kernel of B to kill round-off drift, by the
-rank-m update x - W (B x) of ``DaeOperator.project``.
+``flow`` approximates exp(X t) z0 + sum_k t phi_k(t X) S l_k, with S
+the mass solve on ker B and l_1, ..., l_p loads, in the Krylov subspace
+built by the Arnoldi iteration, using the dense exponential of the
+small Hessenberg matrix.  The loads ride along as p extra coordinates
+of the Arnoldi vectors, as in Niesen & Wright's phipm (ACM TOMS 38,
+2012) and Sidje's Expokit (ACM TOMS 24, 1998), and an Arnoldi step is
+still one saddle solve (``_PhiForm``).  Each shot runs its own loop of
+the one Arnoldi step, ``_arnoldi_extend``.  If the basis cap is reached
+before Saad's a-posteriori error estimate meets the tolerance, ``flow``
+replaces the interval by its two halves, in one loop over a stack of
+pending intervals; the load coordinates go on with the state.  The
+accepted result is projected back onto the kernel of B to kill
+round-off drift, by the rank-m update x - W (B x) of
+``DaeOperator.project``.
 
 An Arnoldi step is one sparse product and one saddle solve, a few
 microseconds of kernel each at the sizes of the benchmark problems.  So
-the products of the Arnoldi step, the projection and the consistency
-check go through ``linalg.spmv`` (the CSR kernel without SciPy's
-dispatch), and their vector norms are sqrt(x . x), the same bits as
-``np.linalg.norm`` for less overhead.
+the products of the plain Arnoldi step, the projection and the
+consistency check go through ``linalg.spmv`` (the CSR kernel without
+SciPy's dispatch), the Arnoldi step with loads calls the CSC kernel on
+its bordered matrix directly, and vector norms are sqrt(x . x), the
+same bits as ``np.linalg.norm`` for less overhead.
 
 For a system small enough to hold dense n x n matrices, ``step_maps``
 forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse._sparsetools import csc_matvec
 
 from .errors import DimensionMismatch, InconsistentState, NoConvergence
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
@@ -82,18 +90,20 @@ class KrylovFlowResult:
 class DaeOperator:
     """Action of the constrained-flow generator via mass saddle solves.
 
-    ``apply`` (one Arnoldi step) is one saddle solve with M.
+    ``apply`` (one Arnoldi step) is one saddle solve with M, whose
+    right-hand side may carry a load.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
     W = M^{-1} B^T (B M^{-1} B^T)^{-1}.  W is built on the first
     projection from m ``kernel_project`` solves, as W = Y - P(Y)
     for the right inverse Y = B^+ of B.
 
-    The matrices and the factorization are fixed at construction; W is
-    the one thing filled in later.  It is deterministic, so a projection
-    gives the same bits whether W was just built or reused, and
-    concurrent flow evaluations against one operator are safe: each owns
-    its basis storage, and two first projections at once build the same W.
+    The matrices and the factorization are fixed at construction; W and
+    the layouts of ``_bordered_layout`` are the things filled in later.
+    They are deterministic, so a projection gives the same bits whether W
+    was just built or reused, and concurrent flow evaluations against one
+    operator are safe: each owns its basis storage, and two first
+    projections at once build the same W.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -107,10 +117,21 @@ class DaeOperator:
         self.constraint = self._saddle.B
         self._neg_stiffness = -self.stiffness
         self._zero_dual = np.zeros(self.m)
+        self._bordered_layouts = {}
 
-    def apply(self, x0) -> np.ndarray:
-        """y = X x0, i.e. solve M y + B^T mu = -A x0, B y = 0."""
-        y, _ = self._saddle.solve(spmv(self._neg_stiffness, x0), self._zero_dual)
+    def apply(self, x, load=None) -> np.ndarray:
+        """y = X x + S load, i.e. solve M y + B^T mu = -A x + load, B y = 0.
+
+        S is the mass solve on ker B.  A ``load`` of None is zero, and an
+        ``x`` of None is zero and skips the sparse product.
+        """
+        if x is None:
+            rhs = load
+        else:
+            rhs = spmv(self._neg_stiffness, x)
+            if load is not None:
+                rhs += load
+        y, _ = self._saddle.solve(rhs, self._zero_dual)
         return y
 
     def project(self, x) -> np.ndarray:
@@ -128,15 +149,82 @@ class DaeOperator:
             W[:, i] = Y[:, i] - kernel_project(self._saddle, Y[:, i])
         return W
 
+    def _bordered_layout(self, p):
+        """(indptr, indices, data) of -A in CSC, with room for p dense columns after it.
+
+        The data is that of -A alone; appending the p columns, each of
+        length n, gives the CSC matrix [-A, columns].  Built once per p.
+        """
+        layout = self._bordered_layouts.get(p)
+        if layout is None:
+            a = self._neg_stiffness.tocsc()
+            tail = a.indptr[-1] + self.n * np.arange(1, p + 1)
+            indptr = np.concatenate((a.indptr, tail.astype(a.indptr.dtype)))
+            rows = np.tile(np.arange(self.n, dtype=a.indices.dtype), p)
+            layout = (indptr, np.concatenate((a.indices, rows)), a.data)
+            self._bordered_layouts[p] = layout
+        return layout
+
     def constraint_defect(self, x) -> float:
         defect = spmv(self.constraint, x)
         return math.sqrt(defect.dot(defect))
 
 
+class _PhiForm:
+    """The flow generator with loads, [[X, W], [0, J]] on (n + p)-vectors [x; c].
+
+    With loads l_1, ..., l_p (None for a zero load) and flow time t, the
+    k-th column of W is S l_k / t^(k-1) and J shifts c down by one
+    entry.  The flow of this matrix from [x0; e_1] over t ends at
+    [exp(t X) x0 + sum_k t phi_k(t X) S l_k; (1, t, ..., t^(p-1) / (p-1)!)]
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).
+
+    ``apply`` forms the right-hand side -A x + sum_k c_k l_k / t^(k-1) as
+    one sparse product with the bordered matrix [-A, l_1, ..., l_p / t^(p-1)],
+    held in CSC so that the load columns are one block appended to the
+    data of -A, and solves it with one ``DaeOperator.apply``; a zero
+    right-hand side makes no solve, and ``shifts`` counts those steps.
+    The image is written into one buffer that every call reuses, which
+    is safe because ``_arnoldi_extend`` consumes it before the next call.
+    """
+
+    def __init__(self, op, loads, t):
+        n, p = op.n, len(loads)
+        indptr, indices, stiffness = op._bordered_layout(p)
+        data = np.empty(len(stiffness) + n * p)
+        data[: len(stiffness)] = stiffness
+        columns = data[len(stiffness) :].reshape(p, n)
+        for k, load in enumerate(loads):
+            if load is None:
+                columns[k] = 0.0
+            else:
+                np.divide(as_vector(load, n, "load"), t**k, out=columns[k])
+        self._product = (n, n + p, indptr, indices, data)
+        self.op, self.n, self.size = op, n, n + p
+        self.shifts = 0
+        self._image = np.empty(n + p)
+
+    def apply(self, v) -> np.ndarray:
+        n = self.n
+        rhs = np.zeros(n)
+        csc_matvec(*self._product, v, rhs)
+        w = self._image
+        if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
+            w[:n] = self.op.apply(None, rhs)
+        else:
+            w[:n] = 0.0
+            self.shifts += 1
+        w[n] = 0.0
+        if self.size > n + 1:
+            w[n + 1 :] = v[n:-1]
+        return w
+
+
 def _arnoldi_extend(op, V, H, j, sumsq):
     """Arnoldi step j + 1: fill column j of H and normalize v_{j+2} into V[j + 1].
 
-    Classical Gram-Schmidt with a single refinement pass on the basis
+    ``op`` is the generator of the flow: the ``DaeOperator`` itself, or
+    its ``_PhiForm`` for a flow with loads.  Classical Gram-Schmidt with a single refinement pass on the basis
     rows V[:j+1].  ``sumsq`` is the squared Frobenius norm of the
     finished entries of H before the step.  Returns (h_next, sumsq,
     breakdown): the subdiagonal entry h_{j+2,j+1}, the updated sum, and
@@ -182,7 +270,7 @@ def _next_check(r, estimate, previous, tol):
 
 
 def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
-    """Single Krylov approximation of exp(X dt) x0.
+    """Single Krylov approximation of exp(X dt) x0, X the generator ``op`` applies.
 
     The shot is a plain loop of ``_arnoldi_extend`` steps.  Each check
     is one ``expm`` of the bordered matrix [[dt H_r, e_1], [0, 0]]; for
@@ -202,8 +290,9 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     ``shot`` either (state, basis_size, estimate) or None when
     ``BASIS_CAP`` is exhausted before the error estimate meets ``tol``.
     """
-    r_cap = min(BASIS_CAP, op.n)
-    V = np.empty((r_cap + 1, op.n))  # one basis vector per row
+    size = x0.shape[0]
+    r_cap = min(BASIS_CAP, size)
+    V = np.empty((r_cap + 1, size))  # one basis vector per row
     H = np.zeros((r_cap + 1, r_cap))
     V[0] = x0 / beta
     check, failed, checks, sumsq = first_check, None, 0, 0.0
@@ -232,19 +321,29 @@ def flow(
     t: float,
     tol: float = DEFAULT_TOL,
     basis_hint: int | None = None,
+    loads=(),
 ) -> KrylovFlowResult:
-    """Approximate exp(X t) x0 for the homogeneous constrained system.
+    """Approximate exp(X t) x0 + sum_k t phi_k(t X) S loads[k-1] on ker B.
+
+    S is the mass solve on ker B, so the k-th term is Phi_k(t) loads[k-1]
+    (notation of ``step_maps``); a load of None is zero, and without
+    loads this is the homogeneous flow exp(X t) x0.  The loads are
+    coordinates of the Arnoldi vectors (``_PhiForm``), so the flow makes
+    no solve beyond its Arnoldi steps.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
     round-off, such as the flow input of a step from a steady state,
     passes.  ``tol`` bounds the estimated absolute error of the
-    endpoint, summed over the substeps (the estimate carries the norm
-    of x0 as a factor).  A shot that reaches the module constant
-    ``BASIS_CAP`` halves its interval; a flow that needs more than
-    ``SUBSTEP_LIMIT`` accepted substeps raises ``NoConvergence`` (a shot
-    that fails at the cap uses none of that budget).  The endpoint is
-    projected onto the kernel of B.
+    endpoint, with the load coordinates, summed over the substeps (the
+    estimate carries the norm of [x0; 1] as a factor).  A shot that
+    reaches the module constant ``BASIS_CAP`` halves its interval; a
+    flow that needs more than ``SUBSTEP_LIMIT`` accepted substeps
+    raises ``NoConvergence`` (a shot that fails at the cap uses none of
+    that budget).  The endpoint is projected onto the kernel of B.
+    ``arnoldi_steps`` of the result counts saddle solves: an Arnoldi
+    step on a vector with zero state and zero load is a pure shift of
+    the load coordinates and makes none.
 
     ``basis_hint``, a positive integer such as the basis a similar flow
     accepted, moves the first error check of the shot over the whole
@@ -270,10 +369,17 @@ def flow(
     ):
         raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
     norm0 = _require_consistent(op, x0)
-    if t == 0.0 or norm0 == 0.0:
+    loads = tuple(loads)
+    if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
-    state, basis_size, estimate, substeps, checks, steps = x0, 0, 0.0, 0, 0, 0
+    generator, state = op, x0
+    if loads:
+        generator = _PhiForm(op, loads, t)
+        state = np.zeros(generator.size)
+        state[: op.n] = x0
+        state[op.n] = 1.0
+    basis_size, estimate, substeps, checks, steps = 0, 0.0, 0, 0, 0
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
     pending = [(t, tol, 0)]  # (duration, tolerance, depth), the next one last
     while pending:
@@ -286,7 +392,9 @@ def flow(
         if beta == 0.0:
             substeps += 1
             continue
-        shot_checks, shot_steps, shot = _krylov_shot(op, state, beta, dt, dt_tol, first_check)
+        shot_checks, shot_steps, shot = _krylov_shot(
+            generator, state, beta, dt, dt_tol, first_check
+        )
         first_check = 1
         checks += shot_checks
         steps += shot_steps
@@ -297,6 +405,8 @@ def flow(
         basis_size = max(basis_size, r)
         estimate += shot_estimate
         substeps += 1
+    if loads:
+        state, steps = state[: op.n], steps - generator.shifts
     return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
 
 

@@ -21,15 +21,14 @@ the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use.
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
 vectors.  Whenever a lift is subtracted from f inside a saddle
-right-hand side it is therefore multiplied by M first, and the w'/tau
-right-hand side of the second-order scheme enters as (1/tau) M w'.
-This is the unique pairing under which the discrete scheme is the
-Galerkin image of the continuous one.
+right-hand side it is therefore multiplied by M first, and Phi_k takes
+a load to a coefficient vector through the mass solve M_K^{-1}.  This
+is the unique pairing under which the discrete scheme is the Galerkin
+image of the continuous one.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import struct
@@ -120,8 +119,8 @@ class ConstrainedSystem:
 
     ``step_maps`` holds the dense maps of one step duration
     (``flow.step_maps``); every propagation over that duration, in any
-    scheme, is then up to three products with them instead of kernel
-    solves and a Krylov flow (``_propagate``).  It is None here: only
+    scheme, is then up to three products with them instead of a Krylov
+    flow (``_propagate``).  It is None here: only
     the shallow copy that ``harness.build_reference`` integrates on
     sets it.
     """
@@ -274,7 +273,10 @@ def lift_constraint(sys: ConstrainedSystem, rhs_g) -> np.ndarray:
 
 
 def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
-    """Solve the stationary operator on ker B: A w + B^T nu = load, B w = 0."""
+    """Solve the stationary operator on ker B: A w + B^T nu = load, B w = 0.
+
+    No step makes this solve: ``_propagate`` passes its loads to the flow.
+    """
     load = as_vector(load, sys.n, "load")
     w, _ = sys.stiffness_saddle.solve(load, sys._zero_dual)
     return w
@@ -312,54 +314,36 @@ def _finish_step(sys, t1, u1, lift_g1, diag):
     return u1
 
 
-class _Load:
-    """A load vector and its kernel solve, made on first use."""
-
-    def __init__(self, sys, vector):
-        self.sys, self.vector = sys, vector
-
-    @functools.cached_property
-    def solved(self):
-        return kernel_solve(self.sys, self.vector)
-
-
 def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     """E(t) z + Phi_1(t) load + Phi_2(t) slope on ker B, and the basis to record.
 
-    A term that is None is dropped; ``load`` is a ``_Load``.  If
-    ``sys.step_maps`` holds the maps of duration t, this is up to three
-    dense products and one projection, after z is checked against the
-    constraint as a flow input is, and the basis to record is 0.
-    Otherwise, with w = K load, w' = K slope and w'' = K M w' / t (K
-    the kernel solve), Phi_1 = (I - E) K and Phi_2 = K + (E - I) K M K / t
-    make the sum one Krylov flow plus kernel vectors:
-
-        E (z - w + w'') + w + w' - w''.
-
-    The flow is warm-started from flow ``slot`` of the step that made
-    ``state``, and the basis to record in that slot of the next state's
-    ``flow_bases`` is the accepted one, or 0 if the flow halved.
+    A term that is None is dropped.  If ``sys.step_maps`` holds the maps
+    of duration t, this is up to three dense products and one
+    projection, after z is checked against the constraint as a flow
+    input is, and the basis to record is 0.  Otherwise it is one Krylov
+    flow with the loads (``flow``), which makes one saddle solve per
+    Arnoldi step and no other.  The flow is warm-started from flow
+    ``slot`` of the step that made ``state``, and the basis to record in
+    that slot of the next state's ``flow_bases`` is the accepted one, or
+    0 if the flow halved.
     """
     maps = sys.step_maps
     if maps is not None and maps.tau == t:
         if z is not None:
             _require_consistent(sys.flow_op, z)
         x = 0.0 if z is None else maps.flow @ z
-        x = x if load is None else x + maps.phi1 @ load.vector
+        x = x if load is None else x + maps.phi1 @ load
         x = x if slope is None else x + maps.phi2 @ slope
         return sys.flow_op.project(x), 0
-    x0, rest = (0.0 if z is None else z), 0.0
-    if load is not None:
-        x0, rest = x0 - load.solved, load.solved
-    if slope is not None:
-        w_prime = kernel_solve(sys, slope)
-        w_second = kernel_solve(sys, spmv(sys.mass, w_prime) / t)
-        x0, rest = x0 + w_second, rest + w_prime - w_second
+    x0 = np.zeros(sys.n) if z is None else z
+    loads = (load,) if slope is None else (load, slope)
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
-    result = krylov_flow(sys.flow_op, x0, t, tol=config.flow_tol, basis_hint=hint)
+    result = krylov_flow(
+        sys.flow_op, x0, t, tol=config.flow_tol, basis_hint=hint, loads=loads
+    )
     diag.record_flow(result)
-    return result.state + rest, result.basis_size if result.substeps == 1 else 0
+    return result.state, result.basis_size if result.substeps == 1 else 0
 
 
 def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
@@ -378,12 +362,12 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         u_{n+1} = lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0 + Phi_2(tau) d,
 
     which at c2 = 1 is u_s + Phi_2(tau) d.  Every term goes through
-    ``_propagate``, and K l_0 is solved once for both of its Krylov uses.
+    ``_propagate``.
     """
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
-    load0 = _Load(sys, sys.load(t0, state.u) - spmv(sys.mass, _lift(sys, sys.gdot(t0))))
+    load0 = sys.load(t0, state.u) - spmv(sys.mass, _lift(sys, sys.gdot(t0)))
     z0 = state.u - _lift(sys, sys.g(t0))
     z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
     lift_g_stage = _lift(sys, sys.g(t_stage))
@@ -395,7 +379,7 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
 
     load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, _lift(sys, sys.gdot(t_stage)))
     diag.rhs_evaluations += 2
-    slope = (load_stage - load0.vector) / c2
+    slope = (load_stage - load0) / c2
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
         lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
     else:
@@ -464,7 +448,7 @@ def alt_euler_step(
     z = state.u - lift_blend
     if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
         z = sys.flow_op.project(z)
-    z_end, basis = _propagate(sys, tau, z, _Load(sys, f0), None, config, diag, state, 0)
+    z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state, 0)
     u1 = lift_blend + z_end
     diag.record_residual(sys.constraint_residual(t1, u1))
     return StepState(t1, u1, flow_bases=(basis,))

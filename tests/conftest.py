@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from expidae.flow import DaeOperator, _arnoldi_extend, flow
+from expidae.flow import DaeOperator, _arnoldi_extend, _PhiForm, flow
 from expidae.phi import expm
 
 
@@ -93,16 +93,22 @@ def polyrhs_solution(a, u0, forcing, t):
     return u
 
 
-def arnoldi(op, x0, r_max):
+def arnoldi(op, x0, r_max, loads=(), t=1.0):
     """Orthonormal Krylov basis of span{x0, X x0, ...} and its Hessenberg matrix.
 
     The steps are the production ``flow._arnoldi_extend``, the loop body
-    of every Krylov shot.  Returns (V, H, h_next) with V of shape (n, r),
+    of every Krylov shot, on the generator a flow with ``loads`` over
+    ``t`` runs: ``op`` itself without loads, else its ``flow._PhiForm``
+    from [x0; e_1].  Returns (V, H, h_next) with V of shape (n + p, r),
     H of shape (r, r) and h_next the first neglected subdiagonal entry;
     a happy breakdown stops early with h_next reported as 0.0.
     """
-    r_cap = min(r_max, op.n)
-    V = np.empty((r_cap + 1, op.n))
+    if loads:
+        op = _PhiForm(op, loads, t)
+        x0 = np.concatenate((x0, np.eye(len(loads))[0]))
+    size = x0.shape[0]
+    r_cap = min(r_max, size)
+    V = np.empty((r_cap + 1, size))
     H = np.zeros((r_cap + 1, r_cap))
     V[0] = x0 / np.linalg.norm(x0)
     sumsq = 0.0

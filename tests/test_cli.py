@@ -107,6 +107,30 @@ class TestSolve:
             assert f"mesh size h={h} " in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["1/2", "1/3", "0.5"])
+    def test_mesh_of_fewer_than_four_cells_names_the_flag(self, tmp_path, capsys, h):
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", h, "--tau", "0.1",
+                "--t-end", "0.2", "--scheme", "exp-euler", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--h" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mesh_of_four_cells_is_accepted(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", "1/4", "--tau", "0.1",
+                "--t-end", "0.2", "--scheme", "exp-euler", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.exists()
+
     def test_mesh_size_on_a_problem_without_a_mesh_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         code = main(

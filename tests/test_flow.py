@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from expidae.flow import (
     step_maps,
 )
 from expidae.integrators import kernel_solve
+from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
 
@@ -55,6 +57,19 @@ class TestApply:
         x0 = op.project(rng.standard_normal(30))
         y = op.apply(x0)
         assert np.linalg.norm(B @ y) <= 1e-11 * np.linalg.norm(y)
+
+    def test_load_adds_its_mass_solve(self):
+        # apply(x, l) = X x + S l with S the mass solve on ker B.
+        rng = np.random.default_rng(12)
+        M, A, B = random_constrained(rng, 20, 3, symmetric=False)
+        op = make_operator(M, A, B)
+        x0, load = op.project(rng.standard_normal(20)), rng.standard_normal(20)
+        Z = scipy.linalg.null_space(B)
+        mass_solve = Z @ np.linalg.solve(Z.T @ M @ Z, Z.T @ load)
+        np.testing.assert_allclose(op.apply(None, load), mass_solve, atol=1e-12)
+        np.testing.assert_allclose(
+            op.apply(x0, load), op.apply(x0) + mass_solve, atol=1e-12
+        )
 
     def test_stiffness_of_the_wrong_shape_is_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="stiffness"):
@@ -328,7 +343,7 @@ class TestCheckSchedule:
         applied = []
         apply = DaeOperator.apply
         monkeypatch.setattr(
-            DaeOperator, "apply", lambda op, x: applied.append(1) or apply(op, x)
+            DaeOperator, "apply", lambda op, x, load=None: applied.append(1) or apply(op, x, load)
         )
         result = flow(prob.system.flow_op, prob.u0, 0.05, basis_hint=10)
         assert result.substeps > 1
@@ -480,3 +495,99 @@ class TestStepMaps:
         twice = maps[0.01].flow @ (maps[0.01].flow @ x0)
         once = maps[0.02].flow @ x0
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
+
+
+def _phi_form_case(name, options, seed=5):
+    """Operator, consistent z, a load l and a slope s of a built problem."""
+    op = build_problem(name, **options).system.flow_op
+    rng = np.random.default_rng(seed)
+    z = op.project(rng.standard_normal(op.n))
+    return op, z, rng.standard_normal(op.n), rng.standard_normal(op.n)
+
+
+def _dense_phi_sum(op, t, z, loads):
+    """E(t) z + sum_k Phi_k(t) loads[k-1] from the dense maps of ``step_maps``."""
+    maps = step_maps(op, t, kernel_reduction(op))
+    total = np.zeros(op.n) if z is None else maps.flow @ z
+    for phi_map, load in zip((maps.phi1, maps.phi2), loads):
+        if load is not None:
+            total = total + phi_map @ load
+    return total
+
+
+class TestPhiForm:
+    """``flow`` with loads: E(t) z + Phi_1(t) l + Phi_2(t) s in one Krylov flow."""
+
+    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 32})])
+    @pytest.mark.parametrize("t", [1 / 40960, 0.01])
+    @pytest.mark.parametrize("orders", ["z+l", "z+l+s", "s"])
+    def test_matches_the_dense_step_maps(self, name, options, t, orders):
+        op, z, load, slope = _phi_form_case(name, options)
+        loads = {"z+l": (load,), "z+l+s": (load, slope), "s": (None, slope)}[orders]
+        x0 = np.zeros(op.n) if orders == "s" else z
+        tol = DEFAULT_TOL
+        result = flow(op, x0, t, tol=tol, loads=loads)
+        expected = _dense_phi_sum(op, t, x0, loads)
+        assert np.linalg.norm(result.state - expected) <= 10 * tol
+        assert np.linalg.norm(op.constraint @ result.state) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_halving_carries_the_load_coordinates(self, monkeypatch):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 32})
+        monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
+        tol = DEFAULT_TOL
+        result = flow(op, z, 0.01, tol=tol, loads=(load, slope))
+        assert result.substeps > 2
+        expected = _dense_phi_sum(op, 0.01, z, (load, slope))
+        assert np.linalg.norm(result.state - expected) <= 10 * tol
+
+    def test_arnoldi_steps_count_saddle_solves(self, monkeypatch):
+        # From [0; e_1] with no first load, the first step is a pure
+        # shift of the load coordinates: no solve, and not counted.
+        op, _, _, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        solves = []
+        solve = SaddleFactorization.solve
+        monkeypatch.setattr(
+            SaddleFactorization, "solve",
+            lambda fact, *args: solves.append(1) or solve(fact, *args),
+        )
+        result = flow(op, np.zeros(op.n), 1 / 2560, loads=(None, slope))
+        assert result.substeps == 1
+        assert result.arnoldi_steps == len(solves) == result.basis_size - 1
+
+    def test_arnoldi_relation_of_the_bordered_generator(self):
+        # X V = V H + h_next v_{r+1} e_r^T for the dense [[X, W], [0, J]]
+        # of the flow's generator, with X and the mass solve S on ker B
+        # from the kernel reduction.
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        t = 0.01
+        M, A = op.mass.toarray(), op.stiffness.toarray()
+        Z = kernel_reduction(op).basis
+        mass_solve = Z @ np.linalg.solve(Z.T @ M @ Z, Z.T)
+        n = op.n
+        bordered = np.zeros((n + 2, n + 2))
+        bordered[:n, :n] = -mass_solve @ A
+        bordered[:n, n] = mass_solve @ load
+        bordered[:n, n + 1] = mass_solve @ slope / t
+        bordered[n + 1, n] = 1.0
+        V, H, h_next = arnoldi(op, z, 12, loads=(load, slope), t=t)
+        r = H.shape[0]
+        assert np.linalg.norm(V.T @ V - np.eye(r)) <= 1e-10
+        defect = bordered @ V - V @ H
+        scale = max(np.linalg.norm(H), 1.0)
+        assert np.linalg.norm(defect[:, :-1]) <= 1e-9 * scale
+        assert abs(np.linalg.norm(defect[:, -1]) - h_next) <= 1e-9 * scale
+
+    def test_zero_loads_and_state_make_no_solve(self, monkeypatch):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        monkeypatch.setattr(
+            DaeOperator, "apply", lambda *args: pytest.fail("apply called")
+        )
+        for loads in ((None,), (None, None), (np.zeros(op.n),)):
+            result = flow(op, np.zeros(op.n), 0.01, loads=loads)
+            assert np.linalg.norm(result.state) == 0.0
+            assert result.arnoldi_steps == 0
+
+    def test_load_of_the_wrong_length_is_a_dimension_mismatch(self):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        with pytest.raises(DimensionMismatch, match="load"):
+            flow(op, np.zeros(op.n), 0.01, loads=(np.ones(op.n + 1),))

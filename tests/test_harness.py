@@ -163,9 +163,9 @@ class TestBuildReference:
             exponentials.append(a.shape[0])
             return expm(a)
 
-        def counted_apply(op, x):
+        def counted_apply(op, x, load=None):
             arnoldi_steps.append(1)
-            return apply(op, x)
+            return apply(op, x, load)
 
         monkeypatch.setattr(flow_module, "expm", counted_expm)
         monkeypatch.setattr(flow_module.DaeOperator, "apply", counted_apply)

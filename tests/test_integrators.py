@@ -751,13 +751,13 @@ class TestSolveCounts:
     """Deterministic count gate: saddle and SuperLU solves of one step."""
 
     @staticmethod
-    def _gate_step(monkeypatch, name, n_cells, step, config, kernel_solves, projections):
+    def _gate_step(monkeypatch, name, n_cells, step, config, projections):
         """A step of ``step`` after the first one, which built L and W.
 
-        It makes no lift solve, ``kernel_solves`` kernel solves,
-        ``projections`` projections without a saddle solve, one SuperLU
-        solve per Arnoldi step, and exactly one SuperLU solve per saddle
-        solve.
+        It makes no lift solve and no kernel solve, ``projections``
+        projections without a saddle solve, one SuperLU solve per Arnoldi
+        step, and exactly one SuperLU solve per saddle solve: every saddle
+        solve of the step is an Arnoldi step.
         """
         linalg_mod = sys.modules["expidae.linalg"]
         integ_mod = sys.modules["expidae.integrators"]
@@ -794,9 +794,9 @@ class TestSolveCounts:
         count(integ_mod, "kernel_solve", "kernel solves")
         apply, project = DaeOperator.apply, DaeOperator.project
 
-        def counted_apply(self, x0):
+        def counted_apply(self, x0, load=None):
             before = lu_solves()
-            y = apply(self, x0)
+            y = apply(self, x0, load)
             arnoldi_lu_solves.append(lu_solves() - before)
             return y
 
@@ -813,31 +813,63 @@ class TestSolveCounts:
         step(sys_, state, tau, config)
 
         assert counts["lifts"] == 0
-        assert (counts["kernel solves"], counts["projections"]) == (kernel_solves, projections)
+        assert (counts["kernel solves"], counts["projections"]) == (0, projections)
         assert counts["projection saddle solves"] == 0
-        assert counts["saddle solves"] == len(arnoldi_lu_solves) + kernel_solves
+        assert counts["saddle solves"] == len(arnoldi_lu_solves)
         assert len(arnoldi_lu_solves) > 0
         assert set(arnoldi_lu_solves) == {1}
         assert lu_solves() - before == counts["saddle solves"]
 
     def test_second_order_step_of_nonsym(self, monkeypatch):
-        self._gate_step(monkeypatch, "nonsym", 64, second_order_step, SchemeConfig(), 3, 2)
+        self._gate_step(monkeypatch, "nonsym", 64, second_order_step, SchemeConfig(), 2)
 
     def test_second_order_step_of_dynbc(self, monkeypatch):
-        self._gate_step(monkeypatch, "dynbc", 32, second_order_step, SchemeConfig(), 3, 2)
+        self._gate_step(monkeypatch, "dynbc", 32, second_order_step, SchemeConfig(), 2)
 
     @pytest.mark.parametrize("name, n_cells", [("nonsym", 64), ("dynbc", 32)])
     def test_family_step(self, monkeypatch, name, n_cells):
-        # The stage and the endpoint share the kernel solve of l_0.
         config = SchemeConfig(scheme="second-order-family", c2=0.5)
-        self._gate_step(monkeypatch, name, n_cells, second_order_family_step, config, 3, 2)
+        self._gate_step(monkeypatch, name, n_cells, second_order_family_step, config, 2)
 
     @pytest.mark.parametrize("name, n_cells, projections", [("nonsym", 64, 2), ("dynbc", 32, 1)])
     def test_alt_euler_step(self, monkeypatch, name, n_cells, projections):
         # At theta = 1 a step ends on g_n, so on nonsym, whose g moves,
         # the next flow input is projected before the flow.
         config = SchemeConfig(scheme="alt-euler")
-        self._gate_step(monkeypatch, name, n_cells, alt_euler_step, config, 1, projections)
+        self._gate_step(monkeypatch, name, n_cells, alt_euler_step, config, projections)
+
+    @pytest.mark.parametrize("name, n_cells", [("nonsym", 64), ("dynbc", 32)])
+    @pytest.mark.parametrize("c2", [1.0, 0.5])
+    def test_every_solve_of_a_step_is_an_arnoldi_step_with_a_nonzero_rhs(
+        self, monkeypatch, name, n_cells, c2
+    ):
+        prob = build_problem(name, n_cells=n_cells)
+        sys_, tau = prob.system, 1 / 2560
+        config = SchemeConfig(scheme="second-order-family", c2=c2)
+        # The first step builds L and W.
+        state = second_order_family_step(sys_, StepState(0.0, prob.u0), tau, config)
+        inside, solves, rhs_norms = [], [], []
+        apply, solve = DaeOperator.apply, SaddleFactorization.solve
+
+        def spied_apply(op, x, load=None):
+            rhs = np.zeros(op.n) if x is None else -(op.stiffness @ x)
+            rhs_norms.append(np.linalg.norm(rhs if load is None else rhs + load))
+            inside.append(1)
+            try:
+                return apply(op, x, load)
+            finally:
+                inside.pop()
+
+        def spied_solve(fact, *args):
+            solves.append(bool(inside))
+            return solve(fact, *args)
+
+        monkeypatch.setattr(DaeOperator, "apply", spied_apply)
+        monkeypatch.setattr(SaddleFactorization, "solve", spied_solve)
+        second_order_family_step(sys_, state, tau, config)
+        assert len(solves) == len(rhs_norms) > 0
+        assert all(solves)
+        assert min(rhs_norms) > 0.0
 
     def test_warm_started_flows_of_nonsym_check_at_most_twice(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=64)
@@ -979,9 +1011,9 @@ def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
         totals["expm"] += 1
         return expm(a)
 
-    def counted_apply(self, x0):
+    def counted_apply(self, x0, load=None):
         totals["arnoldi"] += 1
-        return apply(self, x0)
+        return apply(self, x0, load)
 
     def counted_flow(*args, basis_hint=None, **kwargs):
         before = totals.copy()

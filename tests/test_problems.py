@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,24 @@ class TestNonSym:
             nonsym_initial_profile(x, 1000) - nonsym_initial_profile(x, 4000)
         ).max()
         assert diff < 1e-3
+
+    def test_blocked_series_matches_the_dense_sum(self):
+        xs = np.arange(1, 65) / 64
+        k = np.arange(1, 1001)
+        dense = np.sin(np.outer(xs, k * np.pi)) @ (k**-1.55)
+        assert np.abs(nonsym_initial_profile(xs, 1000) - dense).max() <= 1e-13
+        u0 = build_nonsym(MeshConfig(n_cells=64)).u0
+        assert np.abs(u0 - np.concatenate([dense, dense])).max() <= 1e-13
+
+    def test_fine_mesh_build_memory_is_linear_in_the_cells(self):
+        # The dense n x terms series matrix peaked at 64 MiB here.
+        tracemalloc.start()
+        try:
+            build_problem("nonsym", n_cells=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("n_cells", [16, 64, 512])
     def test_meshes_to_512_start_from_the_1000_term_profile(self, n_cells):
