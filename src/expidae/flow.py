@@ -15,22 +15,23 @@ built by the Arnoldi iteration, using the dense exponential of the
 small Hessenberg matrix.  The loads ride along as p extra coordinates
 of the Arnoldi vectors, as in Niesen & Wright's phipm (ACM TOMS 38,
 2012) and Sidje's Expokit (ACM TOMS 24, 1998), and an Arnoldi step is
-still one saddle solve (``_PhiForm``).  Each shot runs its own loop of
-the one Arnoldi step, ``_arnoldi_extend``.  If the basis cap is reached
-before Saad's a-posteriori error estimate meets the tolerance, ``flow``
-replaces the interval by its two halves, in one loop over a stack of
-pending intervals; the load coordinates go on with the state.  The
-accepted result is projected back onto the kernel of B to kill
-round-off drift, by the rank-m update x - W (B x) of
+still one saddle solve (``_PhiForm``).  A flow without loads is the
+case p = 0, so every flow runs this one generator.  Each shot runs its
+own loop of the one Arnoldi step, ``_arnoldi_extend``.  If the basis
+cap is reached before Saad's a-posteriori error estimate meets the
+tolerance, ``flow`` replaces the interval by its two halves, in one
+loop over a stack of pending intervals; the load coordinates go on with
+the state.  The accepted result is projected back onto the kernel of B
+to kill round-off drift, by the rank-m update x - W (B x) of
 ``DaeOperator.project``.
 
 An Arnoldi step is one sparse product and one saddle solve, a few
 microseconds of kernel each at the sizes of the benchmark problems.  So
-the products of the plain Arnoldi step, the projection and the
-consistency check go through ``linalg.spmv`` (the CSR kernel without
-SciPy's dispatch), the Arnoldi step with loads calls the CSC kernel on
-its bordered matrix directly, and vector norms are sqrt(x . x), the
-same bits as ``np.linalg.norm`` for less overhead.
+the Arnoldi step calls SciPy's CSC kernel on its bordered matrix
+directly, the products of the projection and the consistency check go
+through ``linalg.spmv`` (the CSR kernel without SciPy's dispatch), and
+vector norms are sqrt(x . x), the same bits as ``np.linalg.norm`` for
+less overhead.
 
 For a system small enough to hold dense n x n matrices, ``step_maps``
 forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse._sparsetools import csc_matvec
 
-from .errors import DimensionMismatch, InconsistentState, NoConvergence
+from .errors import DimensionMismatch, InconsistentState, NoConvergence, NonFinite
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
 from .phi import expm
 
@@ -88,10 +89,12 @@ class KrylovFlowResult:
 
 
 class DaeOperator:
-    """Action of the constrained-flow generator via mass saddle solves.
+    """The matrices M, A and B of the constrained flow, and its mass saddle solves.
 
-    ``apply`` (one Arnoldi step) is one saddle solve with M, whose
-    right-hand side may carry a load.
+    The operator holds the canonical copies of the three matrices that
+    the integrators use too.  ``apply`` is the saddle solve of one
+    Arnoldi step, whose right-hand side the generator ``_PhiForm``
+    forms: X x is ``apply(-A x)``.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
     W = M^{-1} B^T (B M^{-1} B^T)^{-1}.  W is built on the first
@@ -115,22 +118,11 @@ class DaeOperator:
             raise DimensionMismatch("stiffness shape does not match mass/constraint")
         self.mass = self._saddle.S
         self.constraint = self._saddle.B
-        self._neg_stiffness = -self.stiffness
         self._zero_dual = np.zeros(self.m)
         self._bordered_layouts = {}
 
-    def apply(self, x, load=None) -> np.ndarray:
-        """y = X x + S load, i.e. solve M y + B^T mu = -A x + load, B y = 0.
-
-        S is the mass solve on ker B.  A ``load`` of None is zero, and an
-        ``x`` of None is zero and skips the sparse product.
-        """
-        if x is None:
-            rhs = load
-        else:
-            rhs = spmv(self._neg_stiffness, x)
-            if load is not None:
-                rhs += load
+    def apply(self, rhs) -> np.ndarray:
+        """y of the mass saddle solve M y + B^T mu = rhs, B y = 0."""
         y, _ = self._saddle.solve(rhs, self._zero_dual)
         return y
 
@@ -157,11 +149,11 @@ class DaeOperator:
         """
         layout = self._bordered_layouts.get(p)
         if layout is None:
-            a = self._neg_stiffness.tocsc()
+            a = self.stiffness.tocsc()
             tail = a.indptr[-1] + self.n * np.arange(1, p + 1)
             indptr = np.concatenate((a.indptr, tail.astype(a.indptr.dtype)))
             rows = np.tile(np.arange(self.n, dtype=a.indices.dtype), p)
-            layout = (indptr, np.concatenate((a.indices, rows)), a.data)
+            layout = (indptr, np.concatenate((a.indices, rows)), -a.data)
             self._bordered_layouts[p] = layout
         return layout
 
@@ -171,13 +163,14 @@ class DaeOperator:
 
 
 class _PhiForm:
-    """The flow generator with loads, [[X, W], [0, J]] on (n + p)-vectors [x; c].
+    """The flow generator, [[X, W], [0, J]] on (n + p)-vectors [x; c].
 
     With loads l_1, ..., l_p (None for a zero load) and flow time t, the
     k-th column of W is S l_k / t^(k-1) and J shifts c down by one
     entry.  The flow of this matrix from [x0; e_1] over t ends at
     [exp(t X) x0 + sum_k t phi_k(t X) S l_k; (1, t, ..., t^(p-1) / (p-1)!)]
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).  With
+    no loads (p = 0) it is X itself on n-vectors.
 
     ``apply`` forms the right-hand side -A x + sum_k c_k l_k / t^(k-1) as
     one sparse product with the bordered matrix [-A, l_1, ..., l_p / t^(p-1)],
@@ -210,12 +203,13 @@ class _PhiForm:
         csc_matvec(*self._product, v, rhs)
         w = self._image
         if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
-            w[:n] = self.op.apply(None, rhs)
+            w[:n] = self.op.apply(rhs)
         else:
             w[:n] = 0.0
             self.shifts += 1
-        w[n] = 0.0
-        if self.size > n + 1:
+        if self.size > n:
+            w[n] = 0.0
+        if self.size > n + 1:  # skips an empty slice assignment, about 0.3 us
             w[n + 1 :] = v[n:-1]
         return w
 
@@ -223,14 +217,14 @@ class _PhiForm:
 def _arnoldi_extend(op, V, H, j, sumsq):
     """Arnoldi step j + 1: fill column j of H and normalize v_{j+2} into V[j + 1].
 
-    ``op`` is the generator of the flow: the ``DaeOperator`` itself, or
-    its ``_PhiForm`` for a flow with loads.  Classical Gram-Schmidt with a single refinement pass on the basis
-    rows V[:j+1].  ``sumsq`` is the squared Frobenius norm of the
-    finished entries of H before the step.  Returns (h_next, sumsq,
-    breakdown): the subdiagonal entry h_{j+2,j+1}, the updated sum, and
-    whether the step is a happy breakdown, h_next at round-off relative
-    to the Frobenius norm of H_{j+1}.  After a breakdown h_next is not
-    added to the sum, and the basis must not be extended further.
+    ``op`` is the generator of the flow, a ``_PhiForm``.  Classical
+    Gram-Schmidt with a single refinement pass on the basis rows
+    V[:j+1].  ``sumsq`` is the squared Frobenius norm of the finished
+    entries of H before the step.  Returns (h_next, sumsq, breakdown):
+    the subdiagonal entry h_{j+2,j+1}, the updated sum, and whether the
+    step is a happy breakdown, h_next at round-off relative to the
+    Frobenius norm of H_{j+1}.  After a breakdown h_next is not added to
+    the sum, and the basis must not be extended further.
     """
     w = op.apply(V[j])
     basis = V[: j + 1]
@@ -327,9 +321,10 @@ def flow(
 
     S is the mass solve on ker B, so the k-th term is Phi_k(t) loads[k-1]
     (notation of ``step_maps``); a load of None is zero, and without
-    loads this is the homogeneous flow exp(X t) x0.  The loads are
-    coordinates of the Arnoldi vectors (``_PhiForm``), so the flow makes
-    no solve beyond its Arnoldi steps.
+    loads this is the homogeneous flow exp(X t) x0.  Every flow runs
+    the generator ``_PhiForm`` with the p = len(loads) loads as
+    coordinates of its Arnoldi vectors, so the flow makes no solve
+    beyond its Arnoldi steps.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
@@ -373,12 +368,10 @@ def flow(
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
 
-    generator, state = op, x0
-    if loads:
-        generator = _PhiForm(op, loads, t)
-        state = np.zeros(generator.size)
-        state[: op.n] = x0
-        state[op.n] = 1.0
+    generator = _PhiForm(op, loads, t)
+    state = np.zeros(generator.size)  # [x0; e_1], or x0 alone without loads
+    state[: op.n] = x0
+    state[op.n : op.n + 1] = 1.0
     basis_size, estimate, substeps, checks, steps = 0, 0.0, 0, 0, 0
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
     pending = [(t, tol, 0)]  # (duration, tolerance, depth), the next one last
@@ -405,14 +398,16 @@ def flow(
         basis_size = max(basis_size, r)
         estimate += shot_estimate
         substeps += 1
-    if loads:
-        state, steps = state[: op.n], steps - generator.shifts
+    state, steps = state[: op.n], steps - generator.shifts
     return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
 
 
 def _require_consistent(op, x0) -> float:
-    """|x0|, after raising ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|)."""
+    """|x0|, after raising ``NonFinite`` if it is not finite, or
+    ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|)."""
     norm0 = math.sqrt(x0.dot(x0))
+    if not math.isfinite(norm0):
+        raise NonFinite(f"flow initial value x0 is not finite: |x0| = {norm0}")
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * (1.0 + norm0):
         raise InconsistentState(

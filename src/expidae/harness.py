@@ -75,16 +75,16 @@ EXACT_FLOW_MAX_N = 1024
 def error_norm(sys: ConstrainedSystem, e, norm: str) -> float:
     """Discrete norm of an error vector.
 
-    ``energy`` uses the symmetric part of the spatial operator,
-    ``h1`` the problem's stiffness-plus-mass form, ``l2`` the mass
-    matrix.
+    ``energy`` uses the symmetric part of the spatial operator, whose
+    quadratic form is e.A e, ``h1`` the problem's stiffness-plus-mass
+    form, ``l2`` the mass matrix.
     """
     e = as_vector(e, sys.n, "error vector")
     _require_norm(sys, norm)
     if norm == "l2":
         val = float(e @ (sys.mass @ e))
     elif norm == "energy":
-        val = float(e @ (sys.stiffness @ e) + e @ (sys.stiffness.T @ e)) / 2.0
+        val = float(e @ (sys.stiffness @ e))
         if val < -1e-12:
             raise NegativeEnergy(
                 f"energy quadratic form evaluated to {val:.3e}; "

@@ -108,7 +108,10 @@ class ConstrainedSystem:
     h1_form : sparse matrix, optional
         SPD form used by the discrete H1 norm (stiffness + mass blocks).
 
-    Both saddle factorizations are built here.  Each step forms every
+    ``mass``, ``stiffness`` and ``constraint`` are the matrices of
+    ``flow_op``, the ``DaeOperator`` that holds them in canonical form,
+    checks their shapes and factorizes the mass saddle matrix; the
+    stiffness saddle factorization is built here.  Each step forms every
     lift it needs as L g, with the dense n x m lift matrix
     L = [lift_constraint(e_1) ... lift_constraint(e_m)]; no lift is
     carried from one step to the next.  The steps project with
@@ -137,27 +140,19 @@ class ConstrainedSystem:
         constraint_rate,
         h1_form=None,
     ):
-        self.mass = canonical_csr(mass)
-        self.stiffness = canonical_csr(stiffness)
-        self.constraint = canonical_csr(constraint)
-        n = self.mass.shape[0]
-        if self.stiffness.shape != (n, n):
-            raise DimensionMismatch("stiffness shape does not match mass")
-        if self.constraint.shape[1] != n:
-            raise DimensionMismatch("constraint columns do not match system size")
-        require_spd(self.mass, name="mass matrix")
-        self.n = n
-        self.m = self.constraint.shape[0]
+        require_spd(mass, name="mass matrix")
+        # Both factorizations are reused for every step; building them
+        # here also validates the shapes and rank assumptions once and for all.
+        self.flow_op = op = DaeOperator(mass, stiffness, constraint)
+        self.mass, self.stiffness, self.constraint = op.mass, op.stiffness, op.constraint
+        self.n, self.m = op.n, op.m
         self.h1_form = canonical_csr(h1_form) if h1_form is not None else None
-        if self.h1_form is not None and self.h1_form.shape != (n, n):
+        if self.h1_form is not None and self.h1_form.shape != (self.n, self.n):
             raise DimensionMismatch("h1_form shape does not match mass")
         self._forcing = forcing
         self._g = constraint_rhs
         self._gdot = constraint_rate
-        # Both factorizations are reused for every step; building them
-        # here also validates the rank assumptions once and for all.
         self.stiffness_saddle = SaddleFactorization(self.stiffness, self.constraint)
-        self.flow_op = DaeOperator(self.mass, self.stiffness, self.constraint)
         self._zero_dual = np.zeros(self.m)
         self._lift_map = None  # L, built by the first _lift()
 
@@ -477,6 +472,8 @@ def integrate(
     nsteps = step_count(t_end - t0, tau)
 
     u0 = as_vector(u0, sys.n, "u0")
+    if not np.isfinite(u0).all():
+        raise NonFinite("initial value u0 has non-finite entries")
     initial_residual = sys.constraint_residual(t0, u0)
     if initial_residual > CONSISTENCY_RTOL:
         raise InconsistentInitialData(

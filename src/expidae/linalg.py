@@ -112,7 +112,7 @@ class SaddleFactorization:
         if self.S.shape[1] != n:
             raise DimensionMismatch("S must be square")
         if self.B.shape[1] != n:
-            raise DimensionMismatch("B must have as many columns as S")
+            raise DimensionMismatch("constraint B must have as many columns as S")
         if m > n:
             raise DimensionMismatch("more constraint rows than unknowns")
         self.n = n

@@ -93,19 +93,32 @@ def polyrhs_solution(a, u0, forcing, t):
     return u
 
 
+def generator_image(op, x, loads=(), t=1.0):
+    """Image of ``x`` under the generator of a flow with ``loads`` over ``t``.
+
+    The generator is the production ``flow._PhiForm`` of ``op``, which
+    is X itself without loads.  ``x`` is an (n + p)-vector, or a matrix
+    whose columns are, and each image is copied out of the buffer that
+    the generator reuses.
+    """
+    generator = _PhiForm(op, loads, t)
+    if x.ndim == 1:
+        return generator.apply(x).copy()
+    return np.column_stack([generator.apply(v).copy() for v in x.T])
+
+
 def arnoldi(op, x0, r_max, loads=(), t=1.0):
     """Orthonormal Krylov basis of span{x0, X x0, ...} and its Hessenberg matrix.
 
     The steps are the production ``flow._arnoldi_extend``, the loop body
-    of every Krylov shot, on the generator a flow with ``loads`` over
-    ``t`` runs: ``op`` itself without loads, else its ``flow._PhiForm``
-    from [x0; e_1].  Returns (V, H, h_next) with V of shape (n + p, r),
-    H of shape (r, r) and h_next the first neglected subdiagonal entry;
-    a happy breakdown stops early with h_next reported as 0.0.
+    of every Krylov shot, on the generator ``flow._PhiForm`` that a flow
+    with ``loads`` over ``t`` runs, from [x0; e_1] (x0 alone without
+    loads).  Returns (V, H, h_next) with V of shape (n + p, r), H of
+    shape (r, r) and h_next the first neglected subdiagonal entry; a
+    happy breakdown stops early with h_next reported as 0.0.
     """
-    if loads:
-        op = _PhiForm(op, loads, t)
-        x0 = np.concatenate((x0, np.eye(len(loads))[0]))
+    op = _PhiForm(op, loads, t)
+    x0 = np.concatenate((x0, np.eye(1, len(loads)).ravel()))
     size = x0.shape[0]
     r_cap = min(r_max, size)
     V = np.empty((r_cap + 1, size))

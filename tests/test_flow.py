@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 
 from conftest import (
     arnoldi,
+    generator_image,
     kernel_reduction_flow,
     make_operator,
     random_constrained,
     raw_flow_endpoint,
 )
-from expidae.errors import DimensionMismatch, ExpidaeError, InconsistentState, NoConvergence
+from expidae.errors import (
+    DimensionMismatch,
+    ExpidaeError,
+    InconsistentState,
+    NoConvergence,
+    NonFinite,
+)
 from expidae.flow import (
     DEFAULT_TOL,
     DaeOperator,
@@ -35,6 +42,8 @@ class TestApply:
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(0)
         op = make_operator(*random_constrained(rng, 10, 2))
+        assert np.linalg.norm(generator_image(op, np.zeros(10))) == 0.0
+        # The generator skips the solve of a zero right-hand side; the solve gives 0 too.
         assert np.linalg.norm(op.apply(np.zeros(10))) == 0.0
 
     def test_unconstrained_identity_mass(self):
@@ -42,12 +51,12 @@ class TestApply:
         A = rng.standard_normal((6, 6))
         op = make_operator(np.eye(6), A, np.zeros((0, 6)))
         x0 = rng.standard_normal(6)
-        np.testing.assert_allclose(op.apply(x0), -A @ x0, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(generator_image(op, x0), -A @ x0, rtol=1e-12, atol=1e-14)
 
     def test_hand_solved_3x3(self):
         # M = I, A = I, B = [1 1], x0 = (1, -1): y = (-1, 1)
         op = make_operator(np.eye(2), np.eye(2), np.array([[1.0, 1.0]]))
-        y = op.apply(np.array([1.0, -1.0]))
+        y = generator_image(op, np.array([1.0, -1.0]))
         np.testing.assert_allclose(y, [-1.0, 1.0], atol=1e-14)
 
     def test_result_in_kernel(self):
@@ -55,20 +64,22 @@ class TestApply:
         M, A, B = random_constrained(rng, 30, 4)
         op = make_operator(M, A, B)
         x0 = op.project(rng.standard_normal(30))
-        y = op.apply(x0)
+        y = generator_image(op, x0)
         assert np.linalg.norm(B @ y) <= 1e-11 * np.linalg.norm(y)
 
     def test_load_adds_its_mass_solve(self):
-        # apply(x, l) = X x + S l with S the mass solve on ker B.
+        # apply(l) = S l with S the mass solve on ker B, and the generator
+        # with the load maps [x; 1] to [X x + S l; 0].
         rng = np.random.default_rng(12)
         M, A, B = random_constrained(rng, 20, 3, symmetric=False)
         op = make_operator(M, A, B)
         x0, load = op.project(rng.standard_normal(20)), rng.standard_normal(20)
         Z = scipy.linalg.null_space(B)
         mass_solve = Z @ np.linalg.solve(Z.T @ M @ Z, Z.T @ load)
-        np.testing.assert_allclose(op.apply(None, load), mass_solve, atol=1e-12)
+        np.testing.assert_allclose(op.apply(load), mass_solve, atol=1e-12)
+        image = generator_image(op, np.append(x0, 1.0), loads=(load,))
         np.testing.assert_allclose(
-            op.apply(x0, load), op.apply(x0) + mass_solve, atol=1e-12
+            image, np.append(generator_image(op, x0) + mass_solve, 0.0), atol=1e-12
         )
 
     def test_stiffness_of_the_wrong_shape_is_a_dimension_mismatch(self):
@@ -91,7 +102,7 @@ class TestArnoldi:
         x0 = op.project(rng.standard_normal(12))
         v1 = x0 / np.linalg.norm(x0)
         V, H, h_next = arnoldi(op, x0, 1)
-        np.testing.assert_allclose(H, [[v1 @ op.apply(v1)]], rtol=1e-12)
+        np.testing.assert_allclose(H, [[v1 @ generator_image(op, v1)]], rtol=1e-12)
 
     def test_orthonormality_and_relation(self):
         rng = np.random.default_rng(4)
@@ -103,8 +114,7 @@ class TestArnoldi:
         assert np.linalg.norm(V.T @ V - np.eye(r)) <= 1e-10
         # X V = V H + h_next v_{r+1} e_r^T; without v_{r+1} the defect
         # is confined to the last column with magnitude h_next.
-        XV = np.column_stack([op.apply(V[:, j]) for j in range(r)])
-        defect = XV - V @ H
+        defect = generator_image(op, V) - V @ H
         scale = max(np.linalg.norm(H), 1.0)
         assert np.linalg.norm(defect[:, :-1]) <= 1e-9 * scale
         assert abs(np.linalg.norm(defect[:, -1]) - h_next) <= 1e-9 * scale
@@ -268,6 +278,15 @@ class TestFlow:
             flow(op, np.ones(2), t)
         assert not isinstance(info.value, ExpidaeError)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_value_is_named(self, value):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        x0 = np.zeros(op.n)
+        x0[3] = value
+        with pytest.raises(NonFinite, match="x0"):
+            flow(op, x0, 0.01)
+
     @pytest.mark.parametrize("n_cells", [32, 64])
     @pytest.mark.parametrize("t", [0.01, 0.05])
     def test_stiff_nonsym_flow_is_not_accepted_at_one_vector(self, n_cells, t):
@@ -343,7 +362,7 @@ class TestCheckSchedule:
         applied = []
         apply = DaeOperator.apply
         monkeypatch.setattr(
-            DaeOperator, "apply", lambda op, x, load=None: applied.append(1) or apply(op, x, load)
+            DaeOperator, "apply", lambda op, rhs: applied.append(1) or apply(op, rhs)
         )
         result = flow(prob.system.flow_op, prob.u0, 0.05, basis_hint=10)
         assert result.substeps > 1

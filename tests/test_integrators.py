@@ -83,6 +83,27 @@ class TestConstrainedSystem:
                 h1_form=sp.identity(7, format="csr"),
             )
 
+    @pytest.mark.parametrize(
+        "shapes, name",
+        [
+            (((4, 4), (3, 3), (1, 4)), "stiffness"),
+            (((4, 4), (4, 4), (1, 3)), "constraint"),
+            (((4, 3), (4, 4), (1, 4)), "mass"),
+        ],
+    )
+    def test_matrix_of_the_wrong_shape_is_named(self, shapes, name):
+        mass, stiffness, constraint = (np.eye(*shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch, match=name):
+            make_system(mass, stiffness, constraint)
+
+    def test_matrices_are_those_of_the_flow_operator(self):
+        sys_ = build_toy(ToyConfig(n=8, m=2, seed=0)).system
+        op = sys_.flow_op
+        assert sys_.mass is op.mass
+        assert sys_.stiffness is op.stiffness
+        assert sys_.constraint is op.constraint
+        assert (sys_.n, sys_.m) == (op.n, op.m) == (8, 2)
+
     def test_forcing_validated(self):
         sys_ = make_system(
             np.eye(2), np.eye(2), np.zeros((0, 2)), forcing=lambda t, x: np.array([np.nan, 0.0])
@@ -484,6 +505,19 @@ class TestIntegrate:
         with pytest.raises(InconsistentInitialData):
             integrate(prob.system, SchemeConfig(), bad, 0.0, 1.0, 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name, overrides", [("toy", {}), ("nonsym", {"n_cells": 16}), ("dynbc", {"n_cells": 8})]
+    )
+    def test_non_finite_initial_value_is_named(self, name, overrides, value):
+        # A NaN residual passes the consistency test, so u0 is checked first.
+        prob = build_problem(name, **overrides)
+        u0 = prob.u0.copy()
+        u0[len(u0) // 2] = value
+        with pytest.raises(NonFinite, match="u0"):
+            integrate(prob.system, SchemeConfig(), u0, 0.0, 0.01, 0.005)
+
     def test_constraint_residuals_recorded_below_tolerance(self):
         prob = build_toy(ToyConfig(n=16, m=3, seed=5))
         traj, diag = integrate(prob.system, SchemeConfig(), prob.u0, 0.0, 0.5, 0.05)
@@ -794,9 +828,9 @@ class TestSolveCounts:
         count(integ_mod, "kernel_solve", "kernel solves")
         apply, project = DaeOperator.apply, DaeOperator.project
 
-        def counted_apply(self, x0, load=None):
+        def counted_apply(self, rhs):
             before = lu_solves()
-            y = apply(self, x0, load)
+            y = apply(self, rhs)
             arnoldi_lu_solves.append(lu_solves() - before)
             return y
 
@@ -851,12 +885,11 @@ class TestSolveCounts:
         inside, solves, rhs_norms = [], [], []
         apply, solve = DaeOperator.apply, SaddleFactorization.solve
 
-        def spied_apply(op, x, load=None):
-            rhs = np.zeros(op.n) if x is None else -(op.stiffness @ x)
-            rhs_norms.append(np.linalg.norm(rhs if load is None else rhs + load))
+        def spied_apply(op, rhs):
+            rhs_norms.append(np.linalg.norm(rhs))
             inside.append(1)
             try:
-                return apply(op, x, load)
+                return apply(op, rhs)
             finally:
                 inside.pop()
 
@@ -1011,9 +1044,9 @@ def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
         totals["expm"] += 1
         return expm(a)
 
-    def counted_apply(self, x0, load=None):
+    def counted_apply(self, rhs):
         totals["arnoldi"] += 1
-        return apply(self, x0, load)
+        return apply(self, rhs)
 
     def counted_flow(*args, basis_hint=None, **kwargs):
         before = totals.copy()
