@@ -17,13 +17,15 @@ of the Arnoldi vectors, as in Niesen & Wright's phipm (ACM TOMS 38,
 2012) and Sidje's Expokit (ACM TOMS 24, 1998), and an Arnoldi step is
 still one saddle solve (``_PhiForm``).  A flow without loads is the
 case p = 0, so every flow runs this one generator.  Each shot runs its
-own loop of the one Arnoldi step, ``_arnoldi_extend``.  If the basis
-cap is reached before Saad's a-posteriori error estimate meets the
-tolerance, ``flow`` replaces the interval by its two halves, in one
-loop over a stack of pending intervals; the load coordinates go on with
-the state.  The accepted result is projected back onto the kernel of B
-to kill round-off drift, by the rank-m update x - W (B x) of
-``DaeOperator.project``.
+own loop of the one Arnoldi step, ``_arnoldi_extend``.  ``flow`` marches
+across the interval in substeps, each one shot over the rest of it.  If
+the basis cap is reached before Saad's a-posteriori error estimate
+meets the tolerance, the shot keeps that basis and takes the largest
+substep it supports, as Expokit and phipm do: each trial substep costs
+one dense exponential and no solve (``_shrink``).  The state and the
+load coordinates advance by it, and the next shot starts from there.
+The result is projected back onto the kernel of B to kill round-off
+drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
 
 An Arnoldi step is one sparse product and one saddle solve, a few
 microseconds of kernel each at the sizes of the benchmark problems.  So
@@ -65,19 +67,25 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 60
-SUBSTEP_LIMIT = 30
+# Substeps per flow; the nonsym h=1/256 flow over tau = 0.05 takes about 60.
+SUBSTEP_LIMIT = 128
 BREAKDOWN_RTOL = 1e-14
 CONSISTENCY_RTOL = 1e-8
+# Expokit's safety factor 0.9 and the largest shrink of one trial of ``_shrink``.
+_LOG_SAFETY = math.log(0.9)
+_LOG_MAX_SHRINK = math.log(16.0)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class KrylovFlowResult:
     """Flow endpoint together with Arnoldi diagnostics.
 
+    ``substeps`` counts the shots, each of which advances the flow.
     ``checks`` counts the error-estimate evaluations over all substeps,
-    each one dense exponential of the Hessenberg matrix bordered to
-    (r+1) x (r+1).  ``arnoldi_steps`` counts the Arnoldi steps over all
-    shots, failed ones included, each one saddle solve.
+    shrink trials included, each one dense exponential of the Hessenberg
+    matrix bordered to (r+1) x (r+1).  ``arnoldi_steps`` counts the
+    Arnoldi steps over all shots, each one saddle solve.
     """
 
     state: np.ndarray
@@ -111,7 +119,7 @@ class DaeOperator:
 
     def __init__(self, mass, stiffness, constraint):
         self.stiffness = canonical_csr(stiffness)
-        self._saddle = SaddleFactorization(mass, constraint)
+        self._saddle = SaddleFactorization(canonical_csr(mass), canonical_csr(constraint))
         self.n = self._saddle.n
         self.m = self._saddle.m
         if self.stiffness.shape != (self.n, self.n):
@@ -190,8 +198,11 @@ class _PhiForm:
         for k, load in enumerate(loads):
             if load is None:
                 columns[k] = 0.0
-            else:
-                np.divide(as_vector(load, n, "load"), t**k, out=columns[k])
+                continue
+            load = as_vector(load, n, "load")
+            if not np.isfinite(load).all():
+                raise NonFinite(f"flow load {k + 1} is not finite")
+            np.divide(load, t**k, out=columns[k])
         self._product = (n, n + p, indptr, indices, data)
         self.op, self.n, self.size = op, n, n + p
         self.shifts = 0
@@ -263,8 +274,28 @@ def _next_check(r, estimate, previous, tol):
     return r + 1
 
 
-def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
-    """Single Krylov approximation of exp(X dt) x0, X the generator ``op`` applies.
+def _bordered_expm(H, r, dt):
+    """expm of [[dt H_r, e_1], [0, 0]], which is [[exp(dt H_r), phi_1(dt H_r) e_1], [0, 1]]."""
+    bordered = np.zeros((r + 1, r + 1))
+    bordered[:r, :r] = dt * H[:r, :r]
+    bordered[0, r] = 1.0
+    return expm(bordered)
+
+
+def _no_convergence(why, t, left, r, estimate):
+    return NoConvergence(
+        f"{why} in a flow over t = {t:.6g} with {left:.6g} of it left: "
+        f"basis {r} (cap {BASIS_CAP}), last error estimate {estimate:.3e}"
+    )
+
+
+def _krylov_shot(op, x0, beta, dt, tol, t, first_check=1):
+    """Krylov approximation of exp(X dt') x0 for the largest dt' <= dt the basis supports.
+
+    ``op`` is the generator ``_PhiForm``; ``dt`` is the rest of the flow
+    time ``t``, and a substep of length dt' must meet the tolerance
+    ``tol * dt' / t`` of the flow's ``tol`` (``tol`` itself over the
+    whole flow, not ``tol * t / t``, which can differ in the last bit).
 
     The shot is a plain loop of ``_arnoldi_extend`` steps.  Each check
     is one ``expm`` of the bordered matrix [[dt H_r, e_1], [0, 0]]; for
@@ -278,17 +309,20 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
     ``first_check``, the points ``_next_check`` picks after a failed
     check, a happy breakdown and the basis cap.  Where the first check
     goes decides only how many exponentials and Arnoldi steps the shot
-    spends: a basis is accepted only when its full estimate meets
-    ``tol``.  Returns (checks, steps, shot) with ``checks`` the number
-    of estimates evaluated, ``steps`` the number of Arnoldi steps and
-    ``shot`` either (state, basis_size, estimate) or None when
-    ``BASIS_CAP`` is exhausted before the error estimate meets ``tol``.
+    spends: a basis is accepted only when its full estimate meets the
+    tolerance.  A basis that reaches ``BASIS_CAP`` without meeting it
+    is kept, and ``_shrink`` picks the substep dt' < dt it supports.
+
+    Returns (checks, state, r, estimate, dt') with ``checks`` the number
+    of estimates evaluated, shrink trials included, and r the basis
+    size, which is also the number of Arnoldi steps.
     """
     size = x0.shape[0]
     r_cap = min(BASIS_CAP, size)
     V = np.empty((r_cap + 1, size))  # one basis vector per row
     H = np.zeros((r_cap + 1, r_cap))
     V[0] = x0 / beta
+    shot_tol = tol if dt == t else tol * dt / t
     check, failed, checks, sumsq = first_check, None, 0, 0.0
     for j in range(r_cap):
         hnext, sumsq, breakdown = _arnoldi_extend(op, V, H, j, sumsq)
@@ -296,17 +330,79 @@ def _krylov_shot(op, x0, beta, dt, tol, first_check=1):
         if r < check and r < r_cap and not breakdown:
             continue
         checks += 1
-        bordered = np.zeros((r + 1, r + 1))
-        bordered[:r, :r] = dt * H[:r, :r]
-        bordered[0, r] = 1.0
-        E = expm(bordered)  # [[exp(dt H_r), phi_1(dt H_r) e_1], [0, 1]]
+        E = _bordered_expm(H, r, dt)
         estimate = 0.0 if breakdown else beta * dt * abs(hnext * E[r - 1, r])
-        if breakdown or estimate <= tol:
-            state = beta * (E[:r, 0] @ V[:r])
-            return checks, r, (state, r, estimate)
-        check = _next_check(r, estimate, failed, tol)
+        if breakdown or estimate <= shot_tol:
+            break
+        if r == r_cap:
+            trials, dt, E, estimate = _shrink(H, r, hnext, beta, dt, estimate, tol, t)
+            checks += trials
+            break
+        check = _next_check(r, estimate, failed, shot_tol)
         failed = (r, estimate)
-    return checks, r, None
+    state = beta * (E[:r, 0] @ V[:r])
+    return checks, state, r, estimate, dt
+
+
+def _shrink(H, r, hnext, beta, dt, estimate, tol, t):
+    """The substep dt' < dt that the capped basis H_r supports, after Expokit's rule.
+
+    ``estimate`` at ``dt`` fails the tolerance.  Each trial dt' is one
+    ``expm`` of the bordered matrix and no solve, and passes if its
+    estimate meets tol * dt' / t.  The search runs on s = log dt' and
+    g = log(estimate / (tol dt' / t)), which falls with s:
+
+    - Until a trial passes, each steps down from the smallest failed one
+      by Expokit's rule (Sidje, ACM TOMS 24, 1998), dt' <- 0.9 dt'
+      (tol dt' / (t estimate))^(1/q), with q = r first and then the slope
+      of g over the last two failed trials, kept within [1, r].  Where
+      the estimate barely falls with dt' (a flat g), that slope makes
+      the step larger than the rule with r would; no trial goes below a
+      sixteenth of the failed one before it.
+    - Once a trial passes, regula falsi between the largest pass and the
+      smallest failure aims at g = log 0.9, kept to the inner 60 % of
+      that bracket, until the failure is within a factor 1/0.9 of the
+      pass, which is returned.
+
+    So a capped substep takes a few trials: at most 13 until one passes
+    (16^13 exceeds 1/eps) and 15 refinements (0.8^15 log 16 < -log 0.9).
+    A trial below t * eps raises ``NoConvergence``.  Returns
+    (trials, dt', E, estimate') with E the bordered exponential at dt'.
+    """
+    high = (math.log(dt), _log_ratio(estimate, tol * dt / t))
+    previous = low = None
+    trials = 0
+    while True:
+        if low is None:
+            slope = r
+            if previous is not None:
+                slope = (high[1] - previous[1]) / (high[0] - previous[0])
+                slope = min(max(slope, 1.0), r)
+            s = high[0] - min(high[1] / slope - _LOG_SAFETY, _LOG_MAX_SHRINK)
+        else:
+            width = high[0] - low[0]
+            s = low[0] + width * (_LOG_SAFETY - low[1]) / (high[1] - low[1])
+            s = min(max(s, low[0] + 0.2 * width), high[0] - 0.2 * width)
+        trial = math.exp(s)
+        if trial < t * _EPS:
+            raise _no_convergence(f"flow substep {trial:.3e} below t * eps", t, dt, r, estimate)
+        trials += 1
+        E_trial = _bordered_expm(H, r, trial)
+        trial_estimate = beta * trial * abs(hnext * E_trial[r - 1, r])
+        trial_tol = tol * trial / t
+        if trial_estimate <= trial_tol:
+            low = (s, _log_ratio(trial_estimate, trial_tol))
+            dt_ok, E, estimate = trial, E_trial, trial_estimate
+        else:
+            previous, high = high, (s, _log_ratio(trial_estimate, trial_tol))
+        if low is not None and high[0] - low[0] <= -_LOG_SAFETY:
+            return trials, dt_ok, E, estimate
+
+
+def _log_ratio(estimate, tolerance):
+    """log(estimate / tolerance), kept finite for the search of ``_shrink``."""
+    ratio = estimate / tolerance
+    return max(-700.0, min(700.0, math.log(ratio))) if ratio > 0 else -700.0
 
 
 def flow(
@@ -331,11 +427,15 @@ def flow(
     round-off, such as the flow input of a step from a steady state,
     passes.  ``tol`` bounds the estimated absolute error of the
     endpoint, with the load coordinates, summed over the substeps (the
-    estimate carries the norm of [x0; 1] as a factor).  A shot that
-    reaches the module constant ``BASIS_CAP`` halves its interval; a
-    flow that needs more than ``SUBSTEP_LIMIT`` accepted substeps
-    raises ``NoConvergence`` (a shot that fails at the cap uses none of
-    that budget).  The endpoint is projected onto the kernel of B.
+    estimate carries the norm of [x0; 1] as a factor).  The flow
+    marches over [0, t]: each substep is one shot over the rest of the
+    interval, and a shot whose basis reaches the module constant
+    ``BASIS_CAP`` keeps that basis and advances the state and the load
+    coordinates by the largest part dt' of the rest whose estimate
+    meets tol * dt' / t (``_shrink``).  A flow that needs more than
+    ``SUBSTEP_LIMIT`` substeps, or a substep below t * eps, raises
+    ``NoConvergence`` naming t, the time left, the basis and the last
+    estimate.  The endpoint is projected onto the kernel of B.
     ``arnoldi_steps`` of the result counts saddle solves: an Arnoldi
     step on a vector with zero state and zero load is a pure shift of
     the load coordinates and makes none.
@@ -348,7 +448,7 @@ def flow(
 
     A non-finite or negative ``t``, a ``tol`` that is not positive and a
     ``basis_hint`` that is not a positive integer (a bool is not) raise
-    ``ValueError``.
+    ``ValueError``; a load that is not finite raises ``NonFinite``.
     """
     x0 = as_vector(x0, op.n, "x0")
     if not math.isfinite(t):
@@ -374,27 +474,22 @@ def flow(
     state[op.n : op.n + 1] = 1.0
     basis_size, estimate, substeps, checks, steps = 0, 0.0, 0, 0, 0
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
-    pending = [(t, tol, 0)]  # (duration, tolerance, depth), the next one last
-    while pending:
-        dt, dt_tol, depth = pending.pop()
-        if substeps >= SUBSTEP_LIMIT:
-            raise NoConvergence("flow substep limit exceeded")
-        if depth > 16:
-            raise NoConvergence("flow interval-halving recursion too deep")
+    left, r, shot_estimate = t, 0, 0.0
+    while left > 0.0:
         beta = math.sqrt(state.dot(state))
-        if beta == 0.0:
-            substeps += 1
-            continue
-        shot_checks, shot_steps, shot = _krylov_shot(
-            generator, state, beta, dt, dt_tol, first_check
+        if beta == 0.0:  # the rest of the flow of zero is zero
+            break
+        if substeps >= SUBSTEP_LIMIT:
+            raise _no_convergence(
+                f"flow substep limit {SUBSTEP_LIMIT} reached", t, left, r, shot_estimate
+            )
+        shot_checks, state, r, shot_estimate, dt = _krylov_shot(
+            generator, state, beta, left, tol, t, first_check
         )
         first_check = 1
         checks += shot_checks
-        steps += shot_steps
-        if shot is None:
-            pending += [(dt / 2, dt_tol / 2, depth + 1)] * 2
-            continue
-        state, r, shot_estimate = shot
+        steps += r
+        left = 0.0 if dt == left else left - dt
         basis_size = max(basis_size, r)
         estimate += shot_estimate
         substeps += 1

@@ -193,7 +193,7 @@ class StepState:
 
     ``flow_bases`` holds the accepted Krylov basis size of each flow of
     the step that produced this state, in call order, with 0 for a flow
-    that halved its interval or went through dense maps; the next step
+    that took more than one substep or went through dense maps; the next step
     starts the error checks of its flow in the same slot there (see
     ``flow``'s ``basis_hint``).  It is empty for an initial state, whose
     step runs the cold check schedule.
@@ -320,7 +320,7 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     Arnoldi step and no other.  The flow is warm-started from flow
     ``slot`` of the step that made ``state``, and the basis to record in
     that slot of the next state's ``flow_bases`` is the accepted one, or
-    0 if the flow halved.
+    0 if the flow took more than one substep.
     """
     maps = sys.step_maps
     if maps is not None and maps.tau == t:

@@ -42,12 +42,16 @@ PIVOT_RTOL = 1e-13
 SYMMETRY_RTOL = 1e-12
 
 
-def canonical_csr(matrix) -> sp.csr_matrix:
+def canonical_csr(matrix, copy: bool = True) -> sp.csr_matrix:
     """Return ``matrix`` as a canonical CSR matrix.
 
     Canonical means: duplicates summed, explicit zeros dropped, column
-    indices sorted within each row, all entries finite.
+    indices sorted within each row, all entries finite.  The result is a
+    new matrix, except that with ``copy=False`` a float64 ``csr_matrix``
+    that is canonical already is returned itself.
     """
+    if not copy and _is_canonical(matrix):
+        return matrix
     out = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -55,6 +59,16 @@ def canonical_csr(matrix) -> sp.csr_matrix:
     if out.nnz and not np.isfinite(out.data).all():
         raise ValueError("sparse matrix contains non-finite entries")
     return out
+
+
+def _is_canonical(matrix) -> bool:
+    return (
+        type(matrix) is sp.csr_matrix
+        and matrix.dtype == np.float64
+        and matrix.has_canonical_format
+        and bool(matrix.data.all())
+        and bool(np.isfinite(matrix.data).all())
+    )
 
 
 def as_vector(x, length: int, name: str = "vector") -> np.ndarray:
@@ -92,7 +106,9 @@ class SaddleFactorization:
     partial pivoting) and reused for every solve; it is read-only after
     construction, so concurrent solves against one factorization are
     fine.  The object keeps references to S and B so projections can
-    be formed without re-assembly.
+    be formed without re-assembly; a canonical float64 CSR argument is
+    kept itself, not copied (``canonical_csr(..., copy=False)``), so a
+    caller must not modify it afterwards.
 
     Every solve is one SuperLU solve.  LU with partial pivoting is
     normwise backward stable, and every step checks and repairs its
@@ -105,8 +121,8 @@ class SaddleFactorization:
     """
 
     def __init__(self, S, B):
-        self.S = canonical_csr(S)
-        self.B = canonical_csr(B)
+        self.S = canonical_csr(S, copy=False)
+        self.B = canonical_csr(B, copy=False)
         n = self.S.shape[0]
         m = self.B.shape[0]
         if self.S.shape[1] != n:

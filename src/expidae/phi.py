@@ -83,6 +83,17 @@ else:
     _PADE_KERNELS = _bind_pade_kernels(_matfuncs_expm)
 
 
+def _finite(a) -> bool:
+    """Whether every entry of ``a`` is finite, by one dot product of its entries.
+
+    The sum of squares is finite for a finite matrix unless it overflows;
+    only then, or for a non-finite entry, are the entries scanned.  Call
+    with overflow warnings suppressed.
+    """
+    flat = a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential (SciPy's scaling-and-squaring Pade algorithm).
 
@@ -95,15 +106,14 @@ def expm(a) -> np.ndarray:
 
     Raises ``DimensionMismatch`` for a non-square argument and
     ``NonFinite`` for non-finite input or an overflowing result.  Each
-    finiteness test is one sum, with the entrywise scan only when the
-    sum is not finite (a finite matrix whose sum overflows); overflow
-    warnings stay suppressed.
+    finiteness test is one dot product (``_finite``), with the entrywise
+    scan only when it is not finite; overflow warnings stay suppressed.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expm needs a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (math.isfinite(a.sum()) or np.isfinite(a).all()):
+        if not _finite(a):
             raise NonFinite("expm input has non-finite entries")
         result = None
         if (
@@ -115,6 +125,6 @@ def expm(a) -> np.ndarray:
             result = _pade_expm(a, _PADE_KERNELS)
         if result is None:
             result = scipy.linalg.expm(a)
-        if not (math.isfinite(result.sum()) or np.isfinite(result).all()):
+        if not _finite(result):
             raise NonFinite("matrix exponential overflowed")
     return result

@@ -1,4 +1,6 @@
+import copy
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,10 @@ from conftest import push_flows_off_kernel
 from test_bench_contract import load_tracer
 
 from expidae.cli import main
+from expidae.flow import kernel_reduction, step_maps
 from expidae.harness import read_convergence_csv
+from expidae.integrators import SchemeConfig, integrate
+from expidae.problems import build_problem
 
 
 class TestListProblems:
@@ -154,7 +159,30 @@ class TestSolve:
             ]
         )
         assert code == 3
-        assert "flow substep limit exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "flow substep limit 2 reached in a flow over t = 0.05 with " in err
+        assert "basis 8 (cap 8), last error estimate" in err
+
+    def test_fine_mesh_coarse_step_flow_converges(self, tmp_path):
+        # At h = 1/256 the flow over tau = 0.05 goes on from capped bases
+        # for some 60 substeps; its state matches a step through the
+        # dense step maps to the flow tolerance.
+        out, dump = tmp_path / "traj.csv", tmp_path / "states.bin"
+        argv = [
+            "solve", "--problem", "nonsym", "--h", "1/256", "--tau", "0.05",
+            "--t-end", "0.05", "--scheme", "exp-euler", "--out", str(out),
+            "--dump-state", str(dump),
+        ]
+        assert main(argv) == 0
+        n, count = struct.unpack("<qq", dump.read_bytes()[:16])
+        final = np.frombuffer(dump.read_bytes()[16:], dtype="<f8").reshape(count, n)[-1]
+
+        problem = build_problem("nonsym", n_cells=256)
+        mapped = copy.copy(problem.system)
+        mapped.step_maps = step_maps(mapped.flow_op, 0.05, kernel_reduction(mapped.flow_op))
+        config = SchemeConfig(scheme="exp-euler")
+        traj, _ = integrate(mapped, config, problem.u0, 0.0, 0.05, 0.05)
+        assert np.linalg.norm(final - traj[-1].u) <= config.flow_tol
 
     def test_mesh_flag_fraction(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -177,8 +205,6 @@ class TestSolve:
             ]
         )
         assert code == 0
-        import struct
-
         n, count = struct.unpack("<qq", dump.read_bytes()[:16])
         assert count == 3
 

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -211,21 +212,28 @@ class TestFlow:
         with pytest.raises(InconsistentState):
             flow(op, np.array([1.0, 1.0]), 1.0)
 
-    def test_halving_depth_limit_exhaustion(self, monkeypatch):
-        # Oscillation-dominated operator (no decay to hide behind) with
-        # a tiny basis cap and budget.
+    def test_substep_below_t_eps_raises_naming_the_flow(self, monkeypatch):
+        # With one basis vector the estimate beta dt' |h21 phi_1(dt' h11)|
+        # falls only like dt', as tol dt' / t does, so no substep meets it
+        # and the shrink trials run down to t * eps.
         rng = np.random.default_rng(13)
         n = 40
         skew = rng.standard_normal((n, n))
         A = 0.1 * np.eye(n) + 50.0 * (skew - skew.T)
         op = make_operator(np.eye(n), A, np.zeros((0, n)))
-        monkeypatch.setattr(flow_module, "BASIS_CAP", 3)
-        monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", 4)
-        with pytest.raises(NoConvergence, match="recursion too deep"):
+        monkeypatch.setattr(flow_module, "BASIS_CAP", 1)
+        dims = _count_expm(monkeypatch)
+        with pytest.raises(NoConvergence) as info:
             flow(op, np.ones(n), 1.0, tol=1e-12)
+        message = str(info.value)
+        assert "below t * eps" in message
+        assert "t = 1 with 1 of it left" in message
+        assert "basis 1 (cap 1)" in message and "last error estimate" in message
+        # The cap check, then trials shrinking by at most 16 each: 16^13 > 1/eps.
+        assert len(dims) == 14
 
-    def test_substep_limit_counts_accepted_substeps(self, monkeypatch):
-        # At a cap of 16 the flow halves; shots that fail at the cap use no budget.
+    def test_substep_limit_counts_every_substep(self, monkeypatch):
+        # At a cap of 16 the flow takes several substeps, each one shot.
         prob = build_problem("nonsym", n_cells=16)
         op, x0 = prob.system.flow_op, prob.u0
         monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
@@ -234,11 +242,15 @@ class TestFlow:
         monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", substeps)
         assert flow(op, x0, 0.05).substeps == substeps
         monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", substeps - 1)
-        with pytest.raises(NoConvergence, match="flow substep limit exceeded"):
+        with pytest.raises(NoConvergence) as info:
             flow(op, x0, 0.05)
+        message = str(info.value)
+        assert f"flow substep limit {substeps - 1} reached" in message
+        assert "t = 0.05 with " in message and " of it left" in message
+        assert "basis 16 (cap 16)" in message and "last error estimate" in message
 
     def test_substepping_recovers_accuracy(self, monkeypatch):
-        # Oscillatory part forces interval halving at a small basis cap
+        # Oscillatory part forces substeps at a small basis cap
         # without losing the oracle answer.
         rng = np.random.default_rng(11)
         n = 30
@@ -355,7 +367,7 @@ class TestCheckSchedule:
         assert every_step.basis_size == result.basis_size
         np.testing.assert_array_equal(every_step.state, result.state)
 
-    def test_halving_flow_counts_every_shot(self, monkeypatch):
+    def test_capped_flow_counts_every_shot_and_trial(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=16)
         monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
         dims = _count_expm(monkeypatch)
@@ -366,18 +378,25 @@ class TestCheckSchedule:
         )
         result = flow(prob.system.flow_op, prob.u0, 0.05, basis_hint=10)
         assert result.substeps > 1
-        # Failed shots count too.
+        # Shrink trials count too.
         assert result.checks == len(dims)
         assert result.arnoldi_steps == len(applied)
-        # Checks grow with r within a shot, so a shot starts where r does not.
-        starts = [0] + [i for i in range(1, len(dims)) if dims[i] <= dims[i - 1]]
-        # The hinted whole-interval shot first checks at hint - 1, the halves at 1.
+        # Checks grow with r within a shot and trials stay at the cap, so a
+        # shot starts where r falls.  Every substep is one shot.
+        starts = [0] + [i for i in range(1, len(dims)) if dims[i] < dims[i - 1]]
+        assert len(starts) == result.substeps
+        # The hinted shot over the whole interval first checks at hint - 1,
+        # the shots over the rest at 1.
         assert dims[0] == 9
         assert [dims[i] for i in starts[1:]] == [1] * (len(starts) - 1)
-        # Each failed shot is replaced by two, so k accepted shots took 2k - 1.
-        assert len(starts) == 2 * result.substeps - 1
+        # Every shot but the last keeps its capped basis: 16 Arnoldi steps,
+        # then at least one trial at the cap.
+        ends = starts[1:] + [len(dims)]
+        for start, end in zip(starts[:-1], ends[:-1]):
+            assert dims[end - 1] == dims[end - 2] == 16
+        assert 16 * (result.substeps - 1) < result.arnoldi_steps <= 16 * result.substeps
 
-    def test_unconverged_shot_checks_at_the_cap_before_halving(self, monkeypatch):
+    def test_capped_shot_checks_at_the_cap_then_shrinks(self, monkeypatch):
         rng = np.random.default_rng(11)
         n = 30
         M, A, B = random_constrained(rng, n, 2)
@@ -391,8 +410,35 @@ class TestCheckSchedule:
         result = flow(op, x0, 1.0, tol=1e-10)
         assert result.substeps > 1
         first_shot = dims[: dims.index(1, 1)]
-        assert first_shot[-1] == 20
-        assert len(first_shot) < 20
+        before_cap = [d for d in first_shot if d < 20]
+        assert len(before_cap) < 19
+        # The check at the cap fails, then a few shrink trials on that basis.
+        trials = len(first_shot) - len(before_cap) - 1
+        assert first_shot[len(before_cap):] == [20] * (trials + 1)
+        assert 1 <= trials <= 8
+
+    def test_accepted_first_shot_does_not_depend_on_the_cap(self, monkeypatch):
+        # A flow whose first shot is accepted takes the same path under any
+        # cap at or above the basis it accepts.
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 64})
+        results = []
+        for cap in (None, 60, 45, 30):
+            if cap is not None:
+                monkeypatch.setattr(flow_module, "BASIS_CAP", cap)
+            results.append(flow(op, z, 1 / 2560, loads=(load, slope)))
+            if cap is None:
+                r = results[0].basis_size
+                assert results[0].substeps == 1 and 2 < r < 30
+        monkeypatch.setattr(flow_module, "BASIS_CAP", r)
+        results.append(flow(op, z, 1 / 2560, loads=(load, slope)))
+        first = results[0]
+        for result in results[1:]:
+            np.testing.assert_array_equal(result.state, first.state)
+            assert (result.checks, result.arnoldi_steps, result.substeps) == (
+                first.checks, first.arnoldi_steps, 1
+            )
+            assert result.basis_size == first.basis_size
+            assert result.residual_estimate == first.residual_estimate
 
 
 def _random_flow_problem(n, m, seed):
@@ -550,7 +596,7 @@ class TestPhiForm:
         assert np.linalg.norm(result.state - expected) <= 10 * tol
         assert np.linalg.norm(op.constraint @ result.state) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_halving_carries_the_load_coordinates(self, monkeypatch):
+    def test_capped_flow_carries_the_load_coordinates(self, monkeypatch):
         op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 32})
         monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
         tol = DEFAULT_TOL
@@ -558,6 +604,29 @@ class TestPhiForm:
         assert result.substeps > 2
         expected = _dense_phi_sum(op, 0.01, z, (load, slope))
         assert np.linalg.norm(result.state - expected) <= 10 * tol
+
+    def test_capped_flow_with_two_loads_at_the_default_cap(self):
+        # At h = 1/128 and t = 0.05 the shot over the whole flow reaches the
+        # cap of 60; the flow goes on from each capped basis.
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 128})
+        tol = DEFAULT_TOL
+        result = flow(op, z, 0.05, tol=tol, loads=(load, slope))
+        assert result.substeps > 1 and result.basis_size == 60
+        assert result.residual_estimate <= tol
+        expected = _dense_phi_sum(op, 0.05, z, (load, slope))
+        assert np.linalg.norm(result.state - expected) <= 10 * tol
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_load_is_named(self, position, bad):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        loads = [load, slope]
+        loads[position] = loads[position].copy()
+        loads[position][3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"flow load {position + 1} is not finite"):
+                flow(op, z, 0.01, loads=tuple(loads))
 
     def test_arnoldi_steps_count_saddle_solves(self, monkeypatch):
         # From [0; e_1] with no first load, the first step is a pure

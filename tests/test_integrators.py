@@ -104,6 +104,11 @@ class TestConstrainedSystem:
         assert sys_.constraint is op.constraint
         assert (sys_.n, sys_.m) == (op.n, op.m) == (8, 2)
 
+    def test_stiffness_saddle_shares_the_operator_matrices(self):
+        sys_ = build_problem("dynbc", n_cells=32).system
+        assert sys_.stiffness_saddle.S is sys_.stiffness
+        assert sys_.stiffness_saddle.B is sys_.constraint
+
     def test_forcing_validated(self):
         sys_ = make_system(
             np.eye(2), np.eye(2), np.zeros((0, 2)), forcing=lambda t, x: np.array([np.nan, 0.0])

@@ -51,6 +51,34 @@ class TestCanonicalCsr:
         with pytest.raises(ValueError):
             canonical_csr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_copy_false_passes_a_canonical_matrix_through(self):
+        mat = canonical_csr(sp.random(6, 6, density=0.4, random_state=1))
+        assert canonical_csr(mat) is not mat
+        assert canonical_csr(mat, copy=False) is mat
+
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "nonfinite", "float32", "csc"])
+    def test_copy_false_converts_the_rest_without_touching_it(self, kind):
+        indices, data = [1, 1, 0], [1.0, 2.0, 3.0]
+        if kind == "zero":
+            indices, data = [1, 0, 0], [0.0, 2.0, 3.0]
+        if kind == "nonfinite":
+            indices, data = [1, 0, 0], [np.inf, 2.0, 3.0]
+        mat = sp.csr_matrix((data, indices, [0, 2, 3]), shape=(2, 2))
+        if kind == "float32":
+            mat = sp.csr_matrix([[1.0, 2.0], [3.0, 0.0]], dtype=np.float32)
+        if kind == "csc":
+            mat = sp.csc_matrix([[1.0, 2.0], [3.0, 0.0]])
+        before = (mat.data.copy(), mat.indices.copy())
+        if kind == "nonfinite":
+            with pytest.raises(ValueError):
+                canonical_csr(mat, copy=False)
+        else:
+            out = canonical_csr(mat, copy=False)
+            assert out is not mat
+            np.testing.assert_array_equal(out.toarray(), canonical_csr(mat).toarray())
+        np.testing.assert_array_equal(mat.data, before[0])
+        np.testing.assert_array_equal(mat.indices, before[1])
+
 
 class TestSpmv:
     """``spmv``: the CSR kernel of ``a @ x`` without SciPy's dispatch."""
