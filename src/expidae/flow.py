@@ -5,7 +5,7 @@ The linear DAE
     M z'(t) + A z(t) + B^T mu(t) = 0,      B z(t) = 0
 
 with consistent initial value has solution z(t) = exp(X t) z0 for a
-(never formed) matrix X whose action is one saddle solve:
+matrix X whose action is one saddle solve:
 
     M y + B^T mu = -A z0,   B y = 0   =>   y = X z0.
 
@@ -15,7 +15,8 @@ built by the Arnoldi iteration, using the dense exponential of the
 small Hessenberg matrix.  The loads ride along as p extra coordinates
 of the Arnoldi vectors, as in Niesen & Wright's phipm (ACM TOMS 38,
 2012) and Sidje's Expokit (ACM TOMS 24, 1998), and an Arnoldi step is
-still one saddle solve (``_PhiForm``).  A flow without loads is the
+still one saddle solve, or one dense product on a small system
+(``_PhiForm``).  A flow without loads is the
 case p = 0, so every flow runs this one generator.  Each shot runs its
 own loop of the one Arnoldi step, ``_arnoldi_extend``.  ``flow`` marches
 across the interval in substeps, each one shot over the rest of it.  If
@@ -27,13 +28,20 @@ load coordinates advance by it, and the next shot starts from there.
 The result is projected back onto the kernel of B to kill round-off
 drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
 
-An Arnoldi step is one sparse product and one saddle solve, a few
-microseconds of kernel each at the sizes of the benchmark problems.  So
-the Arnoldi step calls SciPy's CSC kernel on its bordered matrix
-directly, the products of the projection and the consistency check go
-through ``linalg.spmv`` (the CSR kernel without SciPy's dispatch), and
-vector norms are sqrt(x . x), the same bits as ``np.linalg.norm`` for
-less overhead.
+On a system with n > ``DENSE_GENERATOR_MAX_N`` unknowns an Arnoldi
+step is one sparse product and one saddle solve, a few microseconds of
+kernel each at the sizes of the benchmark problems.  So the Arnoldi
+step calls SciPy's CSC kernel on its bordered matrix directly.  On a
+smaller system most of those microseconds are call overhead: the
+saddle LU of the ``nonsym`` h=1/64 system (n = 128) has 514 entries.
+There the generator is the dense n x (n + p) matrix [X, W] of ``_PhiForm``,
+and an Arnoldi step is one matrix-vector product with it.  The Krylov
+approximation touches X only through such products (Hochbruck &
+Lubich, SIAM J. Numer. Anal. 34, 1997), so the dense X is the same
+operator; states move at round-off.  The products of the projection
+and the consistency check go through ``linalg.spmv`` (the CSR kernel
+without SciPy's dispatch), and vector norms are sqrt(x . x), the same
+bits as ``np.linalg.norm`` for less overhead.
 
 For a system small enough to hold dense n x n matrices, ``step_maps``
 forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
@@ -67,6 +75,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 60
+# Systems with at most this many unknowns run the flow generator as a dense
+# matrix.  On nonsym, one generator product took 9.6 us dense against 13.0 us
+# sparse (a sparse product and a saddle solve) at n = 256, and 21.2 us against
+# 15.8 us at n = 384 (one OpenBLAS thread, 2-vCPU VM).
+DENSE_GENERATOR_MAX_N = 256
 # Substeps per flow; the nonsym h=1/256 flow over tau = 0.05 takes about 60.
 SUBSTEP_LIMIT = 128
 BREAKDOWN_RTOL = 1e-14
@@ -85,7 +98,9 @@ class KrylovFlowResult:
     ``checks`` counts the error-estimate evaluations over all substeps,
     shrink trials included, each one dense exponential of the Hessenberg
     matrix bordered to (r+1) x (r+1).  ``arnoldi_steps`` counts the
-    Arnoldi steps over all shots, each one saddle solve.
+    Arnoldi steps over all shots that apply the generator: each is one
+    saddle solve, or one dense product on a system with
+    n <= ``DENSE_GENERATOR_MAX_N``.
     """
 
     state: np.ndarray
@@ -101,7 +116,7 @@ class DaeOperator:
 
     The operator holds the canonical copies of the three matrices that
     the integrators use too.  ``apply`` is the saddle solve of one
-    Arnoldi step, whose right-hand side the generator ``_PhiForm``
+    sparse Arnoldi step, whose right-hand side the generator ``_PhiForm``
     forms: X x is ``apply(-A x)``.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
@@ -109,12 +124,17 @@ class DaeOperator:
     projection from m ``kernel_project`` solves, as W = Y - P(Y)
     for the right inverse Y = B^+ of B.
 
-    The matrices and the factorization are fixed at construction; W and
-    the layouts of ``_bordered_layout`` are the things filled in later.
-    They are deterministic, so a projection gives the same bits whether W
-    was just built or reused, and concurrent flow evaluations against one
-    operator are safe: each owns its basis storage, and two first
-    projections at once build the same W.
+    A system with n <= ``DENSE_GENERATOR_MAX_N`` also holds two dense
+    n x n matrices for the dense generator, built by its first flow:
+    S, the mass solve on ker B (``_mass_solve``), and X = -S A
+    (``_generator``).
+
+    The matrices and the factorization are fixed at construction; W, S,
+    X and the layouts of ``_bordered_layout`` are the things filled in
+    later.  They are deterministic, so a flow or a projection gives the
+    same bits whether they were just built or reused, and concurrent
+    flow evaluations against one operator are safe: each owns its basis
+    storage, and two first uses at once build the same matrices.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -149,6 +169,28 @@ class DaeOperator:
             W[:, i] = Y[:, i] - kernel_project(self._saddle, Y[:, i])
         return W
 
+    @functools.cached_property
+    def _mass_solve(self) -> np.ndarray:
+        """S, the leading n x n block of the inverse of [[M, B^T], [B, 0]].
+
+        S r is the y of M y + B^T mu = r, B y = 0.  S comes from one dense
+        LU inversion of the saddle matrix, not from the sparse factorization,
+        so that every solve of the factorization stays an Arnoldi step of a
+        larger system, a lift, a kernel solve or a projection, and one
+        SuperLU solve (``perfbench/tracer.py`` checks both).
+        """
+        n = self.n
+        saddle = np.zeros((n + self.m, n + self.m))
+        saddle[:n, :n] = self.mass.toarray()
+        saddle[n:, :n] = self.constraint.toarray()
+        saddle[:n, n:] = saddle[n:, :n].T
+        return np.ascontiguousarray(scipy.linalg.inv(saddle, check_finite=False)[:n, :n])
+
+    @functools.cached_property
+    def _generator(self) -> np.ndarray:
+        """X = -S A as a dense n x n matrix, for the dense ``_PhiForm``."""
+        return np.ascontiguousarray(-(self.stiffness.T @ self._mass_solve.T).T)
+
     def _bordered_layout(self, p):
         """(indptr, indices, data) of -A in CSC, with room for p dense columns after it.
 
@@ -180,21 +222,35 @@ class _PhiForm:
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).  With
     no loads (p = 0) it is X itself on n-vectors.
 
-    ``apply`` forms the right-hand side -A x + sum_k c_k l_k / t^(k-1) as
-    one sparse product with the bordered matrix [-A, l_1, ..., l_p / t^(p-1)],
-    held in CSC so that the load columns are one block appended to the
-    data of -A, and solves it with one ``DaeOperator.apply``; a zero
-    right-hand side makes no solve, and ``shifts`` counts those steps.
-    The image is written into one buffer that every call reuses, which
-    is safe because ``_arnoldi_extend`` consumes it before the next call.
+    ``apply`` takes one of two paths, chosen by the size n alone:
+
+    - n <= ``DENSE_GENERATOR_MAX_N``: the flow holds the dense
+      n x (n + p) matrix [X, W] (X itself when p = 0), and the image of
+      [x; c] is one matrix-vector product with it; no sparse product and
+      no solve.
+    - otherwise the right-hand side -A x + sum_k c_k l_k / t^(k-1) is one
+      sparse product with the bordered matrix [-A, l_1, ..., l_p / t^(p-1)],
+      held in CSC so that the load columns are one block appended to the
+      data of -A, and is solved with one ``DaeOperator.apply``; a zero
+      right-hand side makes no solve.
+
+    A step whose state image is zero, on either path, only shifts the
+    load coordinates, and ``shifts`` counts those steps.  The image is
+    written into one buffer of the flow that every call reuses, which is
+    safe because ``_arnoldi_extend`` consumes it before the next call.
     """
 
     def __init__(self, op, loads, t):
         n, p = op.n, len(loads)
-        indptr, indices, stiffness = op._bordered_layout(p)
-        data = np.empty(len(stiffness) + n * p)
-        data[: len(stiffness)] = stiffness
-        columns = data[len(stiffness) :].reshape(p, n)
+        dense = n <= DENSE_GENERATOR_MAX_N
+        if dense:
+            columns = np.empty((p, n))
+        else:
+            indptr, indices, stiffness = op._bordered_layout(p)
+            data = np.empty(len(stiffness) + n * p)
+            data[: len(stiffness)] = stiffness
+            columns = data[len(stiffness) :].reshape(p, n)
+            self._product = (n, n + p, indptr, indices, data)
         for k, load in enumerate(loads):
             if load is None:
                 columns[k] = 0.0
@@ -203,21 +259,29 @@ class _PhiForm:
             if not np.isfinite(load).all():
                 raise NonFinite(f"flow load {k + 1} is not finite")
             np.divide(load, t**k, out=columns[k])
-        self._product = (n, n + p, indptr, indices, data)
+        self._matrix = op._generator if dense else None
+        if dense and p:
+            self._matrix = np.concatenate((self._matrix, op._mass_solve @ columns.T), axis=1)
         self.op, self.n, self.size = op, n, n + p
         self.shifts = 0
         self._image = np.empty(n + p)
+        self._state_image = self._image[:n]
 
     def apply(self, v) -> np.ndarray:
-        n = self.n
-        rhs = np.zeros(n)
-        csc_matvec(*self._product, v, rhs)
-        w = self._image
-        if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
-            w[:n] = self.op.apply(rhs)
+        n, w = self.n, self._image
+        if self._matrix is not None:
+            image = self._state_image
+            np.dot(self._matrix, v, out=image)
+            if not (image[0] or image.any()):
+                self.shifts += 1
         else:
-            w[:n] = 0.0
-            self.shifts += 1
+            rhs = np.zeros(n)
+            csc_matvec(*self._product, v, rhs)
+            if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
+                w[:n] = self.op.apply(rhs)
+            else:
+                w[:n] = 0.0
+                self.shifts += 1
         if self.size > n:
             w[n] = 0.0
         if self.size > n + 1:  # skips an empty slice assignment, about 0.3 us
@@ -420,7 +484,8 @@ def flow(
     loads this is the homogeneous flow exp(X t) x0.  Every flow runs
     the generator ``_PhiForm`` with the p = len(loads) loads as
     coordinates of its Arnoldi vectors, so the flow makes no solve
-    beyond its Arnoldi steps.
+    beyond its Arnoldi steps, and none at all on a system with
+    n <= ``DENSE_GENERATOR_MAX_N``, whose generator is a dense matrix.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
@@ -436,9 +501,11 @@ def flow(
     ``SUBSTEP_LIMIT`` substeps, or a substep below t * eps, raises
     ``NoConvergence`` naming t, the time left, the basis and the last
     estimate.  The endpoint is projected onto the kernel of B.
-    ``arnoldi_steps`` of the result counts saddle solves: an Arnoldi
-    step on a vector with zero state and zero load is a pure shift of
-    the load coordinates and makes none.
+    ``arnoldi_steps`` of the result counts the Arnoldi steps that apply
+    the generator, each one saddle solve or one dense product: a step
+    whose state image is zero, such as one on a vector with zero state
+    and zero load, is a pure shift of the load coordinates and counts
+    as none.
 
     ``basis_hint``, a positive integer such as the basis a similar flow
     accepted, moves the first error check of the shot over the whole

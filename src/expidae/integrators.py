@@ -317,10 +317,11 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     projection, after z is checked against the constraint as a flow
     input is, and the basis to record is 0.  Otherwise it is one Krylov
     flow with the loads (``flow``), which makes one saddle solve per
-    Arnoldi step and no other.  The flow is warm-started from flow
-    ``slot`` of the step that made ``state``, and the basis to record in
-    that slot of the next state's ``flow_bases`` is the accepted one, or
-    0 if the flow took more than one substep.
+    Arnoldi step and no other, and none on a system small enough for
+    the dense generator (``flow.DENSE_GENERATOR_MAX_N``).  The flow is
+    warm-started from flow ``slot`` of the step that made ``state``, and
+    the basis to record in that slot of the next state's ``flow_bases``
+    is the accepted one, or 0 if the flow took more than one substep.
     """
     maps = sys.step_maps
     if maps is not None and maps.tau == t:
@@ -375,6 +376,8 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, _lift(sys, sys.gdot(t_stage)))
     diag.rhs_evaluations += 2
     slope = (load_stage - load0) / c2
+    if c2 < 1.0:  # the division amplifies
+        _check_stage_slope(slope, c2, t0)
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
         lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
     else:
@@ -382,6 +385,20 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
     z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
     u1 = _finish_step(sys, t1, base + z_end, lift_g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
+
+
+def _check_stage_slope(slope, c2, t) -> None:
+    """Raise ``NonFinite`` naming c2 if the squared norm of ``slope`` overflows.
+
+    Dividing by a tiny c2 can leave a finite slope whose Arnoldi products
+    overflow; this check fails first, without numpy's overflow warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sumsq = slope.dot(slope)
+    if not math.isfinite(sumsq):
+        raise NonFinite(
+            f"stage slope (l(t_n + c2 tau) - l_0) / c2 overflows at c2 = {c2!r} (t = {t})"
+        )
 
 
 def exponential_euler_step(

@@ -24,6 +24,8 @@ Three semidiscrete constrained systems are provided:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -217,6 +219,20 @@ def nonsym_initial_profile(x: np.ndarray, terms: int, first: int = 1) -> np.ndar
     return total
 
 
+# The largest x whose np.exp(x) is finite.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
+
+
+def _exp(x: float) -> float:
+    """np.exp(x) as a float; inf above ``_EXP_ARG_MAX``, without numpy's overflow warning.
+
+    A float, not a numpy scalar, so that a product that overflows is inf
+    without a warning too.  ``ConstrainedSystem.g`` and ``gdot`` reject
+    the inf by name.
+    """
+    return math.inf if x > _EXP_ARG_MAX else float(np.exp(x))
+
+
 def build_nonsym(cfg: MeshConfig = MeshConfig()) -> Problem:
     """Coupled non-symmetric diffusion system on (0, 1)."""
     n = cfg.n_cells
@@ -242,8 +258,8 @@ def build_nonsym(cfg: MeshConfig = MeshConfig()) -> Problem:
         v = x[n:]
         return np.concatenate([-spmv(M1, u**3), -spmv(M1, v**3)])
 
-    g = lambda t: np.array([np.exp(2.0 * t) - 1.0])
-    gdot = lambda t: np.array([2.0 * np.exp(2.0 * t)])
+    g = lambda t: np.array([_exp(2.0 * t) - 1.0])
+    gdot = lambda t: np.array([2.0 * _exp(2.0 * t)])
 
     system = ConstrainedSystem(
         mass, stiffness, constraint, forcing, g, gdot, h1_form=h1_form

@@ -48,7 +48,9 @@ def changed(before, after):
     return {key for key in before if after.get(key) is not before[key]}
 
 
-def test_traced_integrations_keep_the_count_identities():
+def test_traced_integrations_keep_the_count_identities(monkeypatch):
+    # Every span must be exercised, DaeOperator.apply too: the sparse generator.
+    monkeypatch.setattr(importlib.import_module("expidae.flow"), "DENSE_GENERATOR_MAX_N", 0)
     before = library_namespace()
     tracer = load_tracer().Tracer()
     tau = 1 / 2560

@@ -66,6 +66,8 @@ class TestSolve:
             return traj, diag
 
         monkeypatch.setattr(cli_mod, "integrate", integrate_and_keep)
+        # The tracer counts the Arnoldi steps of the sparse generator.
+        monkeypatch.setattr(sys.modules["expidae.flow"], "DENSE_GENERATOR_MAX_N", 0)
         out = tmp_path / "traj.csv"
         with load_tracer().Tracer() as tracer:
             code = main(
@@ -162,6 +164,36 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "flow substep limit 2 reached in a flow over t = 0.05 with " in err
         assert "basis 8 (cap 8), last error estimate" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_stage_slope_names_c2_without_a_warning(self, tmp_path, capsys):
+        # (l_s - l_0) / c2 at c2 = 1e-300 is finite, but its squared norm
+        # and the Arnoldi products of its flow overflow.
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", "1/16", "--tau", "0.01",
+                "--t-end", "0.05", "--scheme", "second-order-family", "--c2", "1e-300",
+                "--out", str(tmp_path / "traj.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stage slope (l(t_n + c2 tau) - l_0) / c2 overflows at c2 = 1e-300" in err
+        assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_constraint_data_is_named_without_a_warning(self, tmp_path, capsys):
+        # g(t) = exp(2t) - 1 of nonsym is inf at t = 1e6.
+        code = main(
+            [
+                "solve", "--problem", "nonsym", "--h", "1/16", "--tau", "1e6",
+                "--t-end", "1e6", "--scheme", "second-order", "--out", str(tmp_path / "traj.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "constraint_rhs returned non-finite values at t=1000000.0" in err
+        assert "Warning" not in err
 
     def test_fine_mesh_coarse_step_flow_converges(self, tmp_path):
         # At h = 1/256 the flow over tau = 0.05 goes on from capped bases

@@ -30,7 +30,7 @@ from expidae.flow import (
     kernel_reduction,
     step_maps,
 )
-from expidae.integrators import kernel_solve
+from expidae.integrators import Diagnostics, StepState, kernel_solve, second_order_step
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
@@ -368,6 +368,8 @@ class TestCheckSchedule:
         np.testing.assert_array_equal(every_step.state, result.state)
 
     def test_capped_flow_counts_every_shot_and_trial(self, monkeypatch):
+        # On the sparse generator every Arnoldi step is one DaeOperator.apply.
+        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
         prob = build_problem("nonsym", n_cells=16)
         monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
         dims = _count_expm(monkeypatch)
@@ -631,6 +633,7 @@ class TestPhiForm:
     def test_arnoldi_steps_count_saddle_solves(self, monkeypatch):
         # From [0; e_1] with no first load, the first step is a pure
         # shift of the load coordinates: no solve, and not counted.
+        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
         op, _, _, slope = _phi_form_case("nonsym", {"n_cells": 16})
         solves = []
         solve = SaddleFactorization.solve
@@ -666,6 +669,7 @@ class TestPhiForm:
         assert abs(np.linalg.norm(defect[:, -1]) - h_next) <= 1e-9 * scale
 
     def test_zero_loads_and_state_make_no_solve(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
         op = build_problem("nonsym", n_cells=16).system.flow_op
         monkeypatch.setattr(
             DaeOperator, "apply", lambda *args: pytest.fail("apply called")
@@ -679,3 +683,102 @@ class TestPhiForm:
         op = build_problem("nonsym", n_cells=16).system.flow_op
         with pytest.raises(DimensionMismatch, match="load"):
             flow(op, np.zeros(op.n), 0.01, loads=(np.ones(op.n + 1),))
+
+
+class TestDenseGenerator:
+    """Systems with n <= ``DENSE_GENERATOR_MAX_N`` run the generator as a dense matrix."""
+
+    def test_dense_and_sparse_flows_with_two_loads_agree(self, monkeypatch):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 64})
+        applied = []
+        apply = DaeOperator.apply
+        monkeypatch.setattr(
+            DaeOperator, "apply", lambda op, rhs: applied.append(1) or apply(op, rhs)
+        )
+        runs = []
+        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
+            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
+            before = len(applied)
+            runs.append((flow(op, z, 1 / 2560, loads=(load, slope)), len(applied) - before))
+        (sparse, sparse_applies), (dense, dense_applies) = runs
+        assert sparse_applies == sparse.arnoldi_steps > 0
+        assert dense_applies == 0
+        assert dense.basis_size == sparse.basis_size
+        assert dense.checks == sparse.checks
+        assert dense.arnoldi_steps == sparse.arnoldi_steps
+        assert dense.substeps == sparse.substeps == 1
+        assert np.linalg.norm(dense.state - sparse.state) <= 10 * DEFAULT_TOL
+
+    def test_generator_images_agree(self, monkeypatch):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        v = np.concatenate((z, [0.3, -0.7]))
+        images = []
+        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
+            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
+            images.append(generator_image(op, v, (load, slope), t=0.01))
+        sparse, dense = images
+        np.testing.assert_array_equal(dense[op.n :], sparse[op.n :])
+        assert np.linalg.norm(dense - sparse) <= 1e-12 * np.linalg.norm(sparse)
+
+    @pytest.mark.parametrize("name, n_cells, dense", [
+        ("nonsym", 64, True), ("nonsym", 128, True), ("dynbc", 32, False),
+    ])
+    def test_the_size_alone_picks_the_path(self, monkeypatch, name, n_cells, dense):
+        op = build_problem(name, n_cells=n_cells).system.flow_op
+        assert (op.n <= flow_module.DENSE_GENERATOR_MAX_N) == dense
+        applied = []
+        apply = DaeOperator.apply
+        monkeypatch.setattr(
+            DaeOperator, "apply", lambda op, rhs: applied.append(1) or apply(op, rhs)
+        )
+        x0 = op.project(np.random.default_rng(3).standard_normal(op.n))
+        result = flow(op, x0, 1 / 2560, loads=(np.ones(op.n),))
+        assert result.arnoldi_steps > 0
+        assert len(applied) == (0 if dense else result.arnoldi_steps)
+        # A sparse system never builds the dense n x n matrices.
+        assert ("_generator" in vars(op)) == ("_mass_solve" in vars(op)) == dense
+
+    @pytest.mark.parametrize("limit", [0, 256])
+    def test_zero_loads_and_state_make_no_arnoldi_step(self, monkeypatch, limit):
+        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        for loads in ((None,), (None, None), (np.zeros(op.n),), (np.zeros(op.n), None)):
+            result = flow(op, np.zeros(op.n), 0.01, loads=loads)
+            assert np.linalg.norm(result.state) == 0.0
+            assert result.arnoldi_steps == 0
+
+    def test_flows_on_one_operator_keep_their_own_load_columns(self):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        first = flow(op, z, 0.01, loads=(load,))
+        flow(op, z, 0.01, loads=(slope,))
+        again = flow(op, z, 0.01, loads=(load,))
+        np.testing.assert_array_equal(again.state, first.state)
+        # The dense X is shared read-only; only the load columns are per flow.
+        with_loads = flow_module._PhiForm(op, (load,), 0.01)
+        assert flow_module._PhiForm(op, (), 0.01)._matrix is op._generator
+        assert not np.shares_memory(with_loads._matrix, op._generator)
+
+    def test_dense_steps_make_no_saddle_solve_and_count_like_sparse_steps(self, monkeypatch):
+        tau = 1 / 2560
+        solves = []
+        solve = SaddleFactorization.solve
+        monkeypatch.setattr(
+            SaddleFactorization, "solve", lambda fact, *args: solves.append(1) or solve(fact, *args)
+        )
+        counters = []
+        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
+            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
+            prob = build_problem("nonsym", n_cells=64)
+            # The first step builds the lift map, W and, on the dense path, S and X.
+            state = second_order_step(prob.system, StepState(0.0, prob.u0), tau)
+            diag = Diagnostics()
+            before = len(solves)
+            second_order_step(prob.system, state, tau, diag=diag)
+            solves_of_step = len(solves) - before
+            assert solves_of_step == (0 if limit else diag.arnoldi_steps)
+            counters.append(
+                (diag.arnoldi_steps, diag.flow_checks, diag.flow_substeps, diag.max_basis_size,
+                 diag.rhs_evaluations, diag.repairs)
+            )
+        assert counters[0] == counters[1]
+        assert counters[0][0] > 0
