@@ -28,20 +28,22 @@ load coordinates advance by it, and the next shot starts from there.
 The result is projected back onto the kernel of B to kill round-off
 drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
 
-On a system with n > ``DENSE_GENERATOR_MAX_N`` unknowns an Arnoldi
-step is one sparse product and one saddle solve, a few microseconds of
-kernel each at the sizes of the benchmark problems.  So the Arnoldi
-step calls SciPy's CSC kernel on its bordered matrix directly.  On a
-smaller system most of those microseconds are call overhead: the
-saddle LU of the ``nonsym`` h=1/64 system (n = 128) has 514 entries.
-There the generator is the dense n x (n + p) matrix [X, W] of ``_PhiForm``,
-and an Arnoldi step is one matrix-vector product with it.  The Krylov
-approximation touches X only through such products (Hochbruck &
-Lubich, SIAM J. Numer. Anal. 34, 1997), so the dense X is the same
-operator; states move at round-off.  The products of the projection
-and the consistency check go through ``linalg.spmv`` (the CSR kernel
-without SciPy's dispatch), and vector norms are sqrt(x . x), the same
-bits as ``np.linalg.norm`` for less overhead.
+The loads of a flow are one p x n array, the rows l_k / t^(k-1), on
+every system.  On a system with n > ``DENSE_GENERATOR_MAX_N`` unknowns
+an Arnoldi step forms the right-hand side from that array and one
+``linalg.spmv`` with A (the CSR kernel without SciPy's dispatch) and
+makes one saddle solve, a few microseconds of kernel each at the sizes
+of the benchmark problems.  On a smaller system most of those
+microseconds are call overhead: the saddle LU of the ``nonsym`` h=1/64
+system (n = 128) has 514 entries.  There the generator is the dense
+n x (n + p) matrix [X, S C] of ``_PhiForm``, with S the mass solve on
+ker B built from M^{-1} and the projector W, and an Arnoldi step is one
+matrix-vector product with it.  The Krylov approximation touches X only
+through such products (Hochbruck & Lubich, SIAM J. Numer. Anal. 34,
+1997), so the dense X is the same operator; states move at round-off.
+The products of the projection and the consistency check go through
+``linalg.spmv`` too, and vector norms are sqrt(x . x), the same bits
+as ``np.linalg.norm`` for less overhead.
 
 For a system small enough to hold dense n x n matrices, ``step_maps``
 forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse._sparsetools import csc_matvec
 
 from .errors import DimensionMismatch, InconsistentState, NoConvergence, NonFinite
 from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
@@ -126,15 +127,15 @@ class DaeOperator:
 
     A system with n <= ``DENSE_GENERATOR_MAX_N`` also holds two dense
     n x n matrices for the dense generator, built by its first flow:
-    S, the mass solve on ker B (``_mass_solve``), and X = -S A
-    (``_generator``).
+    S = M^{-1} - W (B M^{-1}), the mass solve on ker B (``_mass_solve``),
+    and X = -S A (``_generator``).
 
-    The matrices and the factorization are fixed at construction; W, S,
-    X and the layouts of ``_bordered_layout`` are the things filled in
-    later.  They are deterministic, so a flow or a projection gives the
-    same bits whether they were just built or reused, and concurrent
-    flow evaluations against one operator are safe: each owns its basis
-    storage, and two first uses at once build the same matrices.
+    The matrices and the factorization are fixed at construction; W, S
+    and X are the things filled in later.  They are deterministic, so a
+    flow or a projection gives the same bits whether they were just
+    built or reused, and concurrent flow evaluations against one
+    operator are safe: each owns its basis storage, and two first uses
+    at once build the same matrices.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -147,7 +148,6 @@ class DaeOperator:
         self.mass = self._saddle.S
         self.constraint = self._saddle.B
         self._zero_dual = np.zeros(self.m)
-        self._bordered_layouts = {}
 
     def apply(self, rhs) -> np.ndarray:
         """y of the mass saddle solve M y + B^T mu = rhs, B y = 0."""
@@ -171,41 +171,20 @@ class DaeOperator:
 
     @functools.cached_property
     def _mass_solve(self) -> np.ndarray:
-        """S, the leading n x n block of the inverse of [[M, B^T], [B, 0]].
+        """S = M^{-1} - W (B M^{-1}), the mass solve on ker B, as a dense n x n matrix.
 
-        S r is the y of M y + B^T mu = r, B y = 0.  S comes from one dense
-        LU inversion of the saddle matrix, not from the sparse factorization,
-        so that every solve of the factorization stays an Arnoldi step of a
-        larger system, a lift, a kernel solve or a projection, and one
-        SuperLU solve (``perfbench/tracer.py`` checks both).
+        S r is the y of M y + B^T mu = r, B y = 0, since that y is
+        (I - W B) M^{-1} r, the projection of M^{-1} r onto ker B.  S is
+        the projector of every flow applied to one dense inverse of M, so
+        building it makes no saddle solve beyond the m solves of W.
         """
-        n = self.n
-        saddle = np.zeros((n + self.m, n + self.m))
-        saddle[:n, :n] = self.mass.toarray()
-        saddle[n:, :n] = self.constraint.toarray()
-        saddle[:n, n:] = saddle[n:, :n].T
-        return np.ascontiguousarray(scipy.linalg.inv(saddle, check_finite=False)[:n, :n])
+        inverse = scipy.linalg.inv(self.mass.toarray(), check_finite=False)
+        return inverse - self._projector @ (self.constraint @ inverse)
 
     @functools.cached_property
     def _generator(self) -> np.ndarray:
         """X = -S A as a dense n x n matrix, for the dense ``_PhiForm``."""
         return np.ascontiguousarray(-(self.stiffness.T @ self._mass_solve.T).T)
-
-    def _bordered_layout(self, p):
-        """(indptr, indices, data) of -A in CSC, with room for p dense columns after it.
-
-        The data is that of -A alone; appending the p columns, each of
-        length n, gives the CSC matrix [-A, columns].  Built once per p.
-        """
-        layout = self._bordered_layouts.get(p)
-        if layout is None:
-            a = self.stiffness.tocsc()
-            tail = a.indptr[-1] + self.n * np.arange(1, p + 1)
-            indptr = np.concatenate((a.indptr, tail.astype(a.indptr.dtype)))
-            rows = np.tile(np.arange(self.n, dtype=a.indices.dtype), p)
-            layout = (indptr, np.concatenate((a.indices, rows)), -a.data)
-            self._bordered_layouts[p] = layout
-        return layout
 
     def constraint_defect(self, x) -> float:
         defect = spmv(self.constraint, x)
@@ -213,11 +192,13 @@ class DaeOperator:
 
 
 class _PhiForm:
-    """The flow generator, [[X, W], [0, J]] on (n + p)-vectors [x; c].
+    """The flow generator, [[X, S C], [0, J]] on (n + p)-vectors [x; c].
 
     With loads l_1, ..., l_p (None for a zero load) and flow time t, the
-    k-th column of W is S l_k / t^(k-1) and J shifts c down by one
-    entry.  The flow of this matrix from [x0; e_1] over t ends at
+    k-th column of C is l_k / t^(k-1), S is the mass solve on ker B and
+    J shifts c down by one entry.  The generator holds C^T, the p x n
+    array ``_columns``, on both paths.  The flow of this matrix from
+    [x0; e_1] over t ends at
     [exp(t X) x0 + sum_k t phi_k(t X) S l_k; (1, t, ..., t^(p-1) / (p-1)!)]
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).  With
     no loads (p = 0) it is X itself on n-vectors.
@@ -225,14 +206,12 @@ class _PhiForm:
     ``apply`` takes one of two paths, chosen by the size n alone:
 
     - n <= ``DENSE_GENERATOR_MAX_N``: the flow holds the dense
-      n x (n + p) matrix [X, W] (X itself when p = 0), and the image of
+      n x (n + p) matrix [X, S C] (X itself when p = 0), and the image of
       [x; c] is one matrix-vector product with it; no sparse product and
       no solve.
-    - otherwise the right-hand side -A x + sum_k c_k l_k / t^(k-1) is one
-      sparse product with the bordered matrix [-A, l_1, ..., l_p / t^(p-1)],
-      held in CSC so that the load columns are one block appended to the
-      data of -A, and is solved with one ``DaeOperator.apply``; a zero
-      right-hand side makes no solve.
+    - otherwise the right-hand side C c - A x is one product with the
+      load array and one ``linalg.spmv`` with A, and is solved with one
+      ``DaeOperator.apply``; a zero right-hand side makes no solve.
 
     A step whose state image is zero, on either path, only shifts the
     load coordinates, and ``shifts`` counts those steps.  The image is
@@ -242,15 +221,7 @@ class _PhiForm:
 
     def __init__(self, op, loads, t):
         n, p = op.n, len(loads)
-        dense = n <= DENSE_GENERATOR_MAX_N
-        if dense:
-            columns = np.empty((p, n))
-        else:
-            indptr, indices, stiffness = op._bordered_layout(p)
-            data = np.empty(len(stiffness) + n * p)
-            data[: len(stiffness)] = stiffness
-            columns = data[len(stiffness) :].reshape(p, n)
-            self._product = (n, n + p, indptr, indices, data)
+        columns = np.empty((p, n))
         for k, load in enumerate(loads):
             if load is None:
                 columns[k] = 0.0
@@ -259,10 +230,11 @@ class _PhiForm:
             if not np.isfinite(load).all():
                 raise NonFinite(f"flow load {k + 1} is not finite")
             np.divide(load, t**k, out=columns[k])
+        dense = n <= DENSE_GENERATOR_MAX_N
         self._matrix = op._generator if dense else None
         if dense and p:
             self._matrix = np.concatenate((self._matrix, op._mass_solve @ columns.T), axis=1)
-        self.op, self.n, self.size = op, n, n + p
+        self.op, self.n, self.size, self._columns = op, n, n + p, columns
         self.shifts = 0
         self._image = np.empty(n + p)
         self._state_image = self._image[:n]
@@ -275,8 +247,8 @@ class _PhiForm:
             if not (image[0] or image.any()):
                 self.shifts += 1
         else:
-            rhs = np.zeros(n)
-            csc_matvec(*self._product, v, rhs)
+            rhs = v[n:].dot(self._columns)
+            rhs -= spmv(self.op.stiffness, v[:n])
             if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
                 w[:n] = self.op.apply(rhs)
             else:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
 from .flow import kernel_reduction, step_maps
-from .integrators import ConstrainedSystem, SchemeConfig, integrate, lift_map, step_count
+from .integrators import ConstrainedSystem, SchemeConfig, integrate, step_count
 from .linalg import as_vector
 from .problems import Problem
 
@@ -58,7 +58,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 14
+NUMERICS_REVISION = 15
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -277,7 +277,7 @@ def build_reference(
             return ReferenceSolution(*cached, from_cache=True)
 
     system = problem.system
-    lift_map(system)  # before the copies, so that they share L
+    system.lift_map  # built before the copies, so that they share L
     reduction = kernel_reduction(system.flow_op) if system.n <= EXACT_FLOW_MAX_N else None
     times, states = _snapshot_run(problem, t_end, tau_ref, stride, reduction)
     _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride, reduction)

@@ -16,7 +16,8 @@ with X the generator of the homogeneous constrained flow (notation of
 ``_propagate`` evaluates that sum, through dense maps or a Krylov
 flow; ``_exponential_step`` runs the exponential Euler step and the
 second-order family through it.  Every lift is the product L g with
-the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use.
+the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use
+(``ConstrainedSystem.lift_map``).
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -29,6 +30,7 @@ image of the continuous one.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -51,7 +53,6 @@ __all__ = [
     "SCHEME_IDS",
     "lift_constraint",
     "kernel_solve",
-    "lift_map",
     "exponential_euler_step",
     "second_order_step",
     "second_order_family_step",
@@ -113,7 +114,7 @@ class ConstrainedSystem:
     checks their shapes and factorizes the mass saddle matrix; the
     stiffness saddle factorization is built here.  Each step forms every
     lift it needs as L g, with the dense n x m lift matrix
-    L = [lift_constraint(e_1) ... lift_constraint(e_m)]; no lift is
+    L = [lift_constraint(e_1) ... lift_constraint(e_m)] (``lift_map``); no lift is
     carried from one step to the next.  The steps project with
     ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
     W are built on first use, each from m saddle solves, and kept; both
@@ -154,7 +155,6 @@ class ConstrainedSystem:
         self._gdot = constraint_rate
         self.stiffness_saddle = SaddleFactorization(self.stiffness, self.constraint)
         self._zero_dual = np.zeros(self.m)
-        self._lift_map = None  # L, built by the first _lift()
 
     def load(self, t: float, x) -> np.ndarray:
         return _finite(self._forcing(t, x), self.n, "forcing", t)
@@ -172,6 +172,17 @@ class ConstrainedSystem:
         gval = self.g(t)
         defect = spmv(self.constraint, u) - gval
         return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
+
+    @functools.cached_property
+    def lift_map(self) -> np.ndarray:
+        """L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use.
+
+        A shallow copy of the system made after the first use shares L.
+        """
+        L = np.empty((self.n, self.m))
+        for i, e in enumerate(np.eye(self.m)):
+            L[:, i] = lift_constraint(self, e)
+        return L
 
 
 def _finite(value, length, name, t) -> np.ndarray:
@@ -277,24 +288,6 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
     return w
 
 
-def lift_map(sys: ConstrainedSystem) -> np.ndarray:
-    """The lift matrix L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use.
-
-    A shallow copy of ``sys`` made after the first call shares L.
-    """
-    if sys._lift_map is None:
-        L = np.empty((sys.n, sys.m))
-        for i, e in enumerate(np.eye(sys.m)):
-            L[:, i] = lift_constraint(sys, e)
-        sys._lift_map = L
-    return sys._lift_map
-
-
-def _lift(sys, g):
-    """``lift_constraint(sys, g)`` as the product L g."""
-    return lift_map(sys) @ g
-
-
 def _finish_step(sys, t1, u1, lift_g1, diag):
     """Consistency check with kernel-projection repair on violation."""
     res = sys.constraint_residual(t1, u1)
@@ -358,31 +351,41 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         u_{n+1} = lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0 + Phi_2(tau) d,
 
     which at c2 = 1 is u_s + Phi_2(tau) d.  Every term goes through
-    ``_propagate``.
+    ``_propagate``.  For c2 < 1 the division amplifies d: a slope whose
+    squared norm overflows (``_check_stage_slope``), or whose flow
+    overflows, raises ``NonFinite`` naming c2, without numpy's warning.
     """
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
-    load0 = sys.load(t0, state.u) - spmv(sys.mass, _lift(sys, sys.gdot(t0)))
-    z0 = state.u - _lift(sys, sys.g(t0))
+    load0 = sys.load(t0, state.u) - spmv(sys.mass, sys.lift_map @ sys.gdot(t0))
+    z0 = state.u - sys.lift_map @ sys.g(t0)
     z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
-    lift_g_stage = _lift(sys, sys.g(t_stage))
+    lift_g_stage = sys.lift_map @ sys.g(t_stage)
     u_stage = lift_g_stage + z_stage
     if stage_only:
         diag.rhs_evaluations += 1
         u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
-    load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, _lift(sys, sys.gdot(t_stage)))
+    load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, sys.lift_map @ sys.gdot(t_stage))
     diag.rhs_evaluations += 2
     slope = (load_stage - load0) / c2
-    if c2 < 1.0:  # the division amplifies
-        _check_stage_slope(slope, c2, t0)
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
         lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
     else:
-        lift_g1 = base = _lift(sys, sys.g(t1))
-    z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
+        lift_g1 = base = sys.lift_map @ sys.g(t1)
+    if c2 < 1.0:  # the division amplifies
+        _check_stage_slope(slope, c2, t0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
+            except NonFinite as exc:
+                raise NonFinite(
+                    f"flow of the stage slope overflows at c2 = {c2!r} (t = {t0}): {exc}"
+                ) from exc
+    else:
+        z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
     u1 = _finish_step(sys, t1, base + z_end, lift_g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
 
@@ -392,6 +395,9 @@ def _check_stage_slope(slope, c2, t) -> None:
 
     Dividing by a tiny c2 can leave a finite slope whose Arnoldi products
     overflow; this check fails first, without numpy's overflow warning.
+    A slope that passes it can still overflow in its flow, which
+    ``_exponential_step`` runs with numpy's overflow warnings off and
+    reports as a ``NonFinite`` naming c2 too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sumsq = slope.dot(slope)
@@ -456,7 +462,7 @@ def alt_euler_step(
     g_blend = config.theta * sys.g(t0) + (1.0 - config.theta) * sys.g(t1)
     f0 = sys.load(t0, state.u)
     diag.rhs_evaluations += 1
-    lift_blend = _lift(sys, g_blend)
+    lift_blend = sys.lift_map @ g_blend
     z = state.u - lift_blend
     if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
         z = sys.flow_op.project(z)

@@ -646,7 +646,7 @@ class TestPhiForm:
         assert result.arnoldi_steps == len(solves) == result.basis_size - 1
 
     def test_arnoldi_relation_of_the_bordered_generator(self):
-        # X V = V H + h_next v_{r+1} e_r^T for the dense [[X, W], [0, J]]
+        # X V = V H + h_next v_{r+1} e_r^T for the dense [[X, S C], [0, J]]
         # of the flow's generator, with X and the mass solve S on ker B
         # from the kernel reduction.
         op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
@@ -782,3 +782,53 @@ class TestDenseGenerator:
             )
         assert counters[0] == counters[1]
         assert counters[0][0] > 0
+
+
+def _saddle_matrix(op):
+    """The dense mass saddle matrix [[M, B^T], [B, 0]] of ``op``."""
+    n, m = op.n, op.m
+    saddle = np.zeros((n + m, n + m))
+    saddle[:n, :n] = op.mass.toarray()
+    saddle[n:, :n] = op.constraint.toarray()
+    saddle[:n, n:] = saddle[n:, :n].T
+    return saddle
+
+
+class TestMassSolve:
+    """S = M^{-1} - W (B M^{-1}), the mass solve on ker B, and the sparse generator."""
+
+    @pytest.mark.parametrize("name, options, m", [
+        ("toy", {}, 3), ("toy", {"m": 0}, 0), ("nonsym", {"n_cells": 16}, 1),
+    ])
+    def test_matches_the_saddle_inverse(self, name, options, m):
+        op = build_problem(name, **options).system.flow_op
+        assert op.m == m
+        expected = np.linalg.inv(_saddle_matrix(op))[: op.n, : op.n]
+        assert np.linalg.norm(op._mass_solve - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 16})])
+    def test_building_it_makes_only_the_solves_of_w(self, monkeypatch, name, options):
+        op = build_problem(name, **options).system.flow_op
+        assert "_projector" not in vars(op)
+        solves, projections = [], []
+        solve, project = SaddleFactorization.solve, flow_module.kernel_project
+        monkeypatch.setattr(
+            SaddleFactorization, "solve", lambda fact, *args: solves.append(1) or solve(fact, *args)
+        )
+        monkeypatch.setattr(
+            flow_module, "kernel_project", lambda fact, x: projections.append(1) or project(fact, x)
+        )
+        op._mass_solve
+        assert len(projections) == len(solves) == op.m > 0
+        assert "_projector" in vars(op)
+
+    def test_sparse_image_with_two_loads(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
+        n, t, c = op.n, 0.01, np.array([0.3, -0.7])
+        image = generator_image(op, np.concatenate((z, c)), (load, slope), t=t)
+        rhs = -(op.stiffness.toarray() @ z) + c[0] * load + c[1] * slope / t
+        expected = np.linalg.solve(_saddle_matrix(op), np.concatenate((rhs, np.zeros(op.m))))[:n]
+        assert np.linalg.norm(image[:n] - expected) <= 1e-12 * np.linalg.norm(expected)
+        np.testing.assert_array_equal(image[n:], [0.0, c[0]])
+        assert "_mass_solve" not in vars(op)
