@@ -1,4 +1,4 @@
-"""Krylov evaluation of the constrained flow in phi-form.
+"""Evaluation of the constrained flow in phi-form: Krylov, or dense step maps.
 
 The linear DAE
 
@@ -9,45 +9,39 @@ matrix X whose action is one saddle solve:
 
     M y + B^T mu = -A z0,   B y = 0   =>   y = X z0.
 
-``flow`` approximates exp(X t) z0 + sum_k t phi_k(t X) S l_k, with S
-the mass solve on ker B and l_1, ..., l_p loads, in the Krylov subspace
-built by the Arnoldi iteration, using the dense exponential of the
-small Hessenberg matrix.  The loads ride along as p extra coordinates
-of the Arnoldi vectors, as in Niesen & Wright's phipm (ACM TOMS 38,
-2012) and Sidje's Expokit (ACM TOMS 24, 1998), and an Arnoldi step is
-still one saddle solve, or one dense product on a small system
-(``_PhiForm``).  A flow without loads is the
-case p = 0, so every flow runs this one generator.  Each shot runs its
-own loop of the one Arnoldi step, ``_arnoldi_extend``.  ``flow`` marches
-across the interval in substeps, each one shot over the rest of it.  If
-the basis cap is reached before Saad's a-posteriori error estimate
-meets the tolerance, the shot keeps that basis and takes the largest
-substep it supports, as Expokit and phipm do: each trial substep costs
-one dense exponential and no solve (``_shrink``).  The state and the
-load coordinates advance by it, and the next shot starts from there.
-The result is projected back onto the kernel of B to kill round-off
-drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
+``flow`` evaluates exp(X t) z0 + sum_k t phi_k(t X) S l_k, with S the
+mass solve on ker B and l_1, ..., l_p loads, in one of two ways.
 
-The loads of a flow are one p x n array, the rows l_k / t^(k-1), on
-every system.  On a system with n > ``DENSE_GENERATOR_MAX_N`` unknowns
-an Arnoldi step forms the right-hand side from that array and one
-``linalg.spmv`` with A (the CSR kernel without SciPy's dispatch) and
-makes one saddle solve, a few microseconds of kernel each at the sizes
-of the benchmark problems.  On a smaller system most of those
-microseconds are call overhead: the saddle LU of the ``nonsym`` h=1/64
-system (n = 128) has 514 entries.  There the generator is the dense
-n x (n + p) matrix [X, S C] of ``_PhiForm``, with S the mass solve on
-ker B built from M^{-1} and the projector W, and an Arnoldi step is one
-matrix-vector product with it.  The Krylov approximation touches X only
-through such products (Hochbruck & Lubich, SIAM J. Numer. Anal. 34,
-1997), so the dense X is the same operator; states move at round-off.
+If the operator holds the dense step maps of the duration t
+(``DaeOperator.hold_maps``), the sum is up to three matrix-vector
+products with E(t), Phi_1(t) and Phi_2(t) (``step_maps``), which carry
+no flow-tolerance error.  The integrators give a system with at most
+``integrators.MAPPED_FLOW_MAX_N`` unknowns the maps of each step
+duration, and the harness gives a reference run those of its step.
+
+Otherwise the sum is approximated in the Krylov subspace built by the
+Arnoldi iteration, using the dense exponential of the small Hessenberg
+matrix.  The loads ride along as p extra coordinates of the Arnoldi
+vectors, as in Niesen & Wright's phipm (ACM TOMS 38, 2012) and Sidje's
+Expokit (ACM TOMS 24, 1998), and an Arnoldi step is still one saddle
+solve (``_PhiForm``): its right-hand side is formed from the p x n
+array of the rows l_k / t^(k-1) and one ``linalg.spmv`` with A (the CSR
+kernel without SciPy's dispatch).  A flow without loads is the case
+p = 0, so every Krylov flow runs this one generator.  Each shot runs
+its own loop of the one Arnoldi step, ``_arnoldi_extend``.  ``flow``
+marches across the interval in substeps, each one shot over the rest of
+it.  If the basis cap is reached before Saad's a-posteriori error
+estimate meets the tolerance, the shot keeps that basis and takes the
+largest substep it supports, as Expokit and phipm do: each trial
+substep costs one dense exponential and no solve (``_shrink``).  The
+state and the load coordinates advance by it, and the next shot starts
+from there.
+
+Either result is projected back onto the kernel of B to kill round-off
+drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
 The products of the projection and the consistency check go through
 ``linalg.spmv`` too, and vector norms are sqrt(x . x), the same bits
 as ``np.linalg.norm`` for less overhead.
-
-For a system small enough to hold dense n x n matrices, ``step_maps``
-forms exp(X t) and the phi_1 and phi_2 maps of an exponential step
-itself on ker B, so that the step needs no flow and no tolerance.
 """
 
 from __future__ import annotations
@@ -76,11 +70,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 60
-# Systems with at most this many unknowns run the flow generator as a dense
-# matrix.  On nonsym, one generator product took 9.6 us dense against 13.0 us
-# sparse (a sparse product and a saddle solve) at n = 256, and 21.2 us against
-# 15.8 us at n = 384 (one OpenBLAS thread, 2-vCPU VM).
-DENSE_GENERATOR_MAX_N = 256
 # Substeps per flow; the nonsym h=1/256 flow over tau = 0.05 takes about 60.
 SUBSTEP_LIMIT = 128
 BREAKDOWN_RTOL = 1e-14
@@ -99,9 +88,9 @@ class KrylovFlowResult:
     ``checks`` counts the error-estimate evaluations over all substeps,
     shrink trials included, each one dense exponential of the Hessenberg
     matrix bordered to (r+1) x (r+1).  ``arnoldi_steps`` counts the
-    Arnoldi steps over all shots that apply the generator: each is one
-    saddle solve, or one dense product on a system with
-    n <= ``DENSE_GENERATOR_MAX_N``.
+    Arnoldi steps over all shots that apply the generator, each one
+    saddle solve.  A flow through the operator's step maps is
+    ``mapped``: one substep, basis 0, no check and no Arnoldi step.
     """
 
     state: np.ndarray
@@ -110,6 +99,7 @@ class KrylovFlowResult:
     substeps: int
     checks: int = 0
     arnoldi_steps: int = 0
+    mapped: bool = False
 
 
 class DaeOperator:
@@ -117,7 +107,7 @@ class DaeOperator:
 
     The operator holds the canonical copies of the three matrices that
     the integrators use too.  ``apply`` is the saddle solve of one
-    sparse Arnoldi step, whose right-hand side the generator ``_PhiForm``
+    Arnoldi step, whose right-hand side the generator ``_PhiForm``
     forms: X x is ``apply(-A x)``.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
@@ -125,17 +115,25 @@ class DaeOperator:
     projection from m ``kernel_project`` solves, as W = Y - P(Y)
     for the right inverse Y = B^+ of B.
 
-    A system with n <= ``DENSE_GENERATOR_MAX_N`` also holds two dense
-    n x n matrices for the dense generator, built by its first flow:
-    S = M^{-1} - W (B M^{-1}), the mass solve on ker B (``_mass_solve``),
-    and X = -S A (``_generator``).
+    ``maps`` is the cache of step maps: a dict from a flow duration t to
+    the ``StepMaps`` of t, three dense n x n arrays, which ``flow`` then
+    uses for every flow over t.  It starts empty; ``hold_maps`` fills
+    it, building the step-independent ``kernel_reduction`` once per
+    operator, and a caller drops an entry with ``maps.pop``.  Nothing
+    bounds it, so it holds one entry per duration a caller asked for.
 
-    The matrices and the factorization are fixed at construction; W, S
-    and X are the things filled in later.  They are deterministic, so a
-    flow or a projection gives the same bits whether they were just
-    built or reused, and concurrent flow evaluations against one
-    operator are safe: each owns its basis storage, and two first uses
-    at once build the same matrices.
+    The matrices and the factorization are fixed at construction; W,
+    the reduction and the maps are the things filled in later.  They are
+    deterministic, so a flow or a projection gives the same bits whether
+    they were just built or reused, and two first uses at once build the
+    same arrays.  Concurrent integrations on one operator therefore give
+    the same bits as one at a time, as long as no caller drops maps that
+    another is using: a flow over a duration whose maps were dropped
+    takes the Krylov path, whose result differs at the flow tolerance
+    (``integrators._propagate`` builds them again first on a small
+    system, so there only ``harness.build_reference`` can drop them from
+    under a run on a larger one).  Each Krylov flow owns its basis
+    storage.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -148,6 +146,7 @@ class DaeOperator:
         self.mass = self._saddle.S
         self.constraint = self._saddle.B
         self._zero_dual = np.zeros(self.m)
+        self.maps = {}
 
     def apply(self, rhs) -> np.ndarray:
         """y of the mass saddle solve M y + B^T mu = rhs, B y = 0."""
@@ -170,21 +169,23 @@ class DaeOperator:
         return W
 
     @functools.cached_property
-    def _mass_solve(self) -> np.ndarray:
-        """S = M^{-1} - W (B M^{-1}), the mass solve on ker B, as a dense n x n matrix.
+    def _reduction(self) -> KernelReduction:
+        """``kernel_reduction`` of the operator, built by the first ``hold_maps``."""
+        return kernel_reduction(self)
 
-        S r is the y of M y + B^T mu = r, B y = 0, since that y is
-        (I - W B) M^{-1} r, the projection of M^{-1} r onto ker B.  S is
-        the projector of every flow applied to one dense inverse of M, so
-        building it makes no saddle solve beyond the m solves of W.
+    def hold_maps(self, t: float) -> StepMaps:
+        """The step maps of duration t, built on the first call and kept in ``maps``.
+
+        ``t`` must be finite and positive (``ValueError``).  A build is
+        one dense exponential of the (n - m) x (n - m) reduced generator
+        and a few dense n x n products (``step_maps``).
         """
-        inverse = scipy.linalg.inv(self.mass.toarray(), check_finite=False)
-        return inverse - self._projector @ (self.constraint @ inverse)
-
-    @functools.cached_property
-    def _generator(self) -> np.ndarray:
-        """X = -S A as a dense n x n matrix, for the dense ``_PhiForm``."""
-        return np.ascontiguousarray(-(self.stiffness.T @ self._mass_solve.T).T)
+        maps = self.maps.get(t)
+        if maps is None:
+            if not (math.isfinite(t) and t > 0.0):
+                raise ValueError(f"step maps need a finite positive duration, got {t!r}")
+            maps = self.maps[t] = step_maps(self, t, self._reduction)
+        return maps
 
     def constraint_defect(self, x) -> float:
         defect = spmv(self.constraint, x)
@@ -197,68 +198,61 @@ class _PhiForm:
     With loads l_1, ..., l_p (None for a zero load) and flow time t, the
     k-th column of C is l_k / t^(k-1), S is the mass solve on ker B and
     J shifts c down by one entry.  The generator holds C^T, the p x n
-    array ``_columns``, on both paths.  The flow of this matrix from
-    [x0; e_1] over t ends at
+    array ``_columns``.  The flow of this matrix from [x0; e_1] over t
+    ends at
     [exp(t X) x0 + sum_k t phi_k(t X) S l_k; (1, t, ..., t^(p-1) / (p-1)!)]
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, Thm 2.1).  With
     no loads (p = 0) it is X itself on n-vectors.
 
-    ``apply`` takes one of two paths, chosen by the size n alone:
-
-    - n <= ``DENSE_GENERATOR_MAX_N``: the flow holds the dense
-      n x (n + p) matrix [X, S C] (X itself when p = 0), and the image of
-      [x; c] is one matrix-vector product with it; no sparse product and
-      no solve.
-    - otherwise the right-hand side C c - A x is one product with the
-      load array and one ``linalg.spmv`` with A, and is solved with one
-      ``DaeOperator.apply``; a zero right-hand side makes no solve.
-
-    A step whose state image is zero, on either path, only shifts the
-    load coordinates, and ``shifts`` counts those steps.  The image is
-    written into one buffer of the flow that every call reuses, which is
-    safe because ``_arnoldi_extend`` consumes it before the next call.
+    ``apply`` forms the right-hand side C c - A x by one product with
+    the load array and one ``linalg.spmv`` with A, and solves it with
+    one ``DaeOperator.apply``.  A zero right-hand side makes no solve:
+    the step only shifts the load coordinates, and ``shifts`` counts
+    those steps.  The image is written into one buffer of the flow that
+    every call reuses, which is safe because ``_arnoldi_extend``
+    consumes it before the next call.
     """
 
     def __init__(self, op, loads, t):
         n, p = op.n, len(loads)
         columns = np.empty((p, n))
         for k, load in enumerate(loads):
+            load = _checked_load(op, load, k)
             if load is None:
                 columns[k] = 0.0
-                continue
-            load = as_vector(load, n, "load")
-            if not np.isfinite(load).all():
-                raise NonFinite(f"flow load {k + 1} is not finite")
-            np.divide(load, t**k, out=columns[k])
-        dense = n <= DENSE_GENERATOR_MAX_N
-        self._matrix = op._generator if dense else None
-        if dense and p:
-            self._matrix = np.concatenate((self._matrix, op._mass_solve @ columns.T), axis=1)
+            else:
+                np.divide(load, t**k, out=columns[k])
         self.op, self.n, self.size, self._columns = op, n, n + p, columns
         self.shifts = 0
         self._image = np.empty(n + p)
-        self._state_image = self._image[:n]
 
     def apply(self, v) -> np.ndarray:
         n, w = self.n, self._image
-        if self._matrix is not None:
-            image = self._state_image
-            np.dot(self._matrix, v, out=image)
-            if not (image[0] or image.any()):
-                self.shifts += 1
+        rhs = v[n:].dot(self._columns)
+        rhs -= spmv(self.op.stiffness, v[:n])
+        if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
+            w[:n] = self.op.apply(rhs)
         else:
-            rhs = v[n:].dot(self._columns)
-            rhs -= spmv(self.op.stiffness, v[:n])
-            if rhs[0] or rhs.any():  # the first entry settles most steps without a scan
-                w[:n] = self.op.apply(rhs)
-            else:
-                w[:n] = 0.0
-                self.shifts += 1
+            w[:n] = 0.0
+            self.shifts += 1
         if self.size > n:
             w[n] = 0.0
         if self.size > n + 1:  # skips an empty slice assignment, about 0.3 us
             w[n + 1 :] = v[n:-1]
         return w
+
+
+def _checked_load(op, load, k):
+    """Load k (from 0) of a flow as a vector of length n, or None for a zero load.
+
+    A load that is not finite raises ``NonFinite`` naming it.
+    """
+    if load is None:
+        return None
+    load = as_vector(load, op.n, "load")
+    if not np.isfinite(load).all():
+        raise NonFinite(f"flow load {k + 1} is not finite")
+    return load
 
 
 def _arnoldi_extend(op, V, H, j, sumsq):
@@ -453,11 +447,17 @@ def flow(
 
     S is the mass solve on ker B, so the k-th term is Phi_k(t) loads[k-1]
     (notation of ``step_maps``); a load of None is zero, and without
-    loads this is the homogeneous flow exp(X t) x0.  Every flow runs
-    the generator ``_PhiForm`` with the p = len(loads) loads as
-    coordinates of its Arnoldi vectors, so the flow makes no solve
-    beyond its Arnoldi steps, and none at all on a system with
-    n <= ``DENSE_GENERATOR_MAX_N``, whose generator is a dense matrix.
+    loads this is the homogeneous flow exp(X t) x0.
+
+    If ``op.maps`` holds the maps of t (``DaeOperator.hold_maps``) and
+    there are at most two loads, the sum is one dense product per
+    nonzero term, checked for finiteness (``NonFinite``, without numpy's
+    warning) and projected onto the kernel of B; ``tol`` and
+    ``basis_hint`` do not enter, and the result is ``mapped`` with one
+    substep, basis 0, no check and no Arnoldi step.  Otherwise the flow
+    runs the Krylov generator ``_PhiForm`` with the p = len(loads) loads
+    as coordinates of its Arnoldi vectors, so it makes no solve beyond
+    its Arnoldi steps.  Both paths check x0 and the loads alike.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
@@ -474,8 +474,8 @@ def flow(
     ``NoConvergence`` naming t, the time left, the basis and the last
     estimate.  The endpoint is projected onto the kernel of B.
     ``arnoldi_steps`` of the result counts the Arnoldi steps that apply
-    the generator, each one saddle solve or one dense product: a step
-    whose state image is zero, such as one on a vector with zero state
+    the generator, each one saddle solve: a step whose state image is
+    zero, such as one on a vector with zero state
     and zero load, is a pure shift of the load coordinates and counts
     as none.
 
@@ -506,6 +506,9 @@ def flow(
     loads = tuple(loads)
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
+    maps = op.maps.get(t)
+    if maps is not None and len(loads) <= 2:
+        return _mapped_flow(op, maps, x0 if norm0 else None, loads)
 
     generator = _PhiForm(op, loads, t)
     state = np.zeros(generator.size)  # [x0; e_1], or x0 alone without loads
@@ -534,6 +537,29 @@ def flow(
         substeps += 1
     state, steps = state[: op.n], steps - generator.shifts
     return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
+
+
+def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
+    """E x0 + Phi_1 loads[0] + Phi_2 loads[1] of ``maps``, projected; None terms drop out.
+
+    The products run with numpy's overflow warnings off, and a result
+    that is not finite raises ``NonFinite``.
+    """
+    terms = [] if x0 is None else [(maps.flow, x0)]
+    for k, (phi_map, load) in enumerate(zip((maps.phi1, maps.phi2), loads)):
+        load = _checked_load(op, load, k)
+        if load is not None:
+            terms.append((phi_map, load))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (matrix, vector), *rest = terms
+        state = matrix.dot(vector)
+        for matrix, vector in rest:
+            state += matrix.dot(vector)
+        state = op.project(state)
+        finite = np.isfinite(state).all()
+    if not finite:
+        raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
+    return KrylovFlowResult(state, 0, 0.0, 1, mapped=True)
 
 
 def _require_consistent(op, x0) -> float:

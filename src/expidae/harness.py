@@ -13,16 +13,18 @@ solution, which only a manufactured problem has.
 
 Every propagation of the reference runs of a system with at most
 ``EXACT_FLOW_MAX_N`` unknowns takes the dense exact step maps on ker B
-(``flow.step_maps``) instead of kernel solves and a Krylov flow: each
-step is three matrix-vector products and carries no flow-tolerance
-error, and the ladder, which keeps the Krylov flow, is measured
-against a yardstick that does not share it.  Larger systems fall back
-to the Krylov flow.
+(``flow.step_maps``) instead of a Krylov flow: each step is three
+matrix-vector products and carries no flow-tolerance error.  Larger
+systems fall back to the Krylov flow.  The ladder takes the same kind
+of maps on a system with at most ``integrators.MAPPED_FLOW_MAX_N``
+unknowns, so there the reference and the ladder share the maps'
+arithmetic and only the step sizes differ; the CSV says which flows the
+ladder ran (``ladder_flows``).  The test suite checks the reference
+against an independent solver.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import logging
 import math
@@ -35,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
-from .flow import kernel_reduction, step_maps
 from .integrators import ConstrainedSystem, SchemeConfig, integrate, step_count
 from .linalg import as_vector
 from .problems import Problem
@@ -58,7 +59,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 15
+NUMERICS_REVISION = 16
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -141,6 +142,7 @@ class ConvergenceTable:
     sample: str = "final"
     tau_ref: float | None = None        # None for an exact reference
     flow_tol: float | None = None
+    ladder_flows: str = "krylov"        # "mapped" if no rung ran a Krylov flow
 
     def __post_init__(self):
         taus = np.asarray(self.taus)
@@ -217,21 +219,24 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
-def _snapshot_run(problem, t_end, tau, stride, reduction):
-    """One reference run, through the step maps of ``tau`` if ``reduction`` is given.
+def _snapshot_run(problem, t_end, tau, stride, exact):
+    """One reference run, through the step maps of ``tau`` if ``exact``.
 
-    The maps, built from ``reduction`` (``flow.kernel_reduction``), live
-    on a shallow copy of the problem's system and are dropped with it
-    when the run returns.  Without a reduction the run takes the Krylov
-    flow.
+    The maps are given to the operator of the problem's system for the
+    run and dropped from it when the run returns.  Otherwise the run
+    takes whatever flow ``integrate`` picks for the system.
     """
-    system = problem.system
-    if reduction is not None:
-        system = copy.copy(system)
-        system.step_maps = step_maps(system.flow_op, tau, reduction)
-    traj, _ = integrate(
-        system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau, snapshot_stride=stride
-    )
+    op = problem.system.flow_op
+    if exact:
+        op.hold_maps(tau)
+    try:
+        traj, _ = integrate(
+            problem.system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau,
+            snapshot_stride=stride,
+        )
+    finally:
+        if exact:
+            op.maps.pop(tau, None)
     times = np.array([st.t for st in traj])
     states = np.stack([st.u for st in traj])
     return times, states
@@ -254,16 +259,14 @@ def build_reference(
     config and of ``REFERENCE_SCHEME``, so a change to either is a miss.
 
     With at most ``EXACT_FLOW_MAX_N`` unknowns every propagation of a
-    run takes the dense step maps of its step (``flow.step_maps``) on a
-    shallow copy of the system, built for that run and dropped after it,
-    so the maps of tau_ref and tau_ref / 2 are never held together.  The
-    step-independent part of the maps (``flow.kernel_reduction``) and the
-    lift matrix L are built once, on the problem's own system, before
-    the copies, so both runs share them and the ladder shares L.  That
-    system, which the ladder integrates with the Krylov flow, carries no
-    maps, so the ladder and the reference do not share a flow, and the
-    reference carries no flow-tolerance error.  Larger systems fall back to the Krylov flow
-    with ``REFERENCE_SCHEME.flow_tol``.
+    run takes the dense step maps of its step (``flow.step_maps``),
+    which the system's operator holds for that run only, so the maps of
+    tau_ref and tau_ref / 2 are never held together, and the reference
+    carries no flow-tolerance error.  The step-independent part of the
+    maps (``flow.kernel_reduction``) and the lift matrix L are built
+    once per system, so both runs share them with each other and with
+    the ladder.  Larger systems fall back to the Krylov flow with
+    ``REFERENCE_SCHEME.flow_tol``.
     """
     stride = step_count(t_end if snapshot_tau is None else snapshot_tau, tau_ref)
 
@@ -276,11 +279,9 @@ def build_reference(
         if cached is not None:
             return ReferenceSolution(*cached, from_cache=True)
 
-    system = problem.system
-    system.lift_map  # built before the copies, so that they share L
-    reduction = kernel_reduction(system.flow_op) if system.n <= EXACT_FLOW_MAX_N else None
-    times, states = _snapshot_run(problem, t_end, tau_ref, stride, reduction)
-    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride, reduction)
+    exact = problem.system.n <= EXACT_FLOW_MAX_N
+    times, states = _snapshot_run(problem, t_end, tau_ref, stride, exact)
+    _, check_states = _snapshot_run(problem, t_end, tau_ref / 2, 2 * stride, exact)
 
     if cache_path is not None:
         _write_cache(cache_path, key, times, states, check_states)
@@ -355,8 +356,11 @@ def run_convergence(
 
     errors = []
     max_residual = 0.0
+    ladder_flows = "mapped"
     for tau, stride in zip(taus, strides):
         traj, diag = integrate(sys, scheme, problem.u0, 0.0, t_end, tau)
+        if diag.flow_substeps > diag.mapped_flows:  # a Krylov flow ran
+            ladder_flows = "krylov"
         if sample == "final":
             err = error_norm(sys, traj[-1].u - ref_state, norm)
         else:
@@ -394,6 +398,7 @@ def run_convergence(
         sample=sample,
         tau_ref=tau_ref,
         flow_tol=scheme.flow_tol,
+        ladder_flows=ladder_flows,
     )
 
 
@@ -407,8 +412,10 @@ def emit_csv(table: ConvergenceTable, path) -> None:
 
     The metadata carries the study's own evidence: the reference scale,
     the largest constraint residual, the reference self-check gap, the
-    reference step and the flow tolerance.  Nothing in the file depends
-    on whether the reference came from the cache.
+    reference step, the flow tolerance and which flows the ladder ran,
+    ``mapped`` (dense step maps, where ``flow_tol`` bounds no error) or
+    ``krylov``.  Nothing in the file depends on whether the reference
+    came from the cache.
     """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# problem={table.problem}\n")
@@ -422,6 +429,7 @@ def emit_csv(table: ConvergenceTable, path) -> None:
         fh.write(f"# self_check_gap={_number(table.self_check_gap)}\n")
         fh.write(f"# tau_ref={_number(table.tau_ref)}\n")
         fh.write(f"# flow_tol={_number(table.flow_tol)}\n")
+        fh.write(f"# ladder_flows={table.ladder_flows}\n")
         fh.write("tau,error,local_order\n")
         for i, (tau, err) in enumerate(zip(table.taus, table.errors)):
             order = table.local_orders[i]

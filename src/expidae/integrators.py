@@ -13,10 +13,13 @@ phi-form: a step over a duration t maps z on ker B and loads b_1, b_2 to
 
 with X the generator of the homogeneous constrained flow (notation of
 ``flow.step_maps``), and adds the lift of g at the new time.
-``_propagate`` evaluates that sum, through dense maps or a Krylov
-flow; ``_exponential_step`` runs the exponential Euler step and the
-second-order family through it.  Every lift is the product L g with
-the n x m matrix L = [lift(e_1) ... lift(e_m)], built on first use
+``_propagate`` evaluates that sum as one ``flow.flow``: on a system with
+at most ``MAPPED_FLOW_MAX_N`` unknowns through the dense maps of the
+duration, which the system's operator builds on first need and keeps,
+and otherwise as a Krylov flow.  ``_exponential_step`` runs the
+exponential Euler step and the second-order family through it.  Every
+lift is the product L g with the n x m matrix
+L = [lift(e_1) ... lift(e_m)], built on first use
 (``ConstrainedSystem.lift_map``).
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
@@ -43,7 +46,7 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import DEFAULT_TOL, DaeOperator, _require_consistent, flow as krylov_flow
+from .flow import DEFAULT_TOL, DaeOperator, flow as krylov_flow
 from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd, spmv
 
 __all__ = [
@@ -69,6 +72,16 @@ log = logging.getLogger(__name__)
 SCHEME_IDS = ("exp-euler", "second-order", "second-order-family", "alt-euler")
 
 CONSISTENCY_RTOL = 1e-9
+
+# Systems with at most this many unknowns propagate through the dense step
+# maps of each duration (``DaeOperator.hold_maps``), built on first need and
+# kept.  On nonsym (one OpenBLAS thread, 2-vCPU VM), building the maps of one
+# duration took 3.8-4.1 ms at n = 128 and 21-29 ms at n = 256, against
+# 0.73-0.80 ms and 1.6-1.9 ms for one second-order Krylov step at
+# tau = 1/2560, so they pay for themselves within some 6 and 15 steps; a
+# mapped step then took 0.09-0.14 ms and 0.13-0.17 ms.  The maps hold 3 n^2
+# doubles per duration, 1.5 MB at n = 256.
+MAPPED_FLOW_MAX_N = 256
 
 
 def step_count(span: float, tau: float) -> int:
@@ -121,15 +134,14 @@ class ConstrainedSystem:
     are deterministic, so a run on a system whose maps are built gives
     the same bits as a run on a fresh one.
 
-    ``step_maps`` holds the dense maps of one step duration
-    (``flow.step_maps``); every propagation over that duration, in any
-    scheme, is then up to three products with them instead of a Krylov
-    flow (``_propagate``).  It is None here: only
-    the shallow copy that ``harness.build_reference`` integrates on
-    sets it.
+    On a system with at most ``MAPPED_FLOW_MAX_N`` unknowns the first
+    propagation over each step duration has ``flow_op`` build the dense
+    step maps of that duration (``DaeOperator.hold_maps``), and every
+    propagation over it, in any scheme and any later ``integrate`` on
+    this system, is then up to three products with them instead of a
+    Krylov flow (``_propagate``).  No maps are built before the first
+    step.
     """
-
-    step_maps = None
 
     def __init__(
         self,
@@ -175,10 +187,7 @@ class ConstrainedSystem:
 
     @functools.cached_property
     def lift_map(self) -> np.ndarray:
-        """L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use.
-
-        A shallow copy of the system made after the first use shares L.
-        """
+        """L = [lift_constraint(e_1) ... lift_constraint(e_m)], built on first use."""
         L = np.empty((self.n, self.m))
         for i, e in enumerate(np.eye(self.m)):
             L[:, i] = lift_constraint(self, e)
@@ -253,12 +262,14 @@ class Diagnostics:
     flow_checks: int = 0
     arnoldi_steps: int = 0
     max_basis_size: int = 0
+    mapped_flows: int = 0
 
     def record_flow(self, result):
         self.flow_substeps += result.substeps
         self.flow_checks += result.checks
         self.arnoldi_steps += result.arnoldi_steps
         self.max_basis_size = max(self.max_basis_size, result.basis_size)
+        self.mapped_flows += result.mapped
 
     def record_residual(self, res):
         self.constraint_residuals.append(res)
@@ -305,25 +316,20 @@ def _finish_step(sys, t1, u1, lift_g1, diag):
 def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     """E(t) z + Phi_1(t) load + Phi_2(t) slope on ker B, and the basis to record.
 
-    A term that is None is dropped.  If ``sys.step_maps`` holds the maps
-    of duration t, this is up to three dense products and one
-    projection, after z is checked against the constraint as a flow
-    input is, and the basis to record is 0.  Otherwise it is one Krylov
-    flow with the loads (``flow``), which makes one saddle solve per
-    Arnoldi step and no other, and none on a system small enough for
-    the dense generator (``flow.DENSE_GENERATOR_MAX_N``).  The flow is
-    warm-started from flow ``slot`` of the step that made ``state``, and
-    the basis to record in that slot of the next state's ``flow_bases``
-    is the accepted one, or 0 if the flow took more than one substep.
+    A term that is None is dropped.  The sum is one flow with the loads
+    (``flow``), called through the module name ``krylov_flow``.  On a
+    system with n <= ``MAPPED_FLOW_MAX_N`` the operator first builds the
+    maps of duration t if it does not hold them.  Over a duration whose
+    maps the operator holds, the flow is up to three dense products and
+    a projection, and the basis to record is 0.  Otherwise it is a
+    Krylov flow, which makes one saddle solve per Arnoldi step and no
+    other; it is warm-started from flow ``slot`` of the step that made
+    ``state``, and the basis to record in that slot of the next state's
+    ``flow_bases`` is the accepted one, or 0 if the flow took more than
+    one substep.
     """
-    maps = sys.step_maps
-    if maps is not None and maps.tau == t:
-        if z is not None:
-            _require_consistent(sys.flow_op, z)
-        x = 0.0 if z is None else maps.flow @ z
-        x = x if load is None else x + maps.phi1 @ load
-        x = x if slope is None else x + maps.phi2 @ slope
-        return sys.flow_op.project(x), 0
+    if sys.n <= MAPPED_FLOW_MAX_N:
+        sys.flow_op.hold_maps(t)
     x0 = np.zeros(sys.n) if z is None else z
     loads = (load,) if slope is None else (load, slope)
     bases = state.flow_bases
@@ -351,11 +357,25 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         u_{n+1} = lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0 + Phi_2(tau) d,
 
     which at c2 = 1 is u_s + Phi_2(tau) d.  Every term goes through
-    ``_propagate``.  For c2 < 1 the division amplifies d: a slope whose
-    squared norm overflows (``_check_stage_slope``), or whose flow
-    overflows, raises ``NonFinite`` naming c2, without numpy's warning.
+    ``_propagate``.  For c2 < 1 the division amplifies the round-off of
+    the stage in d, and what overflows is named by c2: the step runs
+    with numpy's overflow warnings off, a slope whose squared norm
+    overflows raises ``NonFinite``, and so does any non-finite value of
+    the step, also in the load of a state that an earlier step at this
+    c2 blew up.
     """
     diag = Diagnostics() if diag is None else diag
+    if c2 >= 1.0:
+        return _stage_and_slope(sys, state, tau, c2, config, diag, stage_only)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _stage_and_slope(sys, state, tau, c2, config, diag, stage_only)
+        except NonFinite as exc:
+            raise NonFinite(f"{exc} at c2 = {c2!r} (t = {state.t})") from exc
+
+
+def _stage_and_slope(sys, state, tau, c2, config, diag, stage_only):
+    """The body of ``_exponential_step``."""
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau
     load0 = sys.load(t0, state.u) - spmv(sys.mass, sys.lift_map @ sys.gdot(t0))
@@ -375,36 +395,11 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
         lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
     else:
         lift_g1 = base = sys.lift_map @ sys.g(t1)
-    if c2 < 1.0:  # the division amplifies
-        _check_stage_slope(slope, c2, t0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
-            except NonFinite as exc:
-                raise NonFinite(
-                    f"flow of the stage slope overflows at c2 = {c2!r} (t = {t0}): {exc}"
-                ) from exc
-    else:
-        z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
+    if c2 < 1.0 and not math.isfinite(slope.dot(slope)):
+        raise NonFinite("stage slope (l(t_n + c2 tau) - l_0) / c2 overflows")
+    z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
     u1 = _finish_step(sys, t1, base + z_end, lift_g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
-
-
-def _check_stage_slope(slope, c2, t) -> None:
-    """Raise ``NonFinite`` naming c2 if the squared norm of ``slope`` overflows.
-
-    Dividing by a tiny c2 can leave a finite slope whose Arnoldi products
-    overflow; this check fails first, without numpy's overflow warning.
-    A slope that passes it can still overflow in its flow, which
-    ``_exponential_step`` runs with numpy's overflow warnings off and
-    reports as a ``NonFinite`` naming c2 too.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sumsq = slope.dot(slope)
-    if not math.isfinite(sumsq):
-        raise NonFinite(
-            f"stage slope (l(t_n + c2 tau) - l_0) / c2 overflows at c2 = {c2!r} (t = {t})"
-        )
 
 
 def exponential_euler_step(

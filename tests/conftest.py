@@ -54,6 +54,41 @@ def kernel_reduction_flow(M, A, B, x0, t):
     return basis @ (expm(-t * reduced) @ (basis.T @ x0))
 
 
+def radau_endpoint(system, u0, t_end):
+    """Independent oracle: Radau IIA (``solve_ivp``, rtol 1e-12) on the reduced ODE.
+
+    With Z an orthonormal basis of ker B and the particular solution
+    P g(t), P = pinv(B), the state is u = P g + Z y with
+
+        M_K y' = Z^T (f(t, u) - M P g'(t) - A P g(t)) - A_K y,
+
+    M_K = Z^T M Z and A_K = Z^T A Z.  Nothing here goes through the
+    library's lifts, projections, kernel reduction or flows: only the
+    problem's matrices and callbacks are shared.  The Jacobian given to
+    the solver is the linear part -M_K^{-1} A_K.
+    """
+    from scipy.integrate import solve_ivp
+
+    M, A, B = (mat.toarray() for mat in (system.mass, system.stiffness, system.constraint))
+    Z = scipy.linalg.null_space(B) if B.shape[0] else np.eye(M.shape[0])
+    P = np.linalg.pinv(B) if B.shape[0] else np.zeros((M.shape[0], 0))
+    mass_k = Z.T @ M @ Z
+    generator = -np.linalg.solve(mass_k, Z.T @ A @ Z)
+
+    def state(t, y):
+        return P @ system.g(t) + Z @ y
+
+    def rhs(t, y):
+        load = system.load(t, state(t, y)) - M @ (P @ system.gdot(t)) - A @ (P @ system.g(t))
+        return generator @ y + np.linalg.solve(mass_k, Z.T @ load)
+
+    y0 = Z.T @ (u0 - P @ system.g(0.0))
+    solution = solve_ivp(rhs, (0.0, t_end), y0, method="Radau", rtol=1e-12, atol=1e-14,
+                         jac=generator)
+    assert solution.success, solution.message
+    return state(t_end, solution.y[:, -1])
+
+
 def phi(order, z):
     """phi_order at a scalar or square matrix argument, by the production ``expm``.
 

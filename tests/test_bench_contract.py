@@ -49,8 +49,8 @@ def changed(before, after):
 
 
 def test_traced_integrations_keep_the_count_identities(monkeypatch):
-    # Every span must be exercised, DaeOperator.apply too: the sparse generator.
-    monkeypatch.setattr(importlib.import_module("expidae.flow"), "DENSE_GENERATOR_MAX_N", 0)
+    # Every span must be exercised, DaeOperator.apply too: the Krylov flow.
+    monkeypatch.setattr(importlib.import_module("expidae.integrators"), "MAPPED_FLOW_MAX_N", 0)
     before = library_namespace()
     tracer = load_tracer().Tracer()
     tau = 1 / 2560
@@ -106,9 +106,9 @@ def test_traced_family_keeps_the_saddle_solve_identity():
 
 
 def test_traced_reference_build_keeps_the_count_identities():
-    # The reference runs flow with exact dense propagators, around the
-    # Krylov flow the tracer counts: they must add nothing to the Krylov
-    # counters of Diagnostics either.
+    # The reference runs flow through exact dense step maps: every flow is
+    # one traced flow.flow call that makes no Arnoldi step, and adds only
+    # its one substep and its mapped count to Diagnostics.
     tracer = load_tracer().Tracer()
     tau = 1 / 2560
     with tracer:
@@ -118,9 +118,11 @@ def test_traced_reference_build_keeps_the_count_identities():
 
     assert tracer.self_check(("linalg", "phi", "integrators", "harness")) == []
     assert tracer.calls["integrators.step"] == 4 + 8
-    assert tracer.calls["flow.flow"] == tracer.calls["flow.arnoldi_step"] == 0
+    assert tracer.calls["flow.flow"] == 2 * (4 + 8)
+    assert tracer.calls["flow.arnoldi_step"] == 0
     assert tracer.calls["phi.expm"] == 2
     assert len(tracer.diagnostics) == 2
-    for diag in tracer.diagnostics:
+    for diag, flows in zip(tracer.diagnostics, (8, 16)):
         counters = (diag.flow_substeps, diag.flow_checks, diag.arnoldi_steps, diag.max_basis_size)
-        assert counters == (0, 0, 0, 0)
+        assert counters == (flows, 0, 0, 0)
+        assert diag.mapped_flows == flows

@@ -1,4 +1,3 @@
-import copy
 import os
 import struct
 import subprocess
@@ -11,7 +10,6 @@ from conftest import push_flows_off_kernel
 from test_bench_contract import load_tracer
 
 from expidae.cli import main
-from expidae.flow import kernel_reduction, step_maps
 from expidae.harness import read_convergence_csv
 from expidae.integrators import SchemeConfig, integrate
 from expidae.problems import build_problem
@@ -66,8 +64,8 @@ class TestSolve:
             return traj, diag
 
         monkeypatch.setattr(cli_mod, "integrate", integrate_and_keep)
-        # The tracer counts the Arnoldi steps of the sparse generator.
-        monkeypatch.setattr(sys.modules["expidae.flow"], "DENSE_GENERATOR_MAX_N", 0)
+        # The tracer counts the Arnoldi steps of Krylov flows.
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         out = tmp_path / "traj.csv"
         with load_tracer().Tracer() as tracer:
             code = main(
@@ -86,6 +84,15 @@ class TestSolve:
         assert f" checks={diag.flow_checks} " in summary
         assert diag.arnoldi_steps == tracer.calls["flow.arnoldi_step"] > 0
         assert f" checks={diag.flow_checks} arnoldi_steps={diag.arnoldi_steps} " in summary
+
+    def test_summary_counts_mapped_flows(self, tmp_path, capsys):
+        # toy has 8 unknowns, so every flow takes the operator's step maps.
+        out = tmp_path / "traj.csv"
+        argv = ["solve", "--problem", "toy", "--tau", "0.05", "--t-end", "0.5",
+                "--scheme", "second-order", "--out", str(out)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().out
+        assert " max_basis=0 checks=0 arnoldi_steps=0 mapped_flows=20 -> " in summary
 
     def test_summary_shows_a_repair(self, tmp_path, capsys, monkeypatch):
         push_flows_off_kernel(monkeypatch)
@@ -151,6 +158,7 @@ class TestSolve:
         assert not out.exists()
 
     def test_flow_substep_limit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         flow_module = sys.modules["expidae.flow"]
         monkeypatch.setattr(flow_module, "BASIS_CAP", 8)
         monkeypatch.setattr(flow_module, "SUBSTEP_LIMIT", 2)
@@ -216,10 +224,10 @@ class TestSolve:
         final = np.frombuffer(dump.read_bytes()[16:], dtype="<f8").reshape(count, n)[-1]
 
         problem = build_problem("nonsym", n_cells=256)
-        mapped = copy.copy(problem.system)
-        mapped.step_maps = step_maps(mapped.flow_op, 0.05, kernel_reduction(mapped.flow_op))
+        problem.system.flow_op.hold_maps(0.05)
         config = SchemeConfig(scheme="exp-euler")
-        traj, _ = integrate(mapped, config, problem.u0, 0.0, 0.05, 0.05)
+        traj, diag = integrate(problem.system, config, problem.u0, 0.0, 0.05, 0.05)
+        assert diag.mapped_flows == 1
         assert np.linalg.norm(final - traj[-1].u) <= config.flow_tol
 
     def test_mesh_flag_fraction(self, tmp_path):

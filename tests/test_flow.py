@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -30,7 +31,7 @@ from expidae.flow import (
     kernel_reduction,
     step_maps,
 )
-from expidae.integrators import Diagnostics, StepState, kernel_solve, second_order_step
+from expidae.integrators import kernel_solve
 from expidae.linalg import SaddleFactorization
 from expidae.phi import expm
 from expidae.problems import build_problem
@@ -368,8 +369,7 @@ class TestCheckSchedule:
         np.testing.assert_array_equal(every_step.state, result.state)
 
     def test_capped_flow_counts_every_shot_and_trial(self, monkeypatch):
-        # On the sparse generator every Arnoldi step is one DaeOperator.apply.
-        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
+        # Every Arnoldi step is one DaeOperator.apply.
         prob = build_problem("nonsym", n_cells=16)
         monkeypatch.setattr(flow_module, "BASIS_CAP", 16)
         dims = _count_expm(monkeypatch)
@@ -633,7 +633,6 @@ class TestPhiForm:
     def test_arnoldi_steps_count_saddle_solves(self, monkeypatch):
         # From [0; e_1] with no first load, the first step is a pure
         # shift of the load coordinates: no solve, and not counted.
-        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
         op, _, _, slope = _phi_form_case("nonsym", {"n_cells": 16})
         solves = []
         solve = SaddleFactorization.solve
@@ -669,12 +668,11 @@ class TestPhiForm:
         assert abs(np.linalg.norm(defect[:, -1]) - h_next) <= 1e-9 * scale
 
     def test_zero_loads_and_state_make_no_solve(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
         op = build_problem("nonsym", n_cells=16).system.flow_op
         monkeypatch.setattr(
             DaeOperator, "apply", lambda *args: pytest.fail("apply called")
         )
-        for loads in ((None,), (None, None), (np.zeros(op.n),)):
+        for loads in ((None,), (None, None), (np.zeros(op.n),), (np.zeros(op.n), None)):
             result = flow(op, np.zeros(op.n), 0.01, loads=loads)
             assert np.linalg.norm(result.state) == 0.0
             assert result.arnoldi_steps == 0
@@ -685,103 +683,85 @@ class TestPhiForm:
             flow(op, np.zeros(op.n), 0.01, loads=(np.ones(op.n + 1),))
 
 
-class TestDenseGenerator:
-    """Systems with n <= ``DENSE_GENERATOR_MAX_N`` run the generator as a dense matrix."""
+class TestMappedFlow:
+    """``flow`` through the step maps that ``DaeOperator.hold_maps`` gives the operator."""
 
-    def test_dense_and_sparse_flows_with_two_loads_agree(self, monkeypatch):
-        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 64})
+    @pytest.mark.parametrize("orders", ["z+l", "z+l+s", "s"])
+    def test_matches_the_krylov_flow(self, orders):
+        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 32})
+        loads = {"z+l": (load,), "z+l+s": (load, slope), "s": (None, slope)}[orders]
+        x0 = np.zeros(op.n) if orders == "s" else z
+        tol = 1e-12
+        krylov = flow(op, x0, 0.01, tol=tol, loads=loads)
+        op.hold_maps(0.01)
+        mapped = flow(op, x0, 0.01, tol=tol, loads=loads)
+        assert not krylov.mapped and krylov.arnoldi_steps > 0
+        assert mapped.mapped
+        assert (mapped.substeps, mapped.basis_size, mapped.checks, mapped.arnoldi_steps) == (
+            1, 0, 0, 0
+        )
+        assert np.linalg.norm(mapped.state - krylov.state) <= 10 * tol
+        assert np.linalg.norm(op.constraint @ mapped.state) <= 1e-12 * np.linalg.norm(z)
+        # Another duration, or more loads than the maps cover, stays on Krylov.
+        assert not flow(op, x0, 0.005, loads=loads).mapped
+        assert not flow(op, x0, 0.01, loads=(load, slope, load)).mapped
+
+    def test_a_direct_flow_on_a_fresh_small_operator_makes_arnoldi_steps(self, monkeypatch):
+        op, z, load, _ = _phi_form_case("nonsym", {"n_cells": 64})
         applied = []
         apply = DaeOperator.apply
         monkeypatch.setattr(
             DaeOperator, "apply", lambda op, rhs: applied.append(1) or apply(op, rhs)
         )
-        runs = []
-        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
-            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
-            before = len(applied)
-            runs.append((flow(op, z, 1 / 2560, loads=(load, slope)), len(applied) - before))
-        (sparse, sparse_applies), (dense, dense_applies) = runs
-        assert sparse_applies == sparse.arnoldi_steps > 0
-        assert dense_applies == 0
-        assert dense.basis_size == sparse.basis_size
-        assert dense.checks == sparse.checks
-        assert dense.arnoldi_steps == sparse.arnoldi_steps
-        assert dense.substeps == sparse.substeps == 1
-        assert np.linalg.norm(dense.state - sparse.state) <= 10 * DEFAULT_TOL
+        result = flow(op, z, 1 / 2560, loads=(load,))
+        assert not result.mapped
+        assert result.arnoldi_steps == len(applied) > 0
+        assert op.maps == {} and "_reduction" not in vars(op)
 
-    def test_generator_images_agree(self, monkeypatch):
-        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
-        v = np.concatenate((z, [0.3, -0.7]))
-        images = []
-        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
-            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
-            images.append(generator_image(op, v, (load, slope), t=0.01))
-        sparse, dense = images
-        np.testing.assert_array_equal(dense[op.n :], sparse[op.n :])
-        assert np.linalg.norm(dense - sparse) <= 1e-12 * np.linalg.norm(sparse)
+    def test_keeps_the_input_checks(self):
+        op, z, load, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        op.hold_maps(0.01)
+        with pytest.raises(InconsistentState):
+            flow(op, z + op.constraint.T @ np.ones(op.m), 0.01, loads=(load,))
+        bad = load.copy()
+        bad[2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="flow load 2 is not finite"):
+                flow(op, z, 0.01, loads=(load, bad))
 
-    @pytest.mark.parametrize("name, n_cells, dense", [
-        ("nonsym", 64, True), ("nonsym", 128, True), ("dynbc", 32, False),
-    ])
-    def test_the_size_alone_picks_the_path(self, monkeypatch, name, n_cells, dense):
-        op = build_problem(name, n_cells=n_cells).system.flow_op
-        assert (op.n <= flow_module.DENSE_GENERATOR_MAX_N) == dense
-        applied = []
-        apply = DaeOperator.apply
-        monkeypatch.setattr(
-            DaeOperator, "apply", lambda op, rhs: applied.append(1) or apply(op, rhs)
-        )
-        x0 = op.project(np.random.default_rng(3).standard_normal(op.n))
-        result = flow(op, x0, 1 / 2560, loads=(np.ones(op.n),))
-        assert result.arnoldi_steps > 0
-        assert len(applied) == (0 if dense else result.arnoldi_steps)
-        # A sparse system never builds the dense n x n matrices.
-        assert ("_generator" in vars(op)) == ("_mass_solve" in vars(op)) == dense
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_product_raises_non_finite_without_a_warning(self):
+        # Phi_1(1) has a row of absolute sum 5.0 on nonsym h=1/16, so a load
+        # of 1e308 with the signs of that row makes a product of 5e308.
+        op, z, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        phi1 = op.hold_maps(1.0).phi1
+        row = phi1[np.abs(phi1).sum(axis=1).argmax()]
+        assert np.abs(row).sum() > 2.0
+        with pytest.raises(NonFinite, match="mapped flow over t = 1 is not finite"):
+            flow(op, z, 1.0, loads=(1e308 * np.sign(row),))
 
-    @pytest.mark.parametrize("limit", [0, 256])
-    def test_zero_loads_and_state_make_no_arnoldi_step(self, monkeypatch, limit):
-        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
+    def test_zero_state_and_zero_loads_make_no_mapped_flow(self):
         op = build_problem("nonsym", n_cells=16).system.flow_op
-        for loads in ((None,), (None, None), (np.zeros(op.n),), (np.zeros(op.n), None)):
-            result = flow(op, np.zeros(op.n), 0.01, loads=loads)
-            assert np.linalg.norm(result.state) == 0.0
-            assert result.arnoldi_steps == 0
+        op.hold_maps(0.01)
+        result = flow(op, np.zeros(op.n), 0.01, loads=(None, None))
+        assert not result.mapped and result.substeps == 0
+        assert np.linalg.norm(result.state) == 0.0
 
-    def test_flows_on_one_operator_keep_their_own_load_columns(self):
-        op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
-        first = flow(op, z, 0.01, loads=(load,))
-        flow(op, z, 0.01, loads=(slope,))
-        again = flow(op, z, 0.01, loads=(load,))
-        np.testing.assert_array_equal(again.state, first.state)
-        # The dense X is shared read-only; only the load columns are per flow.
-        with_loads = flow_module._PhiForm(op, (load,), 0.01)
-        assert flow_module._PhiForm(op, (), 0.01)._matrix is op._generator
-        assert not np.shares_memory(with_loads._matrix, op._generator)
-
-    def test_dense_steps_make_no_saddle_solve_and_count_like_sparse_steps(self, monkeypatch):
-        tau = 1 / 2560
-        solves = []
-        solve = SaddleFactorization.solve
+    def test_the_operator_builds_one_reduction_and_keeps_each_duration(self, monkeypatch):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        reductions = []
+        reduce = flow_module.kernel_reduction
         monkeypatch.setattr(
-            SaddleFactorization, "solve", lambda fact, *args: solves.append(1) or solve(fact, *args)
+            flow_module, "kernel_reduction", lambda op: reductions.append(1) or reduce(op)
         )
-        counters = []
-        for limit in (0, flow_module.DENSE_GENERATOR_MAX_N):
-            monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", limit)
-            prob = build_problem("nonsym", n_cells=64)
-            # The first step builds the lift map, W and, on the dense path, S and X.
-            state = second_order_step(prob.system, StepState(0.0, prob.u0), tau)
-            diag = Diagnostics()
-            before = len(solves)
-            second_order_step(prob.system, state, tau, diag=diag)
-            solves_of_step = len(solves) - before
-            assert solves_of_step == (0 if limit else diag.arnoldi_steps)
-            counters.append(
-                (diag.arnoldi_steps, diag.flow_checks, diag.flow_substeps, diag.max_basis_size,
-                 diag.rhs_evaluations, diag.repairs)
-            )
-        assert counters[0] == counters[1]
-        assert counters[0][0] > 0
+        first = op.hold_maps(0.01)
+        assert op.hold_maps(0.01) is first
+        op.hold_maps(0.02)
+        assert len(reductions) == 1 and sorted(op.maps) == [0.01, 0.02]
+        for t in (0.0, -0.01, math.inf, math.nan):
+            with pytest.raises(ValueError, match="duration"):
+                op.hold_maps(t)
 
 
 def _saddle_matrix(op):
@@ -795,35 +775,9 @@ def _saddle_matrix(op):
 
 
 class TestMassSolve:
-    """S = M^{-1} - W (B M^{-1}), the mass solve on ker B, and the sparse generator."""
+    """An image of the generator is one mass saddle solve of C c - A x."""
 
-    @pytest.mark.parametrize("name, options, m", [
-        ("toy", {}, 3), ("toy", {"m": 0}, 0), ("nonsym", {"n_cells": 16}, 1),
-    ])
-    def test_matches_the_saddle_inverse(self, name, options, m):
-        op = build_problem(name, **options).system.flow_op
-        assert op.m == m
-        expected = np.linalg.inv(_saddle_matrix(op))[: op.n, : op.n]
-        assert np.linalg.norm(op._mass_solve - expected) <= 1e-13 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 16})])
-    def test_building_it_makes_only_the_solves_of_w(self, monkeypatch, name, options):
-        op = build_problem(name, **options).system.flow_op
-        assert "_projector" not in vars(op)
-        solves, projections = [], []
-        solve, project = SaddleFactorization.solve, flow_module.kernel_project
-        monkeypatch.setattr(
-            SaddleFactorization, "solve", lambda fact, *args: solves.append(1) or solve(fact, *args)
-        )
-        monkeypatch.setattr(
-            flow_module, "kernel_project", lambda fact, x: projections.append(1) or project(fact, x)
-        )
-        op._mass_solve
-        assert len(projections) == len(solves) == op.m > 0
-        assert "_projector" in vars(op)
-
-    def test_sparse_image_with_two_loads(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "DENSE_GENERATOR_MAX_N", 0)
+    def test_sparse_image_with_two_loads(self):
         op, z, load, slope = _phi_form_case("nonsym", {"n_cells": 16})
         n, t, c = op.n, 0.01, np.array([0.3, -0.7])
         image = generator_image(op, np.concatenate((z, c)), (load, slope), t=t)
@@ -831,4 +785,3 @@ class TestMassSolve:
         expected = np.linalg.solve(_saddle_matrix(op), np.concatenate((rhs, np.zeros(op.m))))[:n]
         assert np.linalg.norm(image[:n] - expected) <= 1e-12 * np.linalg.norm(expected)
         np.testing.assert_array_equal(image[n:], [0.0, c[0]])
-        assert "_mass_solve" not in vars(op)

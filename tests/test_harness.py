@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from conftest import radau_endpoint
 from expidae import harness
 from expidae.errors import NegativeEnergy, SelfCheckFailed
 from expidae.harness import (
@@ -172,8 +173,8 @@ class TestBuildReference:
         build_reference(prob, 0.05, 1 / 2560)
         assert arnoldi_steps == []
         assert len(exponentials) == 2
-        # The step maps lived on copies; the ladder's system has none.
-        assert prob.system.step_maps is None
+        # The operator held the maps of each run for that run only.
+        assert prob.system.flow_op.maps == {}
 
     def test_kernel_reduction_is_built_once_per_cold_build(self, monkeypatch, tmp_path):
         # Both reference runs share null_space(B), Z^T M Z, Z^T A Z and the solves.
@@ -191,12 +192,43 @@ class TestBuildReference:
         warm = build_reference(prob, 0.05, 1 / 2560, cache_dir=tmp_path)
         assert warm.from_cache and len(calls) == 1
 
+    @pytest.mark.parametrize("name, n_cells, norm", [("nonsym", 32, "h1"), ("dynbc", 16, "energy")])
+    def test_reference_is_within_twice_its_gap_of_radau(self, name, n_cells, norm):
+        # A second-order reference at tau_ref is off by gap / (1 - 2^-2)
+        # from the exact solution, 1.33 gaps; a reference that shares an
+        # error with its half-step check, such as a dropped M L g' term
+        # in the loads, is off by far more than its gap.
+        prob = build_problem(name, n_cells=n_cells)
+        ref = build_reference(prob, 0.1, 1 / 2560)
+        gap = error_norm(prob.system, ref.state - ref.check_states[-1], norm)
+        oracle = radau_endpoint(prob.system, prob.u0, 0.1)
+        assert gap > 0.0
+        assert error_norm(prob.system, ref.state - oracle, norm) <= 2.0 * gap
+
+    def test_dynbc_reference_holds_the_maps_of_one_step_at_a_time(self, monkeypatch):
+        prob = build_problem("dynbc", n_cells=32)
+        op = prob.system.flow_op
+        assert sys.modules["expidae.integrators"].MAPPED_FLOW_MAX_N < op.n
+        held = []
+        integrate = harness.integrate
+
+        def spied(system, config, u0, t0, t_end, tau, **kwargs):
+            held.append((tau, sorted(op.maps)))
+            return integrate(system, config, u0, t0, t_end, tau, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate", spied)
+        tau_ref = 1 / 10240
+        build_reference(prob, 2 * tau_ref, tau_ref)
+        assert held == [(tau_ref, [tau_ref]), (tau_ref / 2, [tau_ref / 2])]
+        assert op.maps == {}
+
     def test_cap_takes_dynbc_at_h_1_32_and_not_at_h_1_64(self):
         small, large = (build_problem("dynbc", n_cells=n).system.n for n in (32, 64))
         assert small <= harness.EXACT_FLOW_MAX_N < large
 
     def test_above_the_cap_the_reference_is_the_krylov_run(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=32)
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         monkeypatch.setattr(harness, "EXACT_FLOW_MAX_N", prob.system.n - 1)
         ref = build_reference(prob, 0.05, 1 / 2560)
         for tau, states in ((1 / 2560, ref.states), (1 / 5120, ref.check_states)):
@@ -210,6 +242,7 @@ class TestBuildReference:
     def test_exact_and_krylov_references_agree(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=32)
         exact = build_reference(prob, 0.05, 1 / 2560, snapshot_tau=0.0125)
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         monkeypatch.setattr(harness, "EXACT_FLOW_MAX_N", 0)
         krylov = build_reference(prob, 0.05, 1 / 2560, snapshot_tau=0.0125)
         assert exact.states.shape == krylov.states.shape == (5, prob.system.n)
@@ -234,6 +267,20 @@ class TestRunConvergence:
         assert table.tau_ref is None
         assert table.self_check_gap is None
         assert table.flow_tol == 1e-12
+
+    def test_csv_names_the_ladder_flows(self, tmp_path, monkeypatch):
+        # toy has 8 unknowns: its ladder takes the step maps unless the
+        # size bound sends it to the Krylov flow.
+        ladders = {}
+        for label, bound in (("mapped", None), ("krylov", 0)):
+            if bound is not None:
+                monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", bound)
+            table = run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.05], 0.5, norm="l2")
+            path = tmp_path / f"{label}.csv"
+            emit_csv(table, path)
+            meta, _ = read_convergence_csv(path)
+            ladders[label] = (table.ladder_flows, meta["ladder_flows"])
+        assert ladders == {"mapped": ("mapped", "mapped"), "krylov": ("krylov", "krylov")}
 
     def test_toy_against_integrated_reference(self, tmp_path):
         prob = toy_problem()

@@ -1,4 +1,3 @@
-import copy
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -27,7 +26,7 @@ from expidae.errors import (
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, flow, kernel_reduction, step_maps
+from expidae.flow import DaeOperator, flow
 from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
@@ -698,12 +697,11 @@ class TestNoSparseDispatch:
         return calls
 
     def _check(self, monkeypatch, mapped, config):
+        if not mapped:
+            monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         prob = build_problem("nonsym", n_cells=16)
         system, tau = prob.system, 1 / 2560
-        if mapped:
-            system = copy.copy(system)
-            system.step_maps = step_maps(system.flow_op, tau, kernel_reduction(system.flow_op))
-        # The first step builds L and W.
+        # The first step builds L and W, and the maps of a mapped run.
         state = second_order_step(system, StepState(0.0, prob.u0), tau, config)
         calls = self._spy(monkeypatch, system.mass)
         second_order_step(system, state, tau, config)
@@ -728,6 +726,7 @@ class TestNoExpmDispatch:
         return spy_scipy_expm(monkeypatch)
 
     def test_warm_second_order_step(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         prob = build_problem("nonsym", n_cells=16)
         tau = 1 / 2560
         state = second_order_step(prob.system, StepState(0.0, prob.u0), tau, SchemeConfig())
@@ -795,12 +794,12 @@ class TestSolveCounts:
         It makes no lift solve and no kernel solve, ``projections``
         projections without a saddle solve, one SuperLU solve per Arnoldi
         step, and exactly one SuperLU solve per saddle solve: every saddle
-        solve of the step is an Arnoldi step.  The flows take the sparse
-        generator, whose Arnoldi steps are saddle solves, at every size.
+        solve of the step is an Arnoldi step.  The flows take the Krylov
+        path, whose Arnoldi steps are saddle solves, at every size.
         """
         linalg_mod = sys.modules["expidae.linalg"]
         integ_mod = sys.modules["expidae.integrators"]
-        monkeypatch.setattr(sys.modules["expidae.flow"], "DENSE_GENERATOR_MAX_N", 0)
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         lus = []
         raw_splu = linalg_mod.splu
 
@@ -883,7 +882,7 @@ class TestSolveCounts:
     def test_every_solve_of_a_step_is_an_arnoldi_step_with_a_nonzero_rhs(
         self, monkeypatch, name, n_cells, c2
     ):
-        monkeypatch.setattr(sys.modules["expidae.flow"], "DENSE_GENERATOR_MAX_N", 0)
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         prob = build_problem(name, n_cells=n_cells)
         sys_, tau = prob.system, 1 / 2560
         config = SchemeConfig(scheme="second-order-family", c2=c2)
@@ -927,11 +926,12 @@ class TestSolveCounts:
         assert result.substeps == 1
         assert result.basis_size <= 25
 
-    def test_study_rungs_keep_their_capped_krylov_bases(self):
+    def test_study_rungs_keep_their_capped_krylov_bases(self, monkeypatch):
         # The exp-Euler rungs of the benchmark's study-nonsym: their
         # capped flows go on from the capped basis.  1 500 Arnoldi steps,
         # on either generator; throwing capped shots away and halving the
         # interval cost 1 792.
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
         prob = build_problem("nonsym", n_cells=32)
         config = SchemeConfig(scheme="exp-euler")
         steps = 0
@@ -956,21 +956,23 @@ class TestSolveCounts:
 
 
 class TestMappedStep:
-    """Exponential steps at c2 = 1 through the dense maps of ``flow.step_maps``."""
+    """Exponential steps through the step maps their system's operator holds."""
 
     @staticmethod
-    def _mapped(system, tau):
-        mapped = copy.copy(system)
-        mapped.step_maps = step_maps(system.flow_op, tau, kernel_reduction(system.flow_op))
-        return mapped
+    def _only(monkeypatch, system, tau):
+        """``system`` holding the maps of ``tau`` and building no others."""
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
+        system.flow_op.hold_maps(tau)
+        return system
 
     @pytest.mark.parametrize("scheme", ["second-order", "exp-euler"])
-    def test_twenty_steps_match_the_krylov_steps(self, scheme):
-        prob = build_problem("nonsym", n_cells=32)
+    def test_twenty_steps_match_the_krylov_steps(self, monkeypatch, scheme):
+        krylov_prob, prob = (build_problem("nonsym", n_cells=32) for _ in range(2))
         tau, config = 1 / 2560, SchemeConfig(scheme=scheme, flow_tol=1e-13)
-        mapped = self._mapped(prob.system, tau)
-        krylov, diag = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
-        exact, exact_diag = integrate(mapped, config, prob.u0, 0.0, 20 * tau, tau)
+        with monkeypatch.context() as mp:
+            mp.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
+            krylov, diag = integrate(krylov_prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        exact, exact_diag = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
         assert diag.arnoldi_steps > 0 and exact_diag.arnoldi_steps == 0
         assert exact_diag.rhs_evaluations == diag.rhs_evaluations
         assert exact_diag.max_constraint_residual <= 1e-12
@@ -978,12 +980,63 @@ class TestMappedStep:
             assert a.t == b.t
             assert np.linalg.norm(a.u - b.u) <= 1e-11 * np.linalg.norm(b.u)
 
-    def test_makes_no_saddle_solve_and_no_krylov_flow(self, monkeypatch):
+    @pytest.mark.parametrize("name, options, tau", [
+        ("toy", {}, 0.01), ("nonsym", {"n_cells": 64}, 1 / 2560),
+    ])
+    @pytest.mark.parametrize("config", [
+        SchemeConfig(scheme="exp-euler"),
+        SchemeConfig(scheme="second-order"),
+        SchemeConfig(scheme="second-order-family", c2=0.5),
+        SchemeConfig(scheme="alt-euler", theta=0.5),
+    ], ids=["exp-euler", "second-order", "family-c2-0.5", "alt-euler-theta-0.5"])
+    def test_every_scheme_matches_its_krylov_run(self, monkeypatch, name, options, tau, config):
+        krylov_prob, prob = (build_problem(name, **options) for _ in range(2))
+        with monkeypatch.context() as mp:
+            mp.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
+            krylov, diag = integrate(krylov_prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        mapped, mapped_diag = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        assert diag.mapped_flows == 0 and diag.arnoldi_steps > 0
+        assert mapped_diag.arnoldi_steps == mapped_diag.flow_checks == 0
+        assert mapped_diag.mapped_flows == mapped_diag.flow_substeps > 0
+        for a, b in zip(mapped[1:], krylov[1:]):
+            assert np.linalg.norm(a.u - b.u) <= 1e-9 * np.linalg.norm(b.u)
+
+    def test_runs_on_one_system_build_the_maps_of_each_duration_once(self, monkeypatch):
+        flow_mod = sys.modules["expidae.flow"]
+        built = Counter()
+        for attr in ("kernel_reduction", "step_maps"):
+            fn = getattr(flow_mod, attr)
+
+            def counted(op, *args, _fn=fn, _attr=attr):
+                built[_attr, args[0] if args else None] += 1
+                return _fn(op, *args)
+
+            monkeypatch.setattr(flow_mod, attr, counted)
+        prob = build_problem("nonsym", n_cells=16)
+        tau = 1 / 2560
+        family = SchemeConfig(scheme="second-order-family", c2=0.5)
+        for config in (SchemeConfig(scheme="second-order"), family, family):
+            integrate(prob.system, config, prob.u0, 0.0, 4 * tau, tau)
+        reduction = prob.system.flow_op._reduction
+        assert built == {("kernel_reduction", None): 1, ("step_maps", tau): 1,
+                         ("step_maps", 0.5 * tau): 1}
+        assert sorted(prob.system.flow_op.maps) == [0.5 * tau, tau]
+        assert prob.system.flow_op._reduction is reduction
+
+    def test_dynbc_at_h_1_32_builds_no_maps(self):
+        prob = build_problem("dynbc", n_cells=32)
+        op = prob.system.flow_op
+        assert op.n > sys.modules["expidae.integrators"].MAPPED_FLOW_MAX_N
+        _, diag = integrate(prob.system, SchemeConfig(scheme="second-order"), prob.u0,
+                            0.0, 2 / 2560, 1 / 2560)
+        assert diag.mapped_flows == 0 and diag.arnoldi_steps > 0
+        assert op.maps == {} and "_reduction" not in vars(op)
+
+    def test_makes_no_saddle_solve_and_no_arnoldi_step(self, monkeypatch):
         prob = build_problem("dynbc", n_cells=16)
         tau = 1 / 2560
-        mapped = self._mapped(prob.system, tau)
-        # The first step builds L and W.
-        state = second_order_step(mapped, StepState(0.0, prob.u0), tau)
+        # The first step builds L, W and the maps of tau.
+        state = second_order_step(prob.system, StepState(0.0, prob.u0), tau)
         integ_mod = sys.modules["expidae.integrators"]
         calls = Counter()
 
@@ -997,25 +1050,29 @@ class TestMappedStep:
             monkeypatch.setattr(owner, attr, counted)
 
         spy(SaddleFactorization, "solve")
+        spy(DaeOperator, "apply")
         spy(integ_mod, "krylov_flow")
         spy(DaeOperator, "project")
         diag = Diagnostics()
-        state = second_order_step(mapped, state, tau, diag=diag)
-        assert calls == {"project": 2}
+        state = second_order_step(prob.system, state, tau, diag=diag)
+        assert calls == {"krylov_flow": 2, "project": 2}
         assert diag.rhs_evaluations == 2 and len(diag.constraint_residuals) == 1
+        assert diag.mapped_flows == 2
 
     def test_family_endpoint_takes_the_maps(self, monkeypatch):
-        prob = build_problem("nonsym", n_cells=32)
+        krylov_prob, prob = (build_problem("nonsym", n_cells=32) for _ in range(2))
         tau = 1 / 2560
         config = SchemeConfig(scheme="second-order-family", c2=0.5, flow_tol=1e-13)
-        mapped = self._mapped(prob.system, tau)
-        krylov, _ = integrate(prob.system, config, prob.u0, 0.0, 20 * tau, tau)
+        mapped = self._only(monkeypatch, prob.system, tau)
+        krylov, _ = integrate(krylov_prob.system, config, prob.u0, 0.0, 20 * tau, tau)
         integ_mod = sys.modules["expidae.integrators"]
         krylov_flow, durations = integ_mod.krylov_flow, []
 
         def counted(op, x0, t, **kwargs):
-            durations.append(t)
-            return krylov_flow(op, x0, t, **kwargs)
+            result = krylov_flow(op, x0, t, **kwargs)
+            if not result.mapped:
+                durations.append(t)
+            return result
 
         monkeypatch.setattr(integ_mod, "krylov_flow", counted)
         exact, _ = integrate(mapped, config, prob.u0, 0.0, 20 * tau, tau)
@@ -1024,10 +1081,10 @@ class TestMappedStep:
         for a, b in zip(exact[1:], krylov[1:]):
             assert np.linalg.norm(a.u - b.u) <= 1e-11 * np.linalg.norm(b.u)
 
-    def test_other_durations_and_stages_take_the_krylov_path(self):
+    def test_other_durations_and_stages_take_the_krylov_path(self, monkeypatch):
         prob = build_problem("nonsym", n_cells=16)
         tau = 1 / 2560
-        mapped = self._mapped(prob.system, tau)
+        mapped = self._only(monkeypatch, prob.system, tau)
         state = StepState(0.0, prob.u0)
         for step, config, step_tau in (
             (second_order_step, SchemeConfig(), tau / 2),
@@ -1040,15 +1097,15 @@ class TestMappedStep:
     def test_inconsistent_state_raises(self):
         prob = build_problem("nonsym", n_cells=16)
         tau = 1 / 2560
-        mapped = self._mapped(prob.system, tau)
         u = prob.u0 + np.random.default_rng(4).standard_normal(prob.system.n)
         for step in (second_order_step, exponential_euler_step):
             with pytest.raises(InconsistentState):
-                step(mapped, StepState(0.0, u), tau)
+                step(prob.system, StepState(0.0, u), tau)
+        assert prob.system.flow_op.maps
 
 
 def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
-    """Second-order ``integrate`` from 0 over ``nsteps`` steps of ``tau``.
+    """Second-order ``integrate`` from 0 over ``nsteps`` steps of ``tau``, all Krylov flows.
 
     Returns (flows, trajectory, diagnostics), where ``flows`` holds the
     (expm calls, Arnoldi steps) of each flow.  ``cold=True`` drops the
@@ -1075,6 +1132,7 @@ def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
         return result
 
     with monkeypatch.context() as mp:
+        mp.setattr(integ_mod, "MAPPED_FLOW_MAX_N", 0)
         mp.setattr(flow_mod, "expm", counted_expm)
         mp.setattr(DaeOperator, "apply", counted_apply)
         mp.setattr(integ_mod, "krylov_flow", counted_flow)
