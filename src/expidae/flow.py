@@ -129,11 +129,11 @@ class DaeOperator:
     same arrays.  Concurrent integrations on one operator therefore give
     the same bits as one at a time, as long as no caller drops maps that
     another is using: a flow over a duration whose maps were dropped
-    takes the Krylov path, whose result differs at the flow tolerance
-    (``integrators._propagate`` builds them again first on a small
-    system, so there only ``harness.build_reference`` can drop them from
-    under a run on a larger one).  Each Krylov flow owns its basis
-    storage.
+    takes the Krylov path, whose result differs at the flow tolerance.
+    The library drops maps only in ``harness.build_reference``, after
+    each reference run, so an integration over tau_ref or tau_ref / 2
+    that runs beside a reference build may lose them.  Each Krylov flow
+    owns its basis storage.
     """
 
     def __init__(self, mass, stiffness, constraint):
