@@ -15,7 +15,10 @@ mass solve on ker B and l_1, ..., l_p loads, in one of two ways.
 If the operator holds the dense step maps of the duration t
 (``DaeOperator.hold_maps``), the sum is up to three matrix-vector
 products with E(t), Phi_1(t) and Phi_2(t) (``step_maps``), which carry
-no flow-tolerance error.  The integrators give a system with at most
+no flow-tolerance error.  The maps are projected onto ker B when they
+are built, so a mapped flow makes no projection of its own, and it
+checks its input and its result once each (``_mapped_flow``).  The
+integrators give a system with at most
 ``integrators.MAPPED_FLOW_MAX_N`` unknowns the maps of each step
 duration, and the harness gives a reference run those of its step.
 
@@ -37,9 +40,11 @@ substep costs one dense exponential and no solve (``_shrink``).  The
 state and the load coordinates advance by it, and the next shot starts
 from there.
 
-Either result is projected back onto the kernel of B to kill round-off
-drift, by the rank-m update x - W (B x) of ``DaeOperator.project``.
-The products of the projection and the consistency check go through
+A Krylov result is projected back onto the kernel of B to kill
+round-off drift, by the rank-m update x - W (B x) of
+``DaeOperator.project``; ``step_maps`` applies the same update to each
+column of the maps.  The products of the projection and the consistency
+check go through
 ``linalg.spmv`` too, and vector norms are sqrt(x . x), the same bits
 as ``np.linalg.norm`` for less overhead.
 """
@@ -116,11 +121,13 @@ class DaeOperator:
     for the right inverse Y = B^+ of B.
 
     ``maps`` is the cache of step maps: a dict from a flow duration t to
-    the ``StepMaps`` of t, three dense n x n arrays, which ``flow`` then
-    uses for every flow over t.  It starts empty; ``hold_maps`` fills
-    it, building the step-independent ``kernel_reduction`` once per
-    operator, and a caller drops an entry with ``maps.pop``.  Nothing
-    bounds it, so it holds one entry per duration a caller asked for.
+    the ``StepMaps`` of t, three dense n x n arrays projected onto
+    ker B, which ``flow`` then uses for every flow over t.  It starts
+    empty; ``hold_maps`` fills it, building the step-independent
+    ``kernel_reduction`` once per operator and W on the first build,
+    and a caller drops an entry with ``maps.pop``.  The operator bounds
+    nothing: it holds one entry per duration a caller asked for, until
+    the caller drops it.
 
     The matrices and the factorization are fixed at construction; W,
     the reduction and the maps are the things filled in later.  They are
@@ -130,10 +137,10 @@ class DaeOperator:
     the same bits as one at a time, as long as no caller drops maps that
     another is using: a flow over a duration whose maps were dropped
     takes the Krylov path, whose result differs at the flow tolerance.
-    The library drops maps only in ``harness.build_reference``, after
-    each reference run, so an integration over tau_ref or tau_ref / 2
-    that runs beside a reference build may lose them.  Each Krylov flow
-    owns its basis storage.
+    The library drops maps only in the harness, after each reference
+    run and each rung of a study, and only the maps that run built, so
+    an integration over such a step that runs beside a study may lose
+    them.  Each Krylov flow owns its basis storage.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -250,7 +257,7 @@ def _checked_load(op, load, k):
     if load is None:
         return None
     load = as_vector(load, op.n, "load")
-    if not np.isfinite(load).all():
+    if not _all_finite(load):
         raise NonFinite(f"flow load {k + 1} is not finite")
     return load
 
@@ -451,10 +458,12 @@ def flow(
 
     If ``op.maps`` holds the maps of t (``DaeOperator.hold_maps``) and
     there are at most two loads, the sum is one dense product per
-    nonzero term, checked for finiteness (``NonFinite``, without numpy's
-    warning) and projected onto the kernel of B; ``tol`` and
-    ``basis_hint`` do not enter, and the result is ``mapped`` with one
-    substep, basis 0, no check and no Arnoldi step.  Otherwise the flow
+    nonzero term with maps whose range is the kernel of B, checked for
+    finiteness (``NonFinite``, without numpy's warning); ``tol`` and
+    ``basis_hint`` are checked but do not enter, and the result is
+    ``mapped`` with one substep, basis 0, no check and no Arnoldi step.
+    That branch is taken first and makes each check below once
+    (``_mapped_flow``).  Otherwise the flow
     runs the Krylov generator ``_PhiForm`` with the p = len(loads) loads
     as coordinates of its Arnoldi vectors, so it makes no solve beyond
     its Arnoldi steps.  Both paths check x0 and the loads alike.
@@ -472,7 +481,7 @@ def flow(
     meets tol * dt' / t (``_shrink``).  A flow that needs more than
     ``SUBSTEP_LIMIT`` substeps, or a substep below t * eps, raises
     ``NoConvergence`` naming t, the time left, the basis and the last
-    estimate.  The endpoint is projected onto the kernel of B.
+    estimate.  The Krylov endpoint is projected onto the kernel of B.
     ``arnoldi_steps`` of the result counts the Arnoldi steps that apply
     the generator, each one saddle solve: a step whose state image is
     zero, such as one on a vector with zero state
@@ -489,26 +498,19 @@ def flow(
     ``basis_hint`` that is not a positive integer (a bool is not) raise
     ``ValueError``; a load that is not finite raises ``NonFinite``.
     """
+    loads = tuple(loads)
+    maps = op.maps.get(t)
+    if maps is not None and len(loads) <= 2:
+        return _mapped_flow(op, maps, x0, tol, basis_hint, loads)
     x0 = as_vector(x0, op.n, "x0")
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
-    if not tol > 0:
-        raise ValueError("flow tolerance must be positive")
-    if basis_hint is not None and (
-        isinstance(basis_hint, bool)
-        or not isinstance(basis_hint, numbers.Integral)
-        or basis_hint < 1
-    ):
-        raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
+    _check_options(tol, basis_hint)
     norm0 = _require_consistent(op, x0)
-    loads = tuple(loads)
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
-    maps = op.maps.get(t)
-    if maps is not None and len(loads) <= 2:
-        return _mapped_flow(op, maps, x0 if norm0 else None, loads)
 
     generator = _PhiForm(op, loads, t)
     state = np.zeros(generator.size)  # [x0; e_1], or x0 alone without loads
@@ -539,27 +541,49 @@ def flow(
     return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
 
 
-def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
-    """E x0 + Phi_1 loads[0] + Phi_2 loads[1] of ``maps``, projected; None terms drop out.
+def _mapped_flow(op, maps, x0, tol, basis_hint, loads) -> KrylovFlowResult:
+    """E x0 + Phi_1 loads[0] + Phi_2 loads[1] of ``maps``; None terms drop out.
 
-    The products run with numpy's overflow warnings off, and a result
-    that is not finite raises ``NonFinite``.
+    The checks of ``flow`` on x0, ``tol``, ``basis_hint`` and the loads,
+    then one dense product per nonzero term, all with numpy's overflow
+    warnings off.  The maps map into ker B, so the sum needs no
+    projection.  A result that is not finite raises ``NonFinite``.
     """
-    terms = [] if x0 is None else [(maps.flow, x0)]
-    for k, (phi_map, load) in enumerate(zip((maps.phi1, maps.phi2), loads)):
-        load = _checked_load(op, load, k)
-        if load is not None:
-            terms.append((phi_map, load))
     with np.errstate(over="ignore", invalid="ignore"):
-        (matrix, vector), *rest = terms
-        state = matrix.dot(vector)
-        for matrix, vector in rest:
-            state += matrix.dot(vector)
-        state = op.project(state)
-        finite = np.isfinite(state).all()
-    if not finite:
-        raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
+        x0 = as_vector(x0, op.n, "x0")
+        _check_options(tol, basis_hint)
+        norm0 = _require_consistent(op, x0)
+        state = maps.flow.dot(x0) if norm0 else None
+        for k, (phi_map, load) in enumerate(zip((maps.phi1, maps.phi2), loads)):
+            load = _checked_load(op, load, k)
+            if load is None:
+                continue
+            if state is None:
+                state = phi_map.dot(load)
+            else:
+                state += phi_map.dot(load)
+        if state is None:
+            return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
+        if not _all_finite(state):
+            raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
     return KrylovFlowResult(state, 0, 0.0, 1, mapped=True)
+
+
+def _all_finite(v) -> bool:
+    """Whether every entry of ``v`` is finite: one sum, scanning only if the sum is not."""
+    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
+
+
+def _check_options(tol, basis_hint) -> None:
+    """``ValueError`` unless ``tol`` is positive and ``basis_hint`` None or a positive integer."""
+    if not tol > 0:
+        raise ValueError("flow tolerance must be positive")
+    if basis_hint is not None and (
+        isinstance(basis_hint, bool)
+        or not isinstance(basis_hint, numbers.Integral)
+        or basis_hint < 1
+    ):
+        raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
 
 
 def _require_consistent(op, x0) -> float:
@@ -609,7 +633,9 @@ class StepMaps:
 
     ``flow`` is E = exp(tau X) on ker B, and ``phi1`` and ``phi2`` are
     Z tau phi_k(tau X_K) M_K^{-1} Z^T for k = 1, 2 (notation of
-    ``step_maps``), each an n x n array whose range is ker B.
+    ``step_maps``), each an n x n array whose range is ker B: every
+    column is projected by the update of ``DaeOperator.project``, so
+    |B map| is at round-off of |map|.
     """
 
     tau: float
@@ -632,11 +658,16 @@ def step_maps(op: DaeOperator, tau: float, reduction: KernelReduction) -> StepMa
     part is ``reduction``, from ``kernel_reduction(op)``.  The rest is
     one dense exponential of the k x k generator, k = n - m, and a
     few dense products; time O(n^3) and memory a few dense n x n
-    arrays, so this is for small systems only.
+    arrays, so this is for small systems only.  Each map is returned
+    projected onto ker B by the update a -= W (B a) of
+    ``DaeOperator.project``, once per build instead of once per flow.
     """
     Z, kernel = reduction.basis, reduction.kernel
     flow_map = (Z @ expm(-tau * reduction.generator)) @ Z.T
     phi1 = kernel - flow_map @ kernel
     # (E - I) K M K = -Phi_1 M K
     phi2 = kernel - phi1 @ (op.mass @ kernel) / tau
+    W = op._projector
+    for a in (flow_map, phi1, phi2):
+        a -= W @ (op.constraint @ a)
     return StepMaps(tau, flow_map, phi1, phi2)

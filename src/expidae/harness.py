@@ -19,12 +19,14 @@ systems fall back to the Krylov flow.  The ladder takes the same kind
 of maps on a system with at most ``integrators.MAPPED_FLOW_MAX_N``
 unknowns, so there the reference and the ladder share the maps'
 arithmetic and only the step sizes differ; the CSV says which flows the
-ladder ran (``ladder_flows``).  The test suite checks the reference
+ladder ran (``ladder_flows``).  Each run drops the maps it built when
+it ends, so a study leaves the operator holding what it held before.  The test suite checks the reference
 against an independent solver.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import math
@@ -59,7 +61,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 16
+NUMERICS_REVISION = 17
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -219,24 +221,36 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _dropping_new_maps(op):
+    """Drop from ``op``, when the block exits, the step maps it gained in the block.
+
+    Maps the operator held before the block are kept.
+    """
+    held = set(op.maps)
+    try:
+        yield
+    finally:
+        for t in op.maps.keys() - held:
+            del op.maps[t]
+
+
 def _snapshot_run(problem, t_end, tau, stride, exact):
     """One reference run, through the step maps of ``tau`` if ``exact``.
 
     The maps are given to the operator of the problem's system for the
-    run and dropped from it when the run returns.  Otherwise the run
-    takes whatever flow ``integrate`` picks for the system.
+    run and dropped from it when the run returns, unless it held them
+    before.  Otherwise the run takes whatever flow ``integrate`` picks
+    for the system.
     """
     op = problem.system.flow_op
-    if exact:
-        op.hold_maps(tau)
-    try:
+    with _dropping_new_maps(op):
+        if exact:
+            op.hold_maps(tau)
         traj, _ = integrate(
             problem.system, REFERENCE_SCHEME, problem.u0, 0.0, t_end, tau,
             snapshot_stride=stride,
         )
-    finally:
-        if exact:
-            op.maps.pop(tau, None)
     times = np.array([st.t for st in traj])
     states = np.stack([st.u for st in traj])
     return times, states
@@ -260,8 +274,9 @@ def build_reference(
 
     With at most ``EXACT_FLOW_MAX_N`` unknowns every propagation of a
     run takes the dense step maps of its step (``flow.step_maps``),
-    which the system's operator holds for that run only, so the maps of
-    tau_ref and tau_ref / 2 are never held together, and the reference
+    which the system's operator holds for that run only unless it held
+    them before, so the build never adds the maps of tau_ref and
+    tau_ref / 2 together, and the reference
     carries no flow-tolerance error.  The step-independent part of the
     maps (``flow.kernel_reduction``) and the lift matrix L are built
     once per system, so both runs share them with each other and with
@@ -311,7 +326,9 @@ def run_convergence(
     positive, each step size a whole number of the smallest, t_end a
     whole number of each step by ``step_count``, and ``norm`` one that
     ``error_norm`` can measure on the problem; all of this is checked
-    before the reference is built.
+    before the reference is built.  The step maps a rung builds on the
+    system's operator are dropped when the rung ends, so a study leaves
+    the operator's maps as it found them.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     if len(taus) < 2:
@@ -358,7 +375,8 @@ def run_convergence(
     max_residual = 0.0
     ladder_flows = "mapped"
     for tau, stride in zip(taus, strides):
-        traj, diag = integrate(sys, scheme, problem.u0, 0.0, t_end, tau)
+        with _dropping_new_maps(sys.flow_op):
+            traj, diag = integrate(sys, scheme, problem.u0, 0.0, t_end, tau)
         if diag.flow_substeps > diag.mapped_flows:  # a Krylov flow ran
             ladder_flows = "krylov"
         if sample == "final":

@@ -19,8 +19,11 @@ duration, which the system's operator builds on first need and keeps,
 and otherwise as a Krylov flow.  ``_exponential_step`` runs the
 exponential Euler step and the second-order family through it.  Every
 lift is the product L g with the n x m matrix
-L = [lift(e_1) ... lift(e_m)], built on first use
-(``ConstrainedSystem.lift_map``).
+L = [lift(e_1) ... lift(e_m)], and every load M lift(g') the product of
+g' with the n x m matrix M L, both built on first use
+(``ConstrainedSystem.lift_map`` and ``mass_lift_map``).  A step
+evaluates g once at each time it needs, and its consistency check
+reuses g(t_{n+1}).
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -78,9 +81,11 @@ CONSISTENCY_RTOL = 1e-9
 # kept.  On nonsym (one OpenBLAS thread, 2-vCPU VM), building the maps of one
 # duration took 3.8-4.1 ms at n = 128 and 21-29 ms at n = 256, against
 # 0.73-0.80 ms and 1.6-1.9 ms for one second-order Krylov step at
-# tau = 1/2560, so they pay for themselves within some 6 and 15 steps; a
-# mapped step then took 0.09-0.14 ms and 0.13-0.17 ms.  The maps hold 3 n^2
-# doubles per duration, 1.5 MB at n = 256.
+# tau = 1/2560, so they pay for themselves within some 6 and 15 steps.  A
+# mapped second-order step then takes 65-67 us at n = 128 and 95-99 us at
+# n = 256 (best of 9 runs of 160 steps, same host), of which its three dense
+# products are some 8 us at n = 128.  The maps hold 3 n^2 doubles per
+# duration, 1.5 MB at n = 256.
 MAPPED_FLOW_MAX_N = 256
 
 
@@ -127,7 +132,8 @@ class ConstrainedSystem:
     checks their shapes and factorizes the mass saddle matrix; the
     stiffness saddle factorization is built here.  Each step forms every
     lift it needs as L g, with the dense n x m lift matrix
-    L = [lift_constraint(e_1) ... lift_constraint(e_m)] (``lift_map``); no lift is
+    L = [lift_constraint(e_1) ... lift_constraint(e_m)] (``lift_map``), and
+    each load M lift(g') as (M L) g' (``mass_lift_map``); no lift is
     carried from one step to the next.  The steps project with
     ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
     W are built on first use, each from m saddle solves, and kept; both
@@ -179,9 +185,10 @@ class ConstrainedSystem:
         """g'(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rate``."""
         return _finite(self._gdot(t), self.m, "constraint_rate", t)
 
-    def constraint_residual(self, t: float, u) -> float:
-        """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
-        gval = self.g(t)
+    def constraint_residual(self, t: float, u, gval=None) -> float:
+        """Relative defect |B u - g(t)| / (1 + |g(t)|); ``gval`` is g(t) if the caller has it."""
+        if gval is None:
+            gval = self.g(t)
         defect = spmv(self.constraint, u) - gval
         return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
 
@@ -192,6 +199,11 @@ class ConstrainedSystem:
         for i, e in enumerate(np.eye(self.m)):
             L[:, i] = lift_constraint(self, e)
         return L
+
+    @functools.cached_property
+    def mass_lift_map(self) -> np.ndarray:
+        """M L, the dense n x m matrix that takes g' to the load M lift(g')."""
+        return self.mass @ self.lift_map
 
 
 def _finite(value, length, name, t) -> np.ndarray:
@@ -299,16 +311,16 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
     return w
 
 
-def _finish_step(sys, t1, u1, lift_g1, diag):
-    """Consistency check with kernel-projection repair on violation."""
-    res = sys.constraint_residual(t1, u1)
+def _finish_step(sys, t1, u1, lift_g1, g1, diag):
+    """Consistency check with kernel-projection repair on violation; g1 is g(t1)."""
+    res = sys.constraint_residual(t1, u1, g1)
     if res > CONSISTENCY_RTOL:
         log.warning(
             "constraint residual %.3e above tolerance at t=%.6g; reprojecting", res, t1
         )
         u1 = lift_g1 + sys.flow_op.project(u1 - lift_g1)
         diag.repairs += 1
-        res = sys.constraint_residual(t1, u1)
+        res = sys.constraint_residual(t1, u1, g1)
     diag.record_residual(res)
     return u1
 
@@ -320,8 +332,9 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     (``flow``), called through the module name ``krylov_flow``.  On a
     system with n <= ``MAPPED_FLOW_MAX_N`` the operator first builds the
     maps of duration t if it does not hold them.  Over a duration whose
-    maps the operator holds, the flow is up to three dense products and
-    a projection, and the basis to record is 0.  Otherwise it is a
+    maps the operator holds, the flow is up to three dense products
+    (the maps are projected onto ker B when built), and the basis to
+    record is 0.  Otherwise it is a
     Krylov flow, which makes one saddle solve per Arnoldi step and no
     other; it is warm-started from flow ``slot`` of the step that made
     ``state``, and the basis to record in that slot of the next state's
@@ -377,28 +390,31 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
 def _stage_and_slope(sys, state, tau, c2, config, diag, stage_only):
     """The body of ``_exponential_step``."""
     t0, t1 = state.t, state.t + tau
-    t_stage = t0 + c2 * tau
-    load0 = sys.load(t0, state.u) - spmv(sys.mass, sys.lift_map @ sys.gdot(t0))
-    z0 = state.u - sys.lift_map @ sys.g(t0)
+    t_stage = t0 + c2 * tau  # t1 itself at c2 = 1
+    lift, mass_lift = sys.lift_map, sys.mass_lift_map
+    load0 = sys.load(t0, state.u) - mass_lift @ sys.gdot(t0)
+    z0 = state.u - lift @ sys.g(t0)
     z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
-    lift_g_stage = sys.lift_map @ sys.g(t_stage)
+    g_stage = sys.g(t_stage)
+    lift_g_stage = lift @ g_stage
     u_stage = lift_g_stage + z_stage
     if stage_only:
         diag.rhs_evaluations += 1
-        u1 = _finish_step(sys, t1, u_stage, lift_g_stage, diag)
+        u1 = _finish_step(sys, t1, u_stage, lift_g_stage, g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
-    load_stage = sys.load(t_stage, u_stage) - spmv(sys.mass, sys.lift_map @ sys.gdot(t_stage))
+    load_stage = sys.load(t_stage, u_stage) - mass_lift @ sys.gdot(t_stage)
     diag.rhs_evaluations += 2
     slope = (load_stage - load0) / c2
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
-        lift_g1, base, z0, load0 = lift_g_stage, u_stage, None, None
+        g1, lift_g1, base, z0, load0 = g_stage, lift_g_stage, u_stage, None, None
     else:
-        lift_g1 = base = sys.lift_map @ sys.g(t1)
+        g1 = sys.g(t1)
+        lift_g1 = base = lift @ g1
     if c2 < 1.0 and not math.isfinite(slope.dot(slope)):
         raise NonFinite("stage slope (l(t_n + c2 tau) - l_0) / c2 overflows")
     z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
-    u1 = _finish_step(sys, t1, base + z_end, lift_g1, diag)
+    u1 = _finish_step(sys, t1, base + z_end, lift_g1, g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
 
 
@@ -454,7 +470,8 @@ def alt_euler_step(
     """
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
-    g_blend = config.theta * sys.g(t0) + (1.0 - config.theta) * sys.g(t1)
+    g0, g1 = sys.g(t0), sys.g(t1)
+    g_blend = config.theta * g0 + (1.0 - config.theta) * g1
     f0 = sys.load(t0, state.u)
     diag.rhs_evaluations += 1
     lift_blend = sys.lift_map @ g_blend
@@ -463,7 +480,7 @@ def alt_euler_step(
         z = sys.flow_op.project(z)
     z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state, 0)
     u1 = lift_blend + z_end
-    diag.record_residual(sys.constraint_residual(t1, u1))
+    diag.record_residual(sys.constraint_residual(t1, u1, g1))
     return StepState(t1, u1, flow_bases=(basis,))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .integrators import ConstrainedSystem
-from .linalg import spmv
+from .linalg import canonical_csr, spmv
 
 __all__ = [
     "MeshConfig",
@@ -244,7 +244,7 @@ def build_nonsym(cfg: MeshConfig = MeshConfig()) -> Problem:
     M1 = sp.csr_matrix(M_full[free, free])
     K1 = sp.csr_matrix(K_full[free, free])
 
-    mass = sp.block_diag([M1, M1], format="csr")
+    mass = canonical_csr(sp.block_diag([M1, M1], format="csr"))
     stiffness = sp.bmat([[K1, K1], [M1, K1]], format="csr")
     h1_block = K1 + M1
     h1_form = sp.block_diag([h1_block, h1_block], format="csr")
@@ -254,9 +254,7 @@ def build_nonsym(cfg: MeshConfig = MeshConfig()) -> Problem:
     ).tocsr()
 
     def forcing(t, x):
-        u = x[:n]
-        v = x[n:]
-        return np.concatenate([-spmv(M1, u**3), -spmv(M1, v**3)])
+        return -spmv(mass, x**3)
 
     g = lambda t: np.array([_exp(2.0 * t) - 1.0])
     gdot = lambda t: np.array([2.0 * _exp(2.0 * t)])

@@ -730,6 +730,30 @@ class TestMappedFlow:
             with pytest.raises(NonFinite, match="flow load 2 is not finite"):
                 flow(op, z, 0.01, loads=(load, bad))
 
+    @pytest.mark.parametrize("options", [
+        {"tol": 0.0}, {"basis_hint": True}, {"basis_hint": 0}, {"basis_hint": 2.5},
+    ], ids=["tol-0", "hint-True", "hint-0", "hint-2.5"])
+    def test_rejects_the_options_flow_rejects(self, options):
+        op, z, load, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        op.hold_maps(0.01)
+        with pytest.raises(ValueError):
+            flow(op, z, 0.01, loads=(load,), **options)
+
+    def test_a_numpy_integer_hint_takes_the_maps(self):
+        op, z, load, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        op.hold_maps(0.01)
+        result = flow(op, z, 0.01, basis_hint=np.int64(3), loads=(load,))
+        assert result.mapped
+        np.testing.assert_array_equal(result.state, flow(op, z, 0.01, loads=(load,)).state)
+
+    @pytest.mark.parametrize("name, options", [("toy", {}), ("nonsym", {"n_cells": 32})])
+    def test_held_maps_map_into_the_kernel(self, name, options):
+        op = build_problem(name, **options).system.flow_op
+        for t in (1 / 2560, 0.01):
+            maps = op.hold_maps(t)
+            for matrix in (maps.flow, maps.phi1, maps.phi2):
+                assert np.linalg.norm(op.constraint @ matrix) <= 1e-13 * np.linalg.norm(matrix)
+
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_product_raises_non_finite_without_a_warning(self):
         # Phi_1(1) has a row of absolute sum 5.0 on nonsym h=1/16, so a load

@@ -282,6 +282,23 @@ class TestRunConvergence:
             ladders[label] = (table.ladder_flows, meta["ladder_flows"])
         assert ladders == {"mapped": ("mapped", "mapped"), "krylov": ("krylov", "krylov")}
 
+    def test_a_study_leaves_the_operator_maps_as_it_found_them(self, tmp_path):
+        # Each rung of the family builds the maps of tau and c2 tau.
+        taus, t_end, tau_ref = [0.05, 0.025, 0.0125], 0.1, 0.0125 / 16
+        config = SchemeConfig(scheme="second-order-family", c2=0.5)
+        csv = {}
+        for label, held_taus in (("fresh", ()), ("held", (0.025, tau_ref, 0.3))):
+            prob = build_problem("nonsym", n_cells=32)
+            op = prob.system.flow_op
+            held = {t: op.hold_maps(t) for t in held_taus}
+            table = run_convergence(prob, config, taus, t_end, norm="h1", tau_ref=tau_ref)
+            assert table.ladder_flows == "mapped"
+            assert op.maps.keys() == held.keys()
+            assert all(op.maps[t] is held[t] for t in held)
+            emit_csv(table, tmp_path / f"{label}.csv")
+            csv[label] = (tmp_path / f"{label}.csv").read_bytes()
+        assert csv["held"] == csv["fresh"]
+
     def test_toy_against_integrated_reference(self, tmp_path):
         prob = toy_problem()
         taus = [0.1, 0.05, 0.025]

@@ -1055,9 +1055,31 @@ class TestMappedStep:
         spy(DaeOperator, "project")
         diag = Diagnostics()
         state = second_order_step(prob.system, state, tau, diag=diag)
-        assert calls == {"krylov_flow": 2, "project": 2}
+        # The maps map into ker B, so no flow projects its result.
+        assert calls == {"krylov_flow": 2}
         assert diag.rhs_evaluations == 2 and len(diag.constraint_residuals) == 1
         assert diag.mapped_flows == 2
+
+    @pytest.mark.parametrize("config, evaluations", [
+        (SchemeConfig(scheme="second-order"), 2),
+        (SchemeConfig(scheme="exp-euler"), 2),
+        (SchemeConfig(scheme="second-order-family", c2=0.5), 3),
+    ], ids=["second-order", "exp-euler", "family-c2-0.5"])
+    def test_evaluates_g_once_per_time(self, config, evaluations):
+        # g(t_n), g(t_n + c2 tau) and g(t_{n+1}), where t_n + c2 tau is
+        # t_{n+1} at c2 = 1; the residual check reuses g(t_{n+1}).
+        prob = build_problem("nonsym", n_cells=16)
+        tau = 1 / 2560
+        step = {"second-order": second_order_step, "exp-euler": exponential_euler_step,
+                "second-order-family": second_order_family_step}[config.scheme]
+        state = step(prob.system, StepState(0.0, prob.u0), tau, config)
+        g, times = prob.system._g, []
+        prob.system._g = lambda t: times.append(t) or g(t)
+        diag = Diagnostics()
+        step(prob.system, state, tau, config, diag)
+        assert len(times) == evaluations
+        assert sorted(set(times)) == sorted({state.t, state.t + config.c2 * tau, state.t + tau})
+        assert diag.mapped_flows > 0 and len(diag.constraint_residuals) == 1
 
     def test_family_endpoint_takes_the_maps(self, monkeypatch):
         krylov_prob, prob = (build_problem("nonsym", n_cells=32) for _ in range(2))
