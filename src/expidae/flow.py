@@ -257,7 +257,7 @@ def _checked_load(op, load, k):
     if load is None:
         return None
     load = as_vector(load, op.n, "load")
-    if not _all_finite(load):
+    if not np.isfinite(load).all():
         raise NonFinite(f"flow load {k + 1} is not finite")
     return load
 
@@ -555,9 +555,12 @@ def _mapped_flow(op, maps, x0, tol, basis_hint, loads) -> KrylovFlowResult:
         norm0 = _require_consistent(op, x0)
         state = maps.flow.dot(x0) if norm0 else None
         for k, (phi_map, load) in enumerate(zip((maps.phi1, maps.phi2), loads)):
-            load = _checked_load(op, load, k)
             if load is None:
                 continue
+            # ``_checked_load``, with the one-sum test that is quiet only under errstate.
+            load = as_vector(load, op.n, "load")
+            if not _all_finite(load):
+                raise NonFinite(f"flow load {k + 1} is not finite")
             if state is None:
                 state = phi_map.dot(load)
             else:

@@ -20,8 +20,8 @@ of maps on a system with at most ``integrators.MAPPED_FLOW_MAX_N``
 unknowns, so there the reference and the ladder share the maps'
 arithmetic and only the step sizes differ; the CSV says which flows the
 ladder ran (``ladder_flows``).  Each run drops the maps it built when
-it ends, so a study leaves the operator holding what it held before.  The test suite checks the reference
-against an independent solver.
+it ends, so a study leaves the operator holding what it held before.
+The test suite checks the reference against an independent solver.
 """
 
 from __future__ import annotations
