@@ -16,9 +16,8 @@ If the operator holds the dense step maps of the duration t
 (``DaeOperator.hold_maps``), the sum is up to three matrix-vector
 products with E(t), Phi_1(t) and Phi_2(t) (``step_maps``), which carry
 no flow-tolerance error.  The maps are projected onto ker B when they
-are built, so a mapped flow makes no projection of its own, and it
-checks its input and its result once each (``_mapped_flow``).  The
-integrators give a system with at most
+are built, so a mapped flow makes no projection of its own
+(``_mapped_flow``).  The integrators give a system with at most
 ``integrators.MAPPED_FLOW_MAX_N`` unknowns the maps of each step
 duration, and the harness gives a reference run those of its step.
 
@@ -462,8 +461,7 @@ def flow(
     finiteness (``NonFinite``, without numpy's warning); ``tol`` and
     ``basis_hint`` are checked but do not enter, and the result is
     ``mapped`` with one substep, basis 0, no check and no Arnoldi step.
-    That branch is taken first and makes each check below once
-    (``_mapped_flow``).  Otherwise the flow
+    Otherwise the flow
     runs the Krylov generator ``_PhiForm`` with the p = len(loads) loads
     as coordinates of its Arnoldi vectors, so it makes no solve beyond
     its Arnoldi steps.  Both paths check x0 and the loads alike.
@@ -498,19 +496,26 @@ def flow(
     ``basis_hint`` that is not a positive integer (a bool is not) raise
     ``ValueError``; a load that is not finite raises ``NonFinite``.
     """
-    loads = tuple(loads)
-    maps = op.maps.get(t)
-    if maps is not None and len(loads) <= 2:
-        return _mapped_flow(op, maps, x0, tol, basis_hint, loads)
     x0 = as_vector(x0, op.n, "x0")
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("flow time must be nonnegative")
-    _check_options(tol, basis_hint)
+    if not tol > 0:
+        raise ValueError("flow tolerance must be positive")
+    if basis_hint is not None and (
+        isinstance(basis_hint, bool)
+        or not isinstance(basis_hint, numbers.Integral)
+        or basis_hint < 1
+    ):
+        raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
     norm0 = _require_consistent(op, x0)
+    loads = tuple(loads)
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
+    maps = op.maps.get(t)
+    if maps is not None and len(loads) <= 2:
+        return _mapped_flow(op, maps, x0 if norm0 else None, loads)
 
     generator = _PhiForm(op, loads, t)
     state = np.zeros(generator.size)  # [x0; e_1], or x0 alone without loads
@@ -541,52 +546,27 @@ def flow(
     return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
 
 
-def _mapped_flow(op, maps, x0, tol, basis_hint, loads) -> KrylovFlowResult:
+def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
     """E x0 + Phi_1 loads[0] + Phi_2 loads[1] of ``maps``; None terms drop out.
 
-    The checks of ``flow`` on x0, ``tol``, ``basis_hint`` and the loads,
-    then one dense product per nonzero term, all with numpy's overflow
-    warnings off.  The maps map into ker B, so the sum needs no
-    projection.  A result that is not finite raises ``NonFinite``.
+    The maps map into ker B, so the sum needs no projection.  The
+    products run with numpy's overflow warnings off, and a result that
+    is not finite raises ``NonFinite``.
     """
+    loads = [_checked_load(op, load, k) for k, load in enumerate(loads)]
     with np.errstate(over="ignore", invalid="ignore"):
-        x0 = as_vector(x0, op.n, "x0")
-        _check_options(tol, basis_hint)
-        norm0 = _require_consistent(op, x0)
-        state = maps.flow.dot(x0) if norm0 else None
-        for k, (phi_map, load) in enumerate(zip((maps.phi1, maps.phi2), loads)):
+        state = None if x0 is None else maps.flow.dot(x0)
+        for phi_map, load in zip((maps.phi1, maps.phi2), loads):
             if load is None:
                 continue
-            # ``_checked_load``, with the one-sum test that is quiet only under errstate.
-            load = as_vector(load, op.n, "load")
-            if not _all_finite(load):
-                raise NonFinite(f"flow load {k + 1} is not finite")
             if state is None:
                 state = phi_map.dot(load)
             else:
                 state += phi_map.dot(load)
-        if state is None:
-            return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
-        if not _all_finite(state):
-            raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
+        finite = np.isfinite(state).all()
+    if not finite:
+        raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
     return KrylovFlowResult(state, 0, 0.0, 1, mapped=True)
-
-
-def _all_finite(v) -> bool:
-    """Whether every entry of ``v`` is finite: one sum, scanning only if the sum is not."""
-    return math.isfinite(v.sum()) or bool(np.isfinite(v).all())
-
-
-def _check_options(tol, basis_hint) -> None:
-    """``ValueError`` unless ``tol`` is positive and ``basis_hint`` None or a positive integer."""
-    if not tol > 0:
-        raise ValueError("flow tolerance must be positive")
-    if basis_hint is not None and (
-        isinstance(basis_hint, bool)
-        or not isinstance(basis_hint, numbers.Integral)
-        or basis_hint < 1
-    ):
-        raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
 
 
 def _require_consistent(op, x0) -> float:

@@ -326,8 +326,9 @@ def run_convergence(
     positive, each step size a whole number of the smallest, t_end a
     whole number of each step by ``step_count``, and ``norm`` one that
     ``error_norm`` can measure on the problem; all of this is checked
-    before the reference is built.  The step maps a rung builds on the
-    system's operator are dropped when the rung ends, so a study leaves
+    before the reference is built.  The step maps the ladder builds on
+    the system's operator are kept while it runs, so one rung reuses
+    those another built, and dropped when it ends, so a study leaves
     the operator's maps as it found them.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
@@ -374,20 +375,20 @@ def run_convergence(
     errors = []
     max_residual = 0.0
     ladder_flows = "mapped"
-    for tau, stride in zip(taus, strides):
-        with _dropping_new_maps(sys.flow_op):
+    with _dropping_new_maps(sys.flow_op):  # rungs share maps, e.g. c2 tau = the next tau
+        for tau, stride in zip(taus, strides):
             traj, diag = integrate(sys, scheme, problem.u0, 0.0, t_end, tau)
-        if diag.flow_substeps > diag.mapped_flows:  # a Krylov flow ran
-            ladder_flows = "krylov"
-        if sample == "final":
-            err = error_norm(sys, traj[-1].u - ref_state, norm)
-        else:
-            err = 0.0
-            for k, st in enumerate(traj[1:], start=1):
-                target = exact(st.t) if exact is not None else ref.states[k * stride]
-                err = max(err, error_norm(sys, st.u - target, norm))
-        errors.append(err)
-        max_residual = max(max_residual, diag.max_constraint_residual)
+            if diag.flow_substeps > diag.mapped_flows:  # a Krylov flow ran
+                ladder_flows = "krylov"
+            if sample == "final":
+                err = error_norm(sys, traj[-1].u - ref_state, norm)
+            else:
+                err = 0.0
+                for k, st in enumerate(traj[1:], start=1):
+                    target = exact(st.t) if exact is not None else ref.states[k * stride]
+                    err = max(err, error_norm(sys, st.u - target, norm))
+            errors.append(err)
+            max_residual = max(max_residual, diag.max_constraint_residual)
 
     gap = None
     if ref is not None:

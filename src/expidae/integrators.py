@@ -82,7 +82,7 @@ CONSISTENCY_RTOL = 1e-9
 # duration took 3.8-4.1 ms at n = 128 and 21-29 ms at n = 256, against
 # 0.73-0.80 ms and 1.6-1.9 ms for one second-order Krylov step at
 # tau = 1/2560, so they pay for themselves within some 6 and 15 steps.  A
-# mapped second-order step then takes 65-67 us at n = 128 and 95-99 us at
+# mapped second-order step then takes 68-71 us at n = 128 and 94-99 us at
 # n = 256 (best of 9 runs of 160 steps, same host), of which its three dense
 # products are some 8 us at n = 128.  The maps hold 3 n^2 doubles per
 # duration, 1.5 MB at n = 256.
@@ -185,12 +185,9 @@ class ConstrainedSystem:
         """g'(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rate``."""
         return _finite(self._gdot(t), self.m, "constraint_rate", t)
 
-    def constraint_residual(self, t: float, u, gval=None) -> float:
-        """Relative defect |B u - g(t)| / (1 + |g(t)|); ``gval`` is g(t) if the caller has it."""
-        if gval is None:
-            gval = self.g(t)
-        defect = spmv(self.constraint, u) - gval
-        return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
+    def constraint_residual(self, t: float, u) -> float:
+        """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
+        return _relative_defect(self, u, self.g(t))
 
     @functools.cached_property
     def lift_map(self) -> np.ndarray:
@@ -204,6 +201,12 @@ class ConstrainedSystem:
     def mass_lift_map(self) -> np.ndarray:
         """M L, the dense n x m matrix that takes g' to the load M lift(g')."""
         return self.mass @ self.lift_map
+
+
+def _relative_defect(sys, u, gval) -> float:
+    """|B u - gval| / (1 + |gval|), ``constraint_residual`` with g(t) already evaluated."""
+    defect = spmv(sys.constraint, u) - gval
+    return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
 
 
 def _finite(value, length, name, t) -> np.ndarray:
@@ -313,14 +316,14 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
 
 def _finish_step(sys, t1, u1, lift_g1, g1, diag):
     """Consistency check with kernel-projection repair on violation; g1 is g(t1)."""
-    res = sys.constraint_residual(t1, u1, g1)
+    res = _relative_defect(sys, u1, g1)
     if res > CONSISTENCY_RTOL:
         log.warning(
             "constraint residual %.3e above tolerance at t=%.6g; reprojecting", res, t1
         )
         u1 = lift_g1 + sys.flow_op.project(u1 - lift_g1)
         diag.repairs += 1
-        res = sys.constraint_residual(t1, u1, g1)
+        res = _relative_defect(sys, u1, g1)
     diag.record_residual(res)
     return u1
 
@@ -480,7 +483,7 @@ def alt_euler_step(
         z = sys.flow_op.project(z)
     z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state, 0)
     u1 = lift_blend + z_end
-    diag.record_residual(sys.constraint_residual(t1, u1, g1))
+    diag.record_residual(_relative_defect(sys, u1, g1))
     return StepState(t1, u1, flow_bases=(basis,))
 
 

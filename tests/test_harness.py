@@ -282,16 +282,25 @@ class TestRunConvergence:
             ladders[label] = (table.ladder_flows, meta["ladder_flows"])
         assert ladders == {"mapped": ("mapped", "mapped"), "krylov": ("krylov", "krylov")}
 
-    def test_a_study_leaves_the_operator_maps_as_it_found_them(self, tmp_path):
-        # Each rung of the family builds the maps of tau and c2 tau.
+    def test_a_study_leaves_the_operator_maps_as_it_found_them(self, tmp_path, monkeypatch):
+        # Each rung of the family needs the maps of tau and c2 tau, and
+        # c2 tau is the next rung's tau, so the rungs share them.
         taus, t_end, tau_ref = [0.05, 0.025, 0.0125], 0.1, 0.0125 / 16
         config = SchemeConfig(scheme="second-order-family", c2=0.5)
+        flow_module = sys.modules["expidae.flow"]
+        build = flow_module.step_maps
         csv = {}
         for label, held_taus in (("fresh", ()), ("held", (0.025, tau_ref, 0.3))):
             prob = build_problem("nonsym", n_cells=32)
             op = prob.system.flow_op
             held = {t: op.hold_maps(t) for t in held_taus}
+            built = []
+            monkeypatch.setattr(
+                flow_module, "step_maps", lambda op, t, r: built.append(t) or build(op, t, r)
+            )
             table = run_convergence(prob, config, taus, t_end, norm="h1", tau_ref=tau_ref)
+            monkeypatch.setattr(flow_module, "step_maps", build)
+            assert len(built) == len(set(built))
             assert table.ladder_flows == "mapped"
             assert op.maps.keys() == held.keys()
             assert all(op.maps[t] is held[t] for t in held)
