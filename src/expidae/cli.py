@@ -169,7 +169,7 @@ def _cmd_solve(args) -> int:
         f"max_constraint_residual={diag.max_constraint_residual:.3e} "
         f"repairs={diag.repairs} max_basis={diag.max_basis_size} "
         f"checks={diag.flow_checks} arnoldi_steps={diag.arnoldi_steps} "
-        f"mapped_flows={diag.mapped_flows} -> {args.out}"
+        f"mapped_flows={diag.mapped_flows} column_flows={diag.column_flows} -> {args.out}"
     )
     return EXIT_OK
 

@@ -10,7 +10,7 @@ matrix X whose action is one saddle solve:
     M y + B^T mu = -A z0,   B y = 0   =>   y = X z0.
 
 ``flow`` evaluates exp(X t) z0 + sum_k t phi_k(t X) S l_k, with S the
-mass solve on ker B and l_1, ..., l_p loads, in one of two ways.
+mass solve on ker B and l_1, ..., l_p loads, in one of three ways.
 
 If the operator holds the dense step maps of the duration t
 (``DaeOperator.hold_maps``), the sum is up to three matrix-vector
@@ -20,6 +20,15 @@ are built, so a mapped flow makes no projection of its own
 (``_mapped_flow``).  The integrators give a system with at most
 ``integrators.MAPPED_FLOW_MAX_N`` unknowns the maps of each step
 duration, and the harness gives a reference run those of its step.
+
+If the operator holds the Phi_2 columns of the duration
+(``DaeOperator.columns``, a ``StepColumns``), a flow with zero state
+and the one load (None, d) whose support lies in theirs is the product
+Phi_2(t)[:, S] d[S] of n x |S| columns, each a projected Krylov flow of
+a unit load, as long as the sum of |d_j| times the error estimate of
+column j meets the tolerance (``_column_flow``).  The integrators give
+a system with more than ``integrators.MAPPED_FLOW_MAX_N`` unknowns the
+columns on the support of the slope of its second-order steps.
 
 Otherwise the sum is approximated in the Krylov subspace built by the
 Arnoldi iteration, using the dense exponential of the small Hessenberg
@@ -37,7 +46,8 @@ estimate meets the tolerance, the shot keeps that basis and takes the
 largest substep it supports, as Expokit and phipm do: each trial
 substep costs one dense exponential and no solve (``_shrink``).  The
 state and the load coordinates advance by it, and the next shot starts
-from there.
+from there.  The Krylov flow runs with numpy's overflow warnings off,
+and a flow that overflows raises ``NonFinite`` naming t.
 
 A Krylov result is projected back onto the kernel of B to kill
 round-off drift, by the rank-m update x - W (B x) of
@@ -70,6 +80,7 @@ __all__ = [
     "kernel_reduction",
     "StepMaps",
     "step_maps",
+    "StepColumns",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -94,7 +105,9 @@ class KrylovFlowResult:
     matrix bordered to (r+1) x (r+1).  ``arnoldi_steps`` counts the
     Arnoldi steps over all shots that apply the generator, each one
     saddle solve.  A flow through the operator's step maps is
-    ``mapped``: one substep, basis 0, no check and no Arnoldi step.
+    ``mapped``: one substep, basis 0, no check and no Arnoldi step.  A
+    flow through its Phi_2 columns is ``column``: the same counts, and
+    the column estimate as ``residual_estimate``.
     """
 
     state: np.ndarray
@@ -104,6 +117,7 @@ class KrylovFlowResult:
     checks: int = 0
     arnoldi_steps: int = 0
     mapped: bool = False
+    column: bool = False
 
 
 class DaeOperator:
@@ -128,18 +142,29 @@ class DaeOperator:
     nothing: it holds one entry per duration a caller asked for, until
     the caller drops it.
 
+    ``columns`` is the cache of Phi_2 columns: a dict from a flow
+    duration t to a ``StepColumns``, the n x |S| array Phi_2(t)[:, S]
+    on a support S and the error estimate of each column, which
+    ``flow`` uses for a flow over t with zero state and the loads
+    (None, d) when d lives on S.  A caller fills it (the integrators,
+    from Krylov flows of unit loads) and drops entries as for ``maps``.
+
     The matrices and the factorization are fixed at construction; W,
-    the reduction and the maps are the things filled in later.  They are
+    the reduction, the maps and the columns are the things filled in
+    later.  They are
     deterministic, so a flow or a projection gives the same bits whether
     they were just built or reused, and two first uses at once build the
-    same arrays.  Concurrent integrations on one operator therefore give
-    the same bits as one at a time, as long as no caller drops maps that
-    another is using: a flow over a duration whose maps were dropped
-    takes the Krylov path, whose result differs at the flow tolerance.
-    The library drops maps only in the harness, after each reference
-    run and each rung of a study, and only the maps that run built, so
-    an integration over such a step that runs beside a study may lose
-    them.  Each Krylov flow owns its basis storage.
+    same arrays.  The columns are deterministic given the tolerance and
+    the support of the run that built them, and a later run with another
+    tolerance uses them as long as their estimate meets its own.
+    Concurrent integrations on one operator therefore give the same bits
+    as one at a time, as long as no caller drops maps or columns that
+    another is using: a flow over a duration whose maps or columns were
+    dropped takes the Krylov path, whose result differs at the flow
+    tolerance.  The library drops both only in the harness, after each
+    reference run and each rung of a study, and only those that run
+    built, so an integration over such a step that runs beside a study
+    may lose them.  Each Krylov flow owns its basis storage.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -153,6 +178,7 @@ class DaeOperator:
         self.constraint = self._saddle.B
         self._zero_dual = np.zeros(self.m)
         self.maps = {}
+        self.columns = {}
 
     def apply(self, rhs) -> np.ndarray:
         """y of the mass saddle solve M y + B^T mu = rhs, B y = 0."""
@@ -436,9 +462,14 @@ def _shrink(H, r, hnext, beta, dt, estimate, tol, t):
 
 
 def _log_ratio(estimate, tolerance):
-    """log(estimate / tolerance), kept finite for the search of ``_shrink``."""
+    """log(estimate / tolerance), kept finite for the search of ``_shrink``.
+
+    A NaN ratio reads as a failure far above the tolerance, never as a pass.
+    """
     ratio = estimate / tolerance
-    return max(-700.0, min(700.0, math.log(ratio))) if ratio > 0 else -700.0
+    if ratio > 0:
+        return max(-700.0, min(700.0, math.log(ratio)))
+    return -700.0 if ratio == 0 else 700.0
 
 
 def flow(
@@ -461,10 +492,18 @@ def flow(
     finiteness (``NonFinite``, without numpy's warning); ``tol`` and
     ``basis_hint`` are checked but do not enter, and the result is
     ``mapped`` with one substep, basis 0, no check and no Arnoldi step.
-    Otherwise the flow
+    Else, if ``op.columns`` holds the Phi_2 columns of t on a support S,
+    x0 is zero and the loads are (None, d) with d zero outside S, the
+    result is the product Phi_2(t)[:, S] d[S], checked for finiteness,
+    provided that its estimate sum_j |d_j| est_j from the columns'
+    error estimates meets ``tol`` (``_column_flow``); it is ``column``
+    with one substep, basis 0, no check, no Arnoldi step and that
+    estimate.  Otherwise the flow
     runs the Krylov generator ``_PhiForm`` with the p = len(loads) loads
     as coordinates of its Arnoldi vectors, so it makes no solve beyond
-    its Arnoldi steps.  Both paths check x0 and the loads alike.
+    its Arnoldi steps, with numpy's overflow warnings off: a flow that
+    overflows raises ``NonFinite`` naming t, and so does a non-finite
+    endpoint.  Every path checks x0 and the loads alike.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
@@ -516,8 +555,22 @@ def flow(
     maps = op.maps.get(t)
     if maps is not None and len(loads) <= 2:
         return _mapped_flow(op, maps, x0 if norm0 else None, loads)
+    columns = op.columns.get(t)
+    if columns is not None and norm0 == 0.0 and len(loads) == 2 and loads[0] is None:
+        result = _column_flow(op, columns, loads[1], tol)
+        if result is not None:
+            return result
 
     generator = _PhiForm(op, loads, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _krylov_march(op, generator, x0, t, tol, basis_hint)
+        except NonFinite as exc:
+            raise NonFinite(f"Krylov flow over t = {t:.6g} is not finite: {exc}") from exc
+
+
+def _krylov_march(op, generator, x0, t, tol, basis_hint) -> KrylovFlowResult:
+    """The Krylov branch of ``flow``: its substeps, with the loads in ``generator``."""
     state = np.zeros(generator.size)  # [x0; e_1], or x0 alone without loads
     state[: op.n] = x0
     state[op.n : op.n + 1] = 1.0
@@ -542,8 +595,35 @@ def flow(
         basis_size = max(basis_size, r)
         estimate += shot_estimate
         substeps += 1
-    state, steps = state[: op.n], steps - generator.shifts
-    return KrylovFlowResult(op.project(state), basis_size, estimate, substeps, checks, steps)
+    state = op.project(state[: op.n])
+    if not np.isfinite(state).all():
+        raise NonFinite("the endpoint overflowed")
+    steps -= generator.shifts
+    return KrylovFlowResult(state, basis_size, estimate, substeps, checks, steps)
+
+
+def _column_flow(op, columns, load, tol) -> KrylovFlowResult | None:
+    """Phi_2 ``load`` through ``columns``, or None where the Krylov flow must run.
+
+    None if ``load`` has a nonzero entry outside the columns' support S,
+    or if the estimate sum_j |load_j| est_j misses ``tol`` (a NaN one
+    too).  The product runs with numpy's overflow warnings off, and a
+    result that is not finite raises ``NonFinite``.  The columns map
+    into ker B, so the product needs no projection.
+    """
+    load = _checked_load(op, load, 1)
+    part = load[columns.support]
+    if np.count_nonzero(part) != np.count_nonzero(load):
+        return None
+    estimate = float(np.abs(part).dot(columns.estimates))
+    if not estimate <= tol:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = columns.phi2.dot(part)
+        finite = np.isfinite(state).all()
+    if not finite:
+        raise NonFinite(f"column flow over t = {columns.tau:.6g} is not finite")
+    return KrylovFlowResult(state, 0, estimate, 1, column=True)
 
 
 def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
@@ -581,6 +661,22 @@ def _require_consistent(op, x0) -> float:
             f"initial value violates constraint: |B x0| = {defect:.3e}, |x0| = {norm0:.3e}"
         )
     return norm0
+
+
+@dataclass(frozen=True)
+class StepColumns:
+    """The columns Phi_2(tau)[:, support] of one duration ``tau``, and their estimates.
+
+    ``phi2`` is an n x |S| array whose column i is the projected Krylov
+    flow Phi_2(tau) e_j of the unit load on unknown j = ``support[i]``,
+    and ``estimates[i]`` is that flow's error estimate.  ``flow`` uses
+    them through ``DaeOperator.columns``.
+    """
+
+    tau: float
+    support: np.ndarray
+    phi2: np.ndarray
+    estimates: np.ndarray
 
 
 @dataclass(frozen=True)

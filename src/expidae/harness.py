@@ -19,8 +19,9 @@ systems fall back to the Krylov flow.  The ladder takes the same kind
 of maps on a system with at most ``integrators.MAPPED_FLOW_MAX_N``
 unknowns, so there the reference and the ladder share the maps'
 arithmetic and only the step sizes differ; the CSV says which flows the
-ladder ran (``ladder_flows``).  Each run drops the maps it built when
-it ends, so a study leaves the operator holding what it held before.
+ladder ran (``ladder_flows``).  Each run drops the maps and the Phi_2
+columns (``flow.StepColumns``) it built when it ends, so a study leaves
+the operator holding what it held before.
 The test suite checks the reference against an independent solver.
 """
 
@@ -61,7 +62,7 @@ NORMS = ("energy", "h1", "l2")
 # Part of the reference-cache key.  Bump it in every change that alters
 # computed states, even at round-off, so that no cache written by an
 # older revision is served.
-NUMERICS_REVISION = 17
+NUMERICS_REVISION = 18
 
 # Points with error above this fraction of the reference scale are
 # treated as pre-asymptotic and excluded from the order fit.
@@ -223,16 +224,18 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
 
 @contextlib.contextmanager
 def _dropping_new_maps(op):
-    """Drop from ``op``, when the block exits, the step maps it gained in the block.
+    """Drop from ``op``, when the block exits, the step maps and Phi_2 columns it gained.
 
-    Maps the operator held before the block are kept.
+    Maps and columns the operator held before the block are kept.
     """
-    held = set(op.maps)
+    held, held_columns = set(op.maps), set(op.columns)
     try:
         yield
     finally:
         for t in op.maps.keys() - held:
             del op.maps[t]
+        for t in op.columns.keys() - held_columns:
+            del op.columns[t]
 
 
 def _snapshot_run(problem, t_end, tau, stride, exact):
@@ -326,10 +329,10 @@ def run_convergence(
     positive, each step size a whole number of the smallest, t_end a
     whole number of each step by ``step_count``, and ``norm`` one that
     ``error_norm`` can measure on the problem; all of this is checked
-    before the reference is built.  The step maps the ladder builds on
-    the system's operator are kept while it runs, so one rung reuses
-    those another built, and dropped when it ends, so a study leaves
-    the operator's maps as it found them.
+    before the reference is built.  The step maps and Phi_2 columns the
+    ladder builds on the system's operator are kept while it runs, so
+    one rung reuses those another built, and dropped when it ends, so a
+    study leaves the operator's maps and columns as it found them.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     if len(taus) < 2:

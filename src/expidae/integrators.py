@@ -16,7 +16,12 @@ with X the generator of the homogeneous constrained flow (notation of
 ``_propagate`` evaluates that sum as one ``flow.flow``: on a system with
 at most ``MAPPED_FLOW_MAX_N`` unknowns through the dense maps of the
 duration, which the system's operator builds on first need and keeps,
-and otherwise as a Krylov flow.  ``_exponential_step`` runs the
+and otherwise as a Krylov flow.  On a larger system the second flow of
+a second-order step at c2 = 1, Phi_2(tau) d with zero state, goes
+through the operator's Phi_2 columns on the support S of the slope d
+instead, one n x |S| product, once an ``integrate`` of at least |S|
+steps has built them from |S| Krylov flows of unit loads
+(``_hold_columns``).  ``_exponential_step`` runs the
 exponential Euler step and the second-order family through it.  Every
 lift is the product L g with the n x m matrix
 L = [lift(e_1) ... lift(e_m)], and every load M lift(g') the product of
@@ -49,7 +54,7 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import DEFAULT_TOL, DaeOperator, flow as krylov_flow
+from .flow import DEFAULT_TOL, DaeOperator, StepColumns, flow as krylov_flow
 from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd, spmv
 
 __all__ = [
@@ -85,7 +90,11 @@ CONSISTENCY_RTOL = 1e-9
 # mapped second-order step then takes 68-71 us at n = 128 and 94-99 us at
 # n = 256 (best of 9 runs of 160 steps, same host), of which its three dense
 # products are some 8 us at n = 128.  The maps hold 3 n^2 doubles per
-# duration, 1.5 MB at n = 256.
+# duration, 1.5 MB at n = 256.  Larger systems keep Krylov flows, except
+# that an ``integrate`` of at least |S| steps gives the Phi_2 term of its
+# second-order steps the columns Phi_2(tau)[:, S] on the support S of the
+# slope when |S|^2 <= n (``_hold_columns``): n |S| <= n^1.5 doubles,
+# 0.25 MB on dynbc h=1/32 (n = 1023, |S| = 31).
 MAPPED_FLOW_MAX_N = 256
 
 
@@ -146,7 +155,10 @@ class ConstrainedSystem:
     propagation over it, in any scheme and any later ``integrate`` on
     this system, is then up to three products with them instead of a
     Krylov flow (``_propagate``).  No maps are built before the first
-    step.
+    step.  On a larger system an ``integrate`` of at least |S| steps has
+    ``flow_op`` hold the Phi_2 columns of the step on the support S of
+    the first slope of its second-order steps (``_hold_columns``), which
+    every later such step over that duration on this system reuses.
     """
 
     def __init__(
@@ -214,10 +226,11 @@ def _finite(value, length, name, t) -> np.ndarray:
 
     The test is one sum, with the entrywise scan only when the sum is
     not finite (a finite vector whose sum overflows, for which numpy
-    warns about the overflow).
+    warns about the overflow).  ``np.add.reduce`` is the pairwise sum of
+    ``v.sum()`` without its Python wrapper.
     """
     v = as_vector(value, length, f"{name} value")
-    if not (math.isfinite(v.sum()) or np.isfinite(v).all()):
+    if not (math.isfinite(np.add.reduce(v)) or np.isfinite(v).all()):
         raise NonFinite(f"{name} returned non-finite values at t={t}")
     return v
 
@@ -266,7 +279,15 @@ class SchemeConfig:
 
 @dataclass
 class Diagnostics:
-    """Per-integration bookkeeping."""
+    """Per-integration bookkeeping.
+
+    ``steps`` is the step count of the run, which ``integrate`` sets
+    before the first step.  ``mapped_flows`` counts the flows through
+    dense step maps, which carry no flow-tolerance error, and
+    ``column_flows`` those through the operator's Phi_2 columns, which
+    do; the Krylov flows that build the columns are recorded like any
+    other.
+    """
 
     steps: int = 0
     constraint_residuals: list = field(default_factory=list)
@@ -278,6 +299,7 @@ class Diagnostics:
     arnoldi_steps: int = 0
     max_basis_size: int = 0
     mapped_flows: int = 0
+    column_flows: int = 0
 
     def record_flow(self, result):
         self.flow_substeps += result.substeps
@@ -285,6 +307,7 @@ class Diagnostics:
         self.arnoldi_steps += result.arnoldi_steps
         self.max_basis_size = max(self.max_basis_size, result.basis_size)
         self.mapped_flows += result.mapped
+        self.column_flows += result.column
 
     def record_residual(self, res):
         self.constraint_residuals.append(res)
@@ -337,24 +360,64 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     maps of duration t if it does not hold them.  Over a duration whose
     maps the operator holds, the flow is up to three dense products
     (the maps are projected onto ker B when built), and the basis to
-    record is 0.  Otherwise it is a
+    record is 0.  On a larger system the term Phi_2(t) slope alone
+    first has the operator hold the Phi_2 columns of t on the support of
+    the slope, if it holds neither maps nor columns of t and the run is
+    long enough (``_hold_columns``); a slope on their support whose
+    estimate meets the flow tolerance is then one product with them,
+    with basis 0.
+    Otherwise it is a
     Krylov flow, which makes one saddle solve per Arnoldi step and no
     other; it is warm-started from flow ``slot`` of the step that made
     ``state``, and the basis to record in that slot of the next state's
     ``flow_bases`` is the accepted one, or 0 if the flow took more than
     one substep.
     """
+    op = sys.flow_op
     if sys.n <= MAPPED_FLOW_MAX_N:
-        sys.flow_op.hold_maps(t)
+        op.hold_maps(t)
+    elif z is None and load is None and t not in op.columns and t not in op.maps:
+        _hold_columns(sys, t, slope, config, diag)
     x0 = np.zeros(sys.n) if z is None else z
     loads = (load,) if slope is None else (load, slope)
     bases = state.flow_bases
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
-    result = krylov_flow(
-        sys.flow_op, x0, t, tol=config.flow_tol, basis_hint=hint, loads=loads
-    )
+    result = krylov_flow(op, x0, t, tol=config.flow_tol, basis_hint=hint, loads=loads)
     diag.record_flow(result)
     return result.state, result.basis_size if result.substeps == 1 else 0
+
+
+def _hold_columns(sys, t, slope, config, diag):
+    """Have ``sys.flow_op`` hold Phi_2(t)[:, S] on the support S of ``slope``, if it pays.
+
+    The columns are built only when S is not empty, |S| is at most the
+    run's step count ``diag.steps`` (each column costs about one flow,
+    and each step that uses them saves one) and |S|^2 <= n, which keeps
+    dense slopes out and the columns at n |S| <= n^1.5 doubles.  A lone
+    step, whose ``Diagnostics`` count no steps, builds nothing.  Column
+    j is the flow of the unit load e_j, ``krylov_flow(op, 0, t,
+    loads=(None, e_j))`` at ``config.flow_tol`` and warm-started from
+    the column before, recorded in ``diag``; its endpoint is projected
+    onto ker B and its error estimate is kept beside it
+    (``flow.StepColumns``).
+    """
+    support = np.flatnonzero(slope)
+    count = support.size
+    if not 0 < count <= diag.steps or count * count > sys.n:
+        return
+    op, x0, unit = sys.flow_op, np.zeros(sys.n), np.zeros(sys.n)
+    phi2 = np.empty((sys.n, count), order="F")
+    estimates = np.empty(count)
+    hint = None
+    for i, j in enumerate(support):
+        unit[j] = 1.0
+        result = krylov_flow(op, x0, t, tol=config.flow_tol, basis_hint=hint, loads=(None, unit))
+        unit[j] = 0.0
+        diag.record_flow(result)
+        phi2[:, i] = result.state
+        estimates[i] = result.residual_estimate
+        hint = result.basis_size if result.substeps == 1 else None
+    op.columns[t] = StepColumns(t, support, phi2, estimates)
 
 
 def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
@@ -519,7 +582,7 @@ def integrate(
             f"{CONSISTENCY_RTOL:.1e}"
         )
 
-    diag = Diagnostics()
+    diag = Diagnostics(steps=nsteps)  # read by the steps (``_hold_columns``)
     # Looked up per call, so that a wrapper put on a step function applies.
     step = {
         "exp-euler": exponential_euler_step,
@@ -536,7 +599,6 @@ def integrate(
             raise NonFinite(f"state became non-finite at t={state.t}")
         if k % snapshot_stride == 0 or k == nsteps:
             trajectory.append(state)
-    diag.steps = nsteps
     return trajectory, diag
 
 

@@ -4,8 +4,9 @@
 methods that callers look up at call time.  If a step routine bound one of
 them at import, or called around it, the traced counts would break their
 identities; these tests run the tracer over short integrations of both
-benchmark step functions and over a reference build, whose exact flows go
-around the Krylov flow, and check those identities.  The tracer file is
+benchmark step functions, over a reference build, whose exact flows go
+around the Krylov flow, and over runs whose second flows go through the
+operator's Phi_2 columns, and check those identities.  The tracer file is
 only imported, never changed.
 """
 
@@ -126,3 +127,28 @@ def test_traced_reference_build_keeps_the_count_identities():
         counters = (diag.flow_substeps, diag.flow_checks, diag.arnoldi_steps, diag.max_basis_size)
         assert counters == (flows, 0, 0, 0)
         assert diag.mapped_flows == flows
+
+
+def test_traced_run_through_phi2_columns_keeps_the_count_identities(monkeypatch):
+    # dynbc h=1/8 above the size bound (n = 63, slopes on 7 unknowns): the
+    # first second-order step builds the 7 columns by Krylov flows of unit
+    # loads, and every step's second flow is then a column flow.  Both go
+    # through the traced flow entry and into Diagnostics.
+    monkeypatch.setattr(importlib.import_module("expidae.integrators"), "MAPPED_FLOW_MAX_N", 0)
+    tracer = load_tracer().Tracer()
+    tau = 1 / 2560
+    with tracer:
+        integ = importlib.import_module("expidae.integrators")
+        prob = importlib.import_module("expidae.problems").build_problem("dynbc", n_cells=8)
+        config = integ.SchemeConfig(scheme="second-order")
+        for _ in range(2):
+            _, diag = integ.integrate(prob.system, config, prob.u0, 0.0, 8 * tau, tau)
+            tracer.diagnostics.append(diag)
+
+    assert tracer.self_check(LAYERS) == []
+    assert tracer.calls["flow.flow"] == 2 * (8 + 8) + 7
+    first, rerun = tracer.diagnostics
+    assert (first.column_flows, rerun.column_flows) == (8, 8)
+    assert first.flow_substeps == 8 + 7 + 8 and rerun.flow_substeps == 16
+    assert tracer.calls["flow.arnoldi_step"] == first.arnoldi_steps + rerun.arnoldi_steps
+    assert tracer.calls["integrators.kernel_solve"] == 0

@@ -92,7 +92,8 @@ class TestSolve:
                 "--scheme", "second-order", "--out", str(out)]
         assert main(argv) == 0
         summary = capsys.readouterr().out
-        assert " max_basis=0 checks=0 arnoldi_steps=0 mapped_flows=20 -> " in summary
+        expected = " max_basis=0 checks=0 arnoldi_steps=0 mapped_flows=20 column_flows=0 -> "
+        assert expected in summary
 
     def test_summary_shows_a_repair(self, tmp_path, capsys, monkeypatch):
         push_flows_off_kernel(monkeypatch)

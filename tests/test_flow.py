@@ -419,6 +419,16 @@ class TestCheckSchedule:
         assert first_shot[len(before_cap):] == [20] * (trials + 1)
         assert 1 <= trials <= 8
 
+    def test_a_nan_estimate_is_never_accepted(self):
+        # _log_ratio reads NaN as far above the tolerance, and a shrink whose
+        # every trial estimate is NaN runs out of substep instead of passing.
+        assert flow_module._log_ratio(math.nan, 1e-10) == 700.0
+        assert flow_module._log_ratio(0.0, 1e-10) == -700.0
+        assert flow_module._log_ratio(math.inf, 1e-10) == 700.0
+        H = np.triu(np.random.default_rng(2).standard_normal((5, 4)), -1)
+        with pytest.raises(NoConvergence, match="below t \\* eps"):
+            flow_module._shrink(H, 4, math.nan, 1.0, 1.0, math.nan, 1e-10, 1.0)
+
     def test_accepted_first_shot_does_not_depend_on_the_cap(self, monkeypatch):
         # A flow whose first shot is accepted takes the same path under any
         # cap at or above the basis it accepts.
@@ -629,6 +639,15 @@ class TestPhiForm:
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match=f"flow load {position + 1} is not finite"):
                 flow(op, z, 0.01, loads=tuple(loads))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1e307, 1e300, 1e200])
+    def test_a_huge_load_overflows_quietly_and_is_named(self, size):
+        # The Krylov flow runs with overflow warnings off and names itself and t.
+        op, z, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        assert op.maps == {}
+        with pytest.raises(NonFinite, match=r"^Krylov flow over t = 0\.01 is not finite: "):
+            flow(op, z, 0.01, loads=(np.full(op.n, size),))
 
     def test_arnoldi_steps_count_saddle_solves(self, monkeypatch):
         # From [0; e_1] with no first load, the first step is a pure

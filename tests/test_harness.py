@@ -20,6 +20,7 @@ from expidae.harness import (
     read_convergence_csv,
     run_convergence,
 )
+from expidae.flow import StepColumns
 from expidae.integrators import ConstrainedSystem, SchemeConfig, integrate
 from expidae.problems import ToyConfig, build_problem, build_toy
 
@@ -307,6 +308,30 @@ class TestRunConvergence:
             emit_csv(table, tmp_path / f"{label}.csv")
             csv[label] = (tmp_path / f"{label}.csv").read_bytes()
         assert csv["held"] == csv["fresh"]
+
+    def test_a_study_leaves_the_operator_columns_as_it_found_them(self, monkeypatch):
+        # dynbc h=1/8 above the size bound: each second-order rung of 8 or
+        # more steps builds the Phi_2 columns of its step, the reference
+        # runs through exact maps and builds none.
+        integ_mod = sys.modules["expidae.integrators"]
+        monkeypatch.setattr(integ_mod, "MAPPED_FLOW_MAX_N", 0)
+        prob = build_problem("dynbc", n_cells=8)
+        op = prob.system.flow_op
+        held = StepColumns(0.3, np.arange(0), np.empty((op.n, 0)), np.empty(0))
+        op.columns[0.3] = held
+        build, built = integ_mod._hold_columns, []
+
+        def spied(sys_, t, *args):
+            build(sys_, t, *args)
+            built.append((t, t in sys_.flow_op.columns))
+
+        monkeypatch.setattr(integ_mod, "_hold_columns", spied)
+        table = run_convergence(prob, SchemeConfig(scheme="second-order"), [0.004, 0.002],
+                                0.032, norm="energy", tau_ref=0.002 / 16)
+        assert built == [(0.004, True), (0.002, True)]
+        assert table.ladder_flows == "krylov"
+        assert op.columns == {0.3: held} and op.columns[0.3] is held
+        assert op.maps == {}
 
     def test_toy_against_integrated_reference(self, tmp_path):
         prob = toy_problem()

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from expidae.errors import (
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DaeOperator, flow
+from expidae.flow import DEFAULT_TOL, DaeOperator, StepColumns, flow
 from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
@@ -1124,6 +1125,141 @@ class TestMappedStep:
             with pytest.raises(InconsistentState):
                 step(prob.system, StepState(0.0, u), tau)
         assert prob.system.flow_op.maps
+
+
+class TestPhi2Columns:
+    """The second flow of a second-order step through the operator's Phi_2 columns.
+
+    ``dynbc`` h=1/8 has n = 63 unknowns and its slopes live on the 7
+    boundary unknowns p, the last 7; with ``MAPPED_FLOW_MAX_N`` at 0 it
+    takes the path of a system above the size bound.
+    """
+
+    TAU = 1 / 2560
+
+    @staticmethod
+    def _large(monkeypatch):
+        """dynbc h=1/8, with the size bound of mapped flows at 0."""
+        monkeypatch.setattr(sys.modules["expidae.integrators"], "MAPPED_FLOW_MAX_N", 0)
+        return build_problem("dynbc", n_cells=8)
+
+    def _run(self, prob, steps, config=SchemeConfig(scheme="second-order")):
+        return integrate(prob.system, config, prob.u0, 0.0, steps * self.TAU, self.TAU)
+
+    def _krylov_run(self, monkeypatch, steps, config=SchemeConfig(scheme="second-order")):
+        """The same run on a fresh system whose steps build no columns."""
+        prob = self._large(monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(sys.modules["expidae.integrators"], "_hold_columns", lambda *a: None)
+            return self._run(prob, steps, config)
+
+    def test_a_run_agrees_with_the_krylov_run_and_a_rerun_is_bit_identical(self, monkeypatch):
+        krylov, krylov_diag = self._krylov_run(monkeypatch, 20)
+        prob = self._large(monkeypatch)
+        op = prob.system.flow_op
+        traj, diag = self._run(prob, 20)
+        columns = op.columns[self.TAU]
+        n = op.n
+        assert columns.support.tolist() == list(range(n - 7, n))
+        assert columns.phi2.shape == (n, 7) and columns.estimates.shape == (7,)
+        assert np.linalg.norm(op.constraint @ columns.phi2) <= 1e-12 * np.linalg.norm(columns.phi2)
+        # 20 stage flows, 7 build flows and 20 column flows.
+        assert (diag.column_flows, diag.mapped_flows, diag.flow_substeps) == (20, 0, 47)
+        assert diag.arnoldi_steps < krylov_diag.arnoldi_steps
+        assert krylov_diag.column_flows == 0
+        for a, b in zip(traj[1:], krylov[1:]):
+            assert np.linalg.norm(a.u - b.u) <= 1e-9 * np.linalg.norm(b.u)
+        again, again_diag = self._run(prob, 20)
+        assert (again_diag.column_flows, again_diag.flow_substeps) == (20, 40)
+        assert op.columns[self.TAU] is columns
+        for a, b in zip(again, traj):
+            np.testing.assert_array_equal(a.u, b.u)
+
+    def test_a_run_shorter_than_the_support_builds_nothing(self, monkeypatch):
+        krylov, krylov_diag = self._krylov_run(monkeypatch, 6)
+        prob = self._large(monkeypatch)
+        traj, diag = self._run(prob, 6)
+        assert prob.system.flow_op.columns == {}
+        assert diag == krylov_diag
+        for a, b in zip(traj, krylov):
+            np.testing.assert_array_equal(a.u, b.u)
+        # A lone step counts no steps of a run, so it builds nothing either.
+        second_order_step(prob.system, traj[-1], self.TAU)
+        assert prob.system.flow_op.columns == {}
+
+    @pytest.mark.parametrize("config", [
+        SchemeConfig(scheme="exp-euler"),
+        SchemeConfig(scheme="second-order-family", c2=0.5),
+        SchemeConfig(scheme="alt-euler"),
+    ], ids=["exp-euler", "family-c2-0.5", "alt-euler"])
+    def test_other_schemes_build_no_columns(self, monkeypatch, config):
+        krylov, krylov_diag = self._krylov_run(monkeypatch, 10, config)
+        prob = self._large(monkeypatch)
+        traj, diag = self._run(prob, 10, config)
+        assert prob.system.flow_op.columns == {} and diag == krylov_diag
+        for a, b in zip(traj, krylov):
+            np.testing.assert_array_equal(a.u, b.u)
+
+    def test_a_dense_slope_builds_no_columns(self, monkeypatch):
+        # |S|^2 <= n keeps the columns to slopes on few unknowns.
+        prob = self._large(monkeypatch)
+        system = prob.system
+        forcing = system._forcing
+        system._forcing = lambda t, x: forcing(t, x) + np.full(system.n, t)
+        _, diag = self._run(prob, 10)
+        assert system.flow_op.columns == {} and diag.column_flows == 0
+        assert diag.arnoldi_steps > 0
+
+    def test_loads_off_the_columns_take_the_krylov_flow(self, monkeypatch):
+        prob = self._large(monkeypatch)
+        traj, _ = self._run(prob, 8)
+        op = prob.system.flow_op
+        columns = op.columns[self.TAU]
+        zero, n = np.zeros(op.n), op.n
+        slope = np.zeros(n)
+        slope[columns.support] = np.linspace(1e-3, 2e-3, 7)
+        through = flow(op, zero, self.TAU, loads=(None, slope))
+        assert through.column and not through.mapped
+        assert (through.substeps, through.basis_size, through.checks, through.arnoldi_steps) == (
+            1, 0, 0, 0
+        )
+        assert through.residual_estimate == pytest.approx(
+            np.abs(slope[columns.support]).dot(columns.estimates)
+        )
+        off = slope.copy()
+        off[0] = 1e-3
+        huge = 10 * slope * DEFAULT_TOL / through.residual_estimate
+        cases = {
+            "outside the support": (zero, (None, off)),
+            "estimate above tol": (zero, (None, huge)),
+            "with a first load": (zero, (slope, slope)),
+            "with a state": (traj[-1].u - prob.system.lift_map @ prob.system.g(traj[-1].t),
+                             (None, slope)),
+        }
+        for label, (x0, loads) in cases.items():
+            result = flow(op, x0, self.TAU, loads=loads)
+            assert not result.column and result.arnoldi_steps > 0, label
+        # The column flow agrees with the Krylov flow it stands for.
+        held = op.columns.pop(self.TAU)
+        krylov = flow(op, zero, self.TAU, tol=1e-13, loads=(None, slope))
+        op.columns[self.TAU] = held
+        assert np.linalg.norm(through.state - krylov.state) <= 10 * DEFAULT_TOL
+        # Another duration has no columns.
+        assert not flow(op, zero, self.TAU / 2, loads=(None, slope)).column
+
+    def test_an_overflowing_column_product_raises_non_finite_without_a_warning(self):
+        prob = build_problem("dynbc", n_cells=8)
+        op = prob.system.flow_op
+        support = np.arange(op.n - 7, op.n)
+        op.columns[self.TAU] = StepColumns(
+            self.TAU, support, np.full((op.n, 7), 1e300), np.zeros(7)
+        )
+        slope = np.zeros(op.n)
+        slope[support] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="column flow over t = 0.000390625"):
+                flow(op, np.zeros(op.n), self.TAU, loads=(None, slope))
 
 
 def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):
