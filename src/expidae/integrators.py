@@ -81,6 +81,14 @@ SCHEME_IDS = ("exp-euler", "second-order", "second-order-family", "alt-euler")
 
 CONSISTENCY_RTOL = 1e-9
 
+# A lift whose relative constraint defect |B x - g| / (1 + |g|) exceeds this
+# is refined once (``lift_constraint``).  The LU factors' backward error is
+# relative to the largest entry of the saddle block, so a stiffness some 100
+# times larger than B can leave defects near 1e-12 in the direct solution;
+# on dynbc up to h = 1/64 and nonsym up to h = 1/256 they stay below 1e-14,
+# and no lift there is refined.
+LIFT_RTOL = 1e-13
+
 # Systems with at most this many unknowns propagate through the dense step
 # maps of each duration (``DaeOperator.hold_maps``), built on first need and
 # kept.  On nonsym (one OpenBLAS thread, 2-vCPU VM), building the maps of one
@@ -317,13 +325,17 @@ class Diagnostics:
 def lift_constraint(sys: ConstrainedSystem, rhs_g) -> np.ndarray:
     """A-orthogonal lift of constraint data into the state space.
 
-    Solves A x + B^T nu = 0, B x = rhs_g; the result satisfies the
+    Solves A x + B^T nu = 0, B x = rhs_g, refined once if the relative
+    constraint defect exceeds ``LIFT_RTOL``; the result satisfies the
     constraint exactly (up to solver accuracy) and <A x, w> = 0 for all
     w in ker B, which makes it the discrete right-inverse of B used
     throughout the schemes.
     """
     rhs_g = as_vector(rhs_g, sys.m, "constraint data")
-    x, _ = sys.stiffness_saddle.solve(np.zeros(sys.n), rhs_g)
+    zero = np.zeros(sys.n)
+    x, nu = sys.stiffness_saddle.solve(zero, rhs_g)
+    if _relative_defect(sys, x, rhs_g) > LIFT_RTOL:
+        x, _ = sys.stiffness_saddle.refine(zero, rhs_g, x, nu)
     return x
 
 

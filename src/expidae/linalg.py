@@ -112,7 +112,9 @@ class SaddleFactorization:
 
     Every solve is one SuperLU solve.  LU with partial pivoting is
     normwise backward stable, and every step checks and repairs its
-    constraint residual (``integrators._finish_step``).
+    constraint residual (``integrators._finish_step``).  A lift of
+    constraint data that misses the constraint is corrected by
+    ``refine`` (``integrators.lift_constraint``).
 
     Raises SingularSaddle if the block matrix is structurally singular
     or a pivot falls below the module constant ``PIVOT_RTOL`` times
@@ -167,6 +169,20 @@ class SaddleFactorization:
         rhs[n:] = rhs_constraint
         sol = self._lu.solve(rhs)
         return sol[:n], sol[n:]
+
+    def refine(self, rhs_primal, rhs_constraint, x, mult) -> tuple[np.ndarray, np.ndarray]:
+        """``(x, mult)`` after one step of iterative refinement.
+
+        ``x, mult`` is what ``solve`` returned for the right-hand sides,
+        given as arrays of shapes (n,) and (m,).  The step solves for the
+        residual with the same factors: one more SuperLU solve.
+        """
+        n = self.n
+        residual = np.empty(n + self.m)
+        residual[:n] = rhs_primal - spmv(self.S, x) - self.B.T @ mult
+        residual[n:] = rhs_constraint - spmv(self.B, x)
+        correction = self._lu.solve(residual)
+        return x + correction[:n], mult + correction[n:]
 
 
 def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:
