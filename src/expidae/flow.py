@@ -10,25 +10,24 @@ matrix X whose action is one saddle solve:
     M y + B^T mu = -A z0,   B y = 0   =>   y = X z0.
 
 ``flow`` evaluates exp(X t) z0 + sum_k t phi_k(t X) S l_k, with S the
-mass solve on ker B and l_1, ..., l_p loads, in one of three ways.
+mass solve on ker B and l_1, ..., l_p loads, in one of two ways.
 
-If the operator holds the dense step maps of the duration t
-(``DaeOperator.hold_maps``), the sum is up to three matrix-vector
-products with E(t), Phi_1(t) and Phi_2(t) (``step_maps``), which carry
-no flow-tolerance error.  The maps are projected onto ker B when they
-are built, so a mapped flow makes no projection of its own
-(``_mapped_flow``).  The integrators give a system with at most
-``integrators.MAPPED_FLOW_MAX_N`` unknowns the maps of each step
-duration, and the harness gives a reference run those of its step.
-
-If the operator holds the Phi_2 columns of the duration
-(``DaeOperator.columns``, a ``StepColumns``), a flow with zero state
-and the one load (None, d) whose support lies in theirs is the product
-Phi_2(t)[:, S] d[S] of n x |S| columns, each a projected Krylov flow of
-a unit load, as long as the sum of |d_j| times the error estimate of
-column j meets the tolerance (``_column_flow``).  The integrators give
-a system with more than ``integrators.MAPPED_FLOW_MAX_N`` unknowns the
-columns on the support of the slope of its second-order steps.
+If the operator holds step maps of the duration t (``DaeOperator.maps``,
+a ``StepMaps``) and each nonzero term of the sum has its map there, the
+sum is up to three dense matrix-vector products (``_mapped_flow``).
+Full maps, which ``DaeOperator.hold_maps`` builds (``step_maps``), are
+E(t), Phi_1(t) and Phi_2(t) and carry no flow-tolerance error; the
+integrators give a system with at most ``integrators.MAPPED_FLOW_MAX_N``
+unknowns those of each step duration, and the harness gives a reference
+run those of its step.  Column maps hold only Phi_2(t)[:, S], the
+n x |S| columns on a support S, each a projected Krylov flow of a unit
+load, with the error estimate of each column; they take the load
+(None, d) with zero state when d lives on S and the sum of |d_j| times
+the estimate of column j meets the tolerance.  The integrators give a
+system with more than ``integrators.MAPPED_FLOW_MAX_N`` unknowns those
+on the support of the slope of its second-order steps.  Every map is
+projected onto ker B when it is built, so a mapped flow makes no
+projection of its own.
 
 Otherwise the sum is approximated in the Krylov subspace built by the
 Arnoldi iteration, using the dense exponential of the small Hessenberg
@@ -53,9 +52,11 @@ A Krylov result is projected back onto the kernel of B to kill
 round-off drift, by the rank-m update x - W (B x) of
 ``DaeOperator.project``; ``step_maps`` applies the same update to each
 column of the maps.  The products of the projection and the consistency
-check go through
-``linalg.spmv`` too, and vector norms are sqrt(x . x), the same bits
-as ``np.linalg.norm`` for less overhead.
+check go through ``linalg.spmv`` too.  The norms of the Krylov flow are
+sqrt(x . x), the same bits as ``np.linalg.norm`` for less overhead;
+those of the consistency check are ``linalg.norm2`` (BLAS ``dnrm2``),
+which is scaled, so that a finite x0 whose squares overflow is measured
+without a warning.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, InconsistentState, NoConvergence, NonFinite
-from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, spmv
+from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, norm2, spmv
 from .phi import expm
 
 __all__ = [
@@ -80,7 +81,6 @@ __all__ = [
     "kernel_reduction",
     "StepMaps",
     "step_maps",
-    "StepColumns",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -104,10 +104,10 @@ class KrylovFlowResult:
     shrink trials included, each one dense exponential of the Hessenberg
     matrix bordered to (r+1) x (r+1).  ``arnoldi_steps`` counts the
     Arnoldi steps over all shots that apply the generator, each one
-    saddle solve.  A flow through the operator's step maps is
+    saddle solve.  A flow through the operator's full step maps is
     ``mapped``: one substep, basis 0, no check and no Arnoldi step.  A
-    flow through its Phi_2 columns is ``column``: the same counts, and
-    the column estimate as ``residual_estimate``.
+    flow through its column maps is ``column``: the same counts, and
+    the columns' estimate as ``residual_estimate``.
     """
 
     state: np.ndarray
@@ -133,38 +133,33 @@ class DaeOperator:
     projection from m ``kernel_project`` solves, as W = Y - P(Y)
     for the right inverse Y = B^+ of B.
 
-    ``maps`` is the cache of step maps: a dict from a flow duration t to
-    the ``StepMaps`` of t, three dense n x n arrays projected onto
-    ker B, which ``flow`` then uses for every flow over t.  It starts
-    empty; ``hold_maps`` fills it, building the step-independent
-    ``kernel_reduction`` once per operator and W on the first build,
-    and a caller drops an entry with ``maps.pop``.  The operator bounds
-    nothing: it holds one entry per duration a caller asked for, until
-    the caller drops it.
-
-    ``columns`` is the cache of Phi_2 columns: a dict from a flow
-    duration t to a ``StepColumns``, the n x |S| array Phi_2(t)[:, S]
-    on a support S and the error estimate of each column, which
-    ``flow`` uses for a flow over t with zero state and the loads
-    (None, d) when d lives on S.  A caller fills it (the integrators,
-    from Krylov flows of unit loads) and drops entries as for ``maps``.
+    ``maps``, the one cache of propagators, is a dict from a flow
+    duration t to the ``StepMaps`` of t, all projected onto ker B, which
+    ``flow`` then uses for every flow over t whose nonzero terms they
+    map.  It starts empty.  ``hold_maps`` puts the full maps of t there,
+    three dense n x n arrays, building the step-independent
+    ``kernel_reduction`` once per operator and W on the first build; a
+    caller may put column maps there (the integrators do, from Krylov
+    flows of unit loads), and drops an entry with ``maps.pop``.  The
+    operator bounds nothing: it holds one entry per duration a caller
+    asked for, until the caller drops it.
 
     The matrices and the factorization are fixed at construction; W,
-    the reduction, the maps and the columns are the things filled in
-    later.  They are
+    the reduction and the maps are the things filled in later.  They are
     deterministic, so a flow or a projection gives the same bits whether
     they were just built or reused, and two first uses at once build the
-    same arrays.  The columns are deterministic given the tolerance and
+    same arrays.  Column maps are deterministic given the tolerance and
     the support of the run that built them, and a later run with another
     tolerance uses them as long as their estimate meets its own.
     Concurrent integrations on one operator therefore give the same bits
-    as one at a time, as long as no caller drops maps or columns that
-    another is using: a flow over a duration whose maps or columns were
-    dropped takes the Krylov path, whose result differs at the flow
-    tolerance.  The library drops both only in the harness, after each
-    reference run and each rung of a study, and only those that run
-    built, so an integration over such a step that runs beside a study
-    may lose them.  Each Krylov flow owns its basis storage.
+    as one at a time, as long as no caller drops or replaces maps that
+    another is using: a flow over a duration whose maps were dropped
+    takes the Krylov path, whose result differs at the flow tolerance.
+    The library changes maps it did not build only in the harness, which
+    restores ``maps`` as it found them after each reference run and
+    after a study's ladder, so an integration over such a step that runs
+    beside a study may lose them.  Each Krylov flow owns its basis
+    storage.
     """
 
     def __init__(self, mass, stiffness, constraint):
@@ -178,7 +173,6 @@ class DaeOperator:
         self.constraint = self._saddle.B
         self._zero_dual = np.zeros(self.m)
         self.maps = {}
-        self.columns = {}
 
     def apply(self, rhs) -> np.ndarray:
         """y of the mass saddle solve M y + B^T mu = rhs, B y = 0."""
@@ -206,22 +200,23 @@ class DaeOperator:
         return kernel_reduction(self)
 
     def hold_maps(self, t: float) -> StepMaps:
-        """The step maps of duration t, built on the first call and kept in ``maps``.
+        """The full step maps of duration t, built on the first call and kept in ``maps``.
 
-        ``t`` must be finite and positive (``ValueError``).  A build is
-        one dense exponential of the (n - m) x (n - m) reduced generator
-        and a few dense n x n products (``step_maps``).
+        Column maps of t are replaced.  ``t`` must be finite and positive
+        (``ValueError``).  A build is one dense exponential of the
+        (n - m) x (n - m) reduced generator and a few dense n x n
+        products (``step_maps``).
         """
         maps = self.maps.get(t)
-        if maps is None:
+        if maps is None or maps.support is not None:
             if not (math.isfinite(t) and t > 0.0):
                 raise ValueError(f"step maps need a finite positive duration, got {t!r}")
             maps = self.maps[t] = step_maps(self, t, self._reduction)
         return maps
 
     def constraint_defect(self, x) -> float:
-        defect = spmv(self.constraint, x)
-        return math.sqrt(defect.dot(defect))
+        """|B x|, by ``linalg.norm2``: quiet where the squares overflow."""
+        return norm2(spmv(self.constraint, x))
 
 
 class _PhiForm:
@@ -486,19 +481,18 @@ def flow(
     (notation of ``step_maps``); a load of None is zero, and without
     loads this is the homogeneous flow exp(X t) x0.
 
-    If ``op.maps`` holds the maps of t (``DaeOperator.hold_maps``) and
-    there are at most two loads, the sum is one dense product per
-    nonzero term with maps whose range is the kernel of B, checked for
-    finiteness (``NonFinite``, without numpy's warning); ``tol`` and
-    ``basis_hint`` are checked but do not enter, and the result is
-    ``mapped`` with one substep, basis 0, no check and no Arnoldi step.
-    Else, if ``op.columns`` holds the Phi_2 columns of t on a support S,
-    x0 is zero and the loads are (None, d) with d zero outside S, the
-    result is the product Phi_2(t)[:, S] d[S], checked for finiteness,
-    provided that its estimate sum_j |d_j| est_j from the columns'
-    error estimates meets ``tol`` (``_column_flow``); it is ``column``
-    with one substep, basis 0, no check, no Arnoldi step and that
-    estimate.  Otherwise the flow
+    If ``op.maps`` holds maps of t (a ``StepMaps``) that map every
+    nonzero term, the sum is one dense product per nonzero term with
+    maps whose range is the kernel of B, checked for finiteness
+    (``NonFinite``, without numpy's warning), and the result has one
+    substep, basis 0, no check and no Arnoldi step (``_mapped_flow``).
+    Through full maps (``DaeOperator.hold_maps``) it is ``mapped``, and
+    ``tol`` and ``basis_hint`` are checked but do not enter.  Column
+    maps on a support S map only the term of a second load d, with zero
+    state and no first load; the flow goes through them when d is zero
+    outside S and the estimate sum_j |d_j| est_j from the columns'
+    error estimates meets ``tol``, and the result is ``column``, with
+    that estimate.  Otherwise the flow
     runs the Krylov generator ``_PhiForm`` with the p = len(loads) loads
     as coordinates of its Arnoldi vectors, so it makes no solve beyond
     its Arnoldi steps, with numpy's overflow warnings off: a flow that
@@ -553,11 +547,8 @@ def flow(
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
     maps = op.maps.get(t)
-    if maps is not None and len(loads) <= 2:
-        return _mapped_flow(op, maps, x0 if norm0 else None, loads)
-    columns = op.columns.get(t)
-    if columns is not None and norm0 == 0.0 and len(loads) == 2 and loads[0] is None:
-        result = _column_flow(op, columns, loads[1], tol)
+    if maps is not None:
+        result = _mapped_flow(op, maps, x0 if norm0 else None, loads, tol)
         if result is not None:
             return result
 
@@ -602,38 +593,34 @@ def _krylov_march(op, generator, x0, t, tol, basis_hint) -> KrylovFlowResult:
     return KrylovFlowResult(state, basis_size, estimate, substeps, checks, steps)
 
 
-def _column_flow(op, columns, load, tol) -> KrylovFlowResult | None:
-    """Phi_2 ``load`` through ``columns``, or None where the Krylov flow must run.
+def _mapped_flow(op, maps, x0, loads, tol) -> KrylovFlowResult | None:
+    """E x0 + Phi_1 loads[0] + Phi_2 loads[1] through ``maps``, or None for the Krylov flow.
 
-    None if ``load`` has a nonzero entry outside the columns' support S,
-    or if the estimate sum_j |load_j| est_j misses ``tol`` (a NaN one
-    too).  The product runs with numpy's overflow warnings off, and a
-    result that is not finite raises ``NonFinite``.  The columns map
-    into ker B, so the product needs no projection.
+    Terms that are None drop out.  None if a nonzero term has no map
+    held (a state or a first load with column maps, or a third load),
+    before any load is checked.  ``flow`` has already returned a zero
+    state without loads, so column maps that pass this test have a
+    second load to take.  With column maps on a support S, the
+    Phi_2 term of the load d is the product Phi_2[:, S] d[S], and None
+    if d has a nonzero entry outside S or if the estimate
+    sum_j |d_j| est_j misses ``tol`` (a NaN one too).  The maps map
+    into ker B, so the sum needs no projection.  The products run with
+    numpy's overflow warnings off, and a result that is not finite
+    raises ``NonFinite``.
     """
-    load = _checked_load(op, load, 1)
-    part = load[columns.support]
-    if np.count_nonzero(part) != np.count_nonzero(load):
+    column = maps.support is not None
+    if len(loads) > 2 or (column and (x0 is not None or loads[0] is not None)):
         return None
-    estimate = float(np.abs(part).dot(columns.estimates))
-    if not estimate <= tol:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = columns.phi2.dot(part)
-        finite = np.isfinite(state).all()
-    if not finite:
-        raise NonFinite(f"column flow over t = {columns.tau:.6g} is not finite")
-    return KrylovFlowResult(state, 0, estimate, 1, column=True)
-
-
-def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
-    """E x0 + Phi_1 loads[0] + Phi_2 loads[1] of ``maps``; None terms drop out.
-
-    The maps map into ker B, so the sum needs no projection.  The
-    products run with numpy's overflow warnings off, and a result that
-    is not finite raises ``NonFinite``.
-    """
     loads = [_checked_load(op, load, k) for k, load in enumerate(loads)]
+    estimate = 0.0
+    if column:
+        part = loads[1][maps.support]
+        if np.count_nonzero(part) != np.count_nonzero(loads[1]):
+            return None
+        estimate = float(np.abs(part).dot(maps.estimates))
+        if not estimate <= tol:
+            return None
+        loads[1] = part
     with np.errstate(over="ignore", invalid="ignore"):
         state = None if x0 is None else maps.flow.dot(x0)
         for phi_map, load in zip((maps.phi1, maps.phi2), loads):
@@ -646,14 +633,18 @@ def _mapped_flow(op, maps, x0, loads) -> KrylovFlowResult:
         finite = np.isfinite(state).all()
     if not finite:
         raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
-    return KrylovFlowResult(state, 0, 0.0, 1, mapped=True)
+    return KrylovFlowResult(state, 0, estimate, 1, mapped=not column, column=column)
 
 
 def _require_consistent(op, x0) -> float:
-    """|x0|, after raising ``NonFinite`` if it is not finite, or
-    ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|)."""
-    norm0 = math.sqrt(x0.dot(x0))
-    if not math.isfinite(norm0):
+    """|x0|, after raising ``NonFinite`` if x0 is not finite, or
+    ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|).
+
+    Both norms are ``linalg.norm2``, so a finite x0 makes no overflow
+    warning; only a norm that is not finite costs the entrywise scan.
+    """
+    norm0 = norm2(x0)
+    if not (math.isfinite(norm0) or np.isfinite(x0).all()):
         raise NonFinite(f"flow initial value x0 is not finite: |x0| = {norm0}")
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * (1.0 + norm0):
@@ -661,22 +652,6 @@ def _require_consistent(op, x0) -> float:
             f"initial value violates constraint: |B x0| = {defect:.3e}, |x0| = {norm0:.3e}"
         )
     return norm0
-
-
-@dataclass(frozen=True)
-class StepColumns:
-    """The columns Phi_2(tau)[:, support] of one duration ``tau``, and their estimates.
-
-    ``phi2`` is an n x |S| array whose column i is the projected Krylov
-    flow Phi_2(tau) e_j of the unit load on unknown j = ``support[i]``,
-    and ``estimates[i]`` is that flow's error estimate.  ``flow`` uses
-    them through ``DaeOperator.columns``.
-    """
-
-    tau: float
-    support: np.ndarray
-    phi2: np.ndarray
-    estimates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -708,19 +683,27 @@ def kernel_reduction(op: DaeOperator) -> KernelReduction:
 
 @dataclass(frozen=True)
 class StepMaps:
-    """Dense maps of one exponential step of duration ``tau``, from ``step_maps``.
+    """Dense maps of one exponential step of duration ``tau``, full or on columns.
 
-    ``flow`` is E = exp(tau X) on ker B, and ``phi1`` and ``phi2`` are
-    Z tau phi_k(tau X_K) M_K^{-1} Z^T for k = 1, 2 (notation of
-    ``step_maps``), each an n x n array whose range is ker B: every
-    column is projected by the update of ``DaeOperator.project``, so
-    |B map| is at round-off of |map|.
+    Full maps, from ``step_maps``: ``flow`` is E = exp(tau X) on ker B,
+    and ``phi1`` and ``phi2`` are Z tau phi_k(tau X_K) M_K^{-1} Z^T for
+    k = 1, 2 (notation of ``step_maps``), each an n x n array, and
+    ``support`` and ``estimates`` are None.  Column maps have ``flow``
+    and ``phi1`` None, and ``phi2`` is the n x |S| array
+    Phi_2(tau)[:, S] on the support S = ``support``: its column i is the
+    projected Krylov flow Phi_2(tau) e_j of the unit load on unknown
+    j = ``support[i]``, and ``estimates[i]`` is that flow's error
+    estimate.  The range of every map is ker B: every column is
+    projected by the update of ``DaeOperator.project``, so |B map| is at
+    round-off of |map|.
     """
 
     tau: float
-    flow: np.ndarray
-    phi1: np.ndarray
+    flow: np.ndarray | None
+    phi1: np.ndarray | None
     phi2: np.ndarray
+    support: np.ndarray | None = None
+    estimates: np.ndarray | None = None
 
 
 def step_maps(op: DaeOperator, tau: float, reduction: KernelReduction) -> StepMaps:

@@ -19,9 +19,10 @@ systems fall back to the Krylov flow.  The ladder takes the same kind
 of maps on a system with at most ``integrators.MAPPED_FLOW_MAX_N``
 unknowns, so there the reference and the ladder share the maps'
 arithmetic and only the step sizes differ; the CSV says which flows the
-ladder ran (``ladder_flows``).  Each run drops the maps and the Phi_2
-columns (``flow.StepColumns``) it built when it ends, so a study leaves
-the operator holding what it held before.
+ladder ran (``ladder_flows``).  Each reference run and each ladder
+restores the operator's maps (``DaeOperator.maps``, full or column
+maps) when it ends, so a study leaves the operator holding what it
+held before.
 The test suite checks the reference against an independent solver.
 """
 
@@ -223,31 +224,30 @@ def _write_cache(path: Path, key: str, times, states, check_states) -> None:
 
 
 @contextlib.contextmanager
-def _dropping_new_maps(op):
-    """Drop from ``op``, when the block exits, the step maps and Phi_2 columns it gained.
+def _restoring_maps(op):
+    """Restore ``op.maps`` as it was when the block exits.
 
-    Maps and columns the operator held before the block are kept.
+    Maps the block built are dropped, and maps it replaced (column maps,
+    by the full maps of ``DaeOperator.hold_maps``) come back.
     """
-    held, held_columns = set(op.maps), set(op.columns)
+    held = dict(op.maps)
     try:
         yield
     finally:
-        for t in op.maps.keys() - held:
-            del op.maps[t]
-        for t in op.columns.keys() - held_columns:
-            del op.columns[t]
+        op.maps.clear()
+        op.maps.update(held)
 
 
 def _snapshot_run(problem, t_end, tau, stride, exact):
     """One reference run, through the step maps of ``tau`` if ``exact``.
 
     The maps are given to the operator of the problem's system for the
-    run and dropped from it when the run returns, unless it held them
-    before.  Otherwise the run takes whatever flow ``integrate`` picks
-    for the system.
+    run, and its maps are restored as they were when the run returns.
+    Otherwise the run takes whatever flow ``integrate`` picks for the
+    system.
     """
     op = problem.system.flow_op
-    with _dropping_new_maps(op):
+    with _restoring_maps(op):
         if exact:
             op.hold_maps(tau)
         traj, _ = integrate(
@@ -277,9 +277,9 @@ def build_reference(
 
     With at most ``EXACT_FLOW_MAX_N`` unknowns every propagation of a
     run takes the dense step maps of its step (``flow.step_maps``),
-    which the system's operator holds for that run only unless it held
-    them before, so the build never adds the maps of tau_ref and
-    tau_ref / 2 together, and the reference
+    which the system's operator holds for that run only, in place of any
+    column maps of that step it held, so the build never adds the maps of
+    tau_ref and tau_ref / 2 together, and the reference
     carries no flow-tolerance error.  The step-independent part of the
     maps (``flow.kernel_reduction``) and the lift matrix L are built
     once per system, so both runs share them with each other and with
@@ -329,10 +329,10 @@ def run_convergence(
     positive, each step size a whole number of the smallest, t_end a
     whole number of each step by ``step_count``, and ``norm`` one that
     ``error_norm`` can measure on the problem; all of this is checked
-    before the reference is built.  The step maps and Phi_2 columns the
-    ladder builds on the system's operator are kept while it runs, so
+    before the reference is built.  The maps the ladder builds on the
+    system's operator, full or column maps, are kept while it runs, so
     one rung reuses those another built, and dropped when it ends, so a
-    study leaves the operator's maps and columns as it found them.
+    study leaves the operator's maps as it found them.
     """
     taus = sorted((float(t) for t in taus), reverse=True)
     if len(taus) < 2:
@@ -378,7 +378,7 @@ def run_convergence(
     errors = []
     max_residual = 0.0
     ladder_flows = "mapped"
-    with _dropping_new_maps(sys.flow_op):  # rungs share maps, e.g. c2 tau = the next tau
+    with _restoring_maps(sys.flow_op):  # rungs share maps, e.g. c2 tau = the next tau
         for tau, stride in zip(taus, strides):
             traj, diag = integrate(sys, scheme, problem.u0, 0.0, t_end, tau)
             if diag.flow_substeps > diag.mapped_flows:  # a Krylov flow ran

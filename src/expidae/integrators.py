@@ -18,9 +18,9 @@ at most ``MAPPED_FLOW_MAX_N`` unknowns through the dense maps of the
 duration, which the system's operator builds on first need and keeps,
 and otherwise as a Krylov flow.  On a larger system the second flow of
 a second-order step at c2 = 1, Phi_2(tau) d with zero state, goes
-through the operator's Phi_2 columns on the support S of the slope d
-instead, one n x |S| product, once an ``integrate`` of at least |S|
-steps has built them from |S| Krylov flows of unit loads
+through the operator's column maps Phi_2(tau)[:, S] on the support S of
+the slope d instead, one n x |S| product, once an ``integrate`` of at
+least |S| steps has built them from |S| Krylov flows of unit loads
 (``_hold_columns``).  ``_exponential_step`` runs the
 exponential Euler step and the second-order family through it.  Every
 lift is the product L g with the n x m matrix
@@ -54,8 +54,8 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
 )
-from .flow import DEFAULT_TOL, DaeOperator, StepColumns, flow as krylov_flow
-from .linalg import SaddleFactorization, as_vector, canonical_csr, require_spd, spmv
+from .flow import DEFAULT_TOL, DaeOperator, StepMaps, flow as krylov_flow
+from .linalg import SaddleFactorization, as_vector, canonical_csr, norm2, require_spd, spmv
 
 __all__ = [
     "ConstrainedSystem",
@@ -100,8 +100,8 @@ LIFT_RTOL = 1e-13
 # products are some 8 us at n = 128.  The maps hold 3 n^2 doubles per
 # duration, 1.5 MB at n = 256.  Larger systems keep Krylov flows, except
 # that an ``integrate`` of at least |S| steps gives the Phi_2 term of its
-# second-order steps the columns Phi_2(tau)[:, S] on the support S of the
-# slope when |S|^2 <= n (``_hold_columns``): n |S| <= n^1.5 doubles,
+# second-order steps the column maps Phi_2(tau)[:, S] on the support S of
+# the slope when |S|^2 <= n (``_hold_columns``): n |S| <= n^1.5 doubles,
 # 0.25 MB on dynbc h=1/32 (n = 1023, |S| = 31).
 MAPPED_FLOW_MAX_N = 256
 
@@ -164,9 +164,9 @@ class ConstrainedSystem:
     this system, is then up to three products with them instead of a
     Krylov flow (``_propagate``).  No maps are built before the first
     step.  On a larger system an ``integrate`` of at least |S| steps has
-    ``flow_op`` hold the Phi_2 columns of the step on the support S of
-    the first slope of its second-order steps (``_hold_columns``), which
-    every later such step over that duration on this system reuses.
+    ``flow_op`` hold the column maps of the step, Phi_2 on the support S
+    of the first slope of its second-order steps (``_hold_columns``),
+    which every later such step over that duration on this system reuses.
     """
 
     def __init__(
@@ -232,13 +232,12 @@ def _relative_defect(sys, u, gval) -> float:
 def _finite(value, length, name, t) -> np.ndarray:
     """``value`` of callback ``name`` at t as a vector, checked for finiteness.
 
-    The test is one sum, with the entrywise scan only when the sum is
-    not finite (a finite vector whose sum overflows, for which numpy
-    warns about the overflow).  ``np.add.reduce`` is the pairwise sum of
-    ``v.sum()`` without its Python wrapper.
+    The test is one ``linalg.norm2``, which raises no floating-point
+    warning, with the entrywise scan only when the norm is not finite
+    (also for a finite vector whose norm overflows).
     """
     v = as_vector(value, length, f"{name} value")
-    if not (math.isfinite(np.add.reduce(v)) or np.isfinite(v).all()):
+    if not (math.isfinite(norm2(v)) or np.isfinite(v).all()):
         raise NonFinite(f"{name} returned non-finite values at t={t}")
     return v
 
@@ -291,8 +290,8 @@ class Diagnostics:
 
     ``steps`` is the step count of the run, which ``integrate`` sets
     before the first step.  ``mapped_flows`` counts the flows through
-    dense step maps, which carry no flow-tolerance error, and
-    ``column_flows`` those through the operator's Phi_2 columns, which
+    full step maps, which carry no flow-tolerance error, and
+    ``column_flows`` those through the operator's column maps, which
     do; the Krylov flows that build the columns are recorded like any
     other.
     """
@@ -369,26 +368,24 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     A term that is None is dropped.  The sum is one flow with the loads
     (``flow``), called through the module name ``krylov_flow``.  On a
     system with n <= ``MAPPED_FLOW_MAX_N`` the operator first builds the
-    maps of duration t if it does not hold them.  Over a duration whose
-    maps the operator holds, the flow is up to three dense products
-    (the maps are projected onto ker B when built), and the basis to
-    record is 0.  On a larger system the term Phi_2(t) slope alone
-    first has the operator hold the Phi_2 columns of t on the support of
-    the slope, if it holds neither maps nor columns of t and the run is
-    long enough (``_hold_columns``); a slope on their support whose
-    estimate meets the flow tolerance is then one product with them,
-    with basis 0.
-    Otherwise it is a
-    Krylov flow, which makes one saddle solve per Arnoldi step and no
-    other; it is warm-started from flow ``slot`` of the step that made
-    ``state``, and the basis to record in that slot of the next state's
-    ``flow_bases`` is the accepted one, or 0 if the flow took more than
-    one substep.
+    full maps of duration t if it does not hold them.  Over a duration
+    whose full maps the operator holds, the flow is up to three dense
+    products (the maps are projected onto ker B when built), and the
+    basis to record is 0.  On a larger system the term Phi_2(t) slope
+    alone first has the operator hold the column maps of t on the
+    support of the slope, if it holds no maps of t and the run is long
+    enough (``_hold_columns``); a slope on their support whose estimate
+    meets the flow tolerance is then one product with them, with basis
+    0.  Otherwise it is a Krylov flow, which makes one saddle solve per
+    Arnoldi step and no other; it is warm-started from flow ``slot`` of
+    the step that made ``state``, and the basis to record in that slot
+    of the next state's ``flow_bases`` is the accepted one, or 0 if the
+    flow took more than one substep.
     """
     op = sys.flow_op
     if sys.n <= MAPPED_FLOW_MAX_N:
         op.hold_maps(t)
-    elif z is None and load is None and t not in op.columns and t not in op.maps:
+    elif z is None and load is None and t not in op.maps:
         _hold_columns(sys, t, slope, config, diag)
     x0 = np.zeros(sys.n) if z is None else z
     loads = (load,) if slope is None else (load, slope)
@@ -400,7 +397,7 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
 
 
 def _hold_columns(sys, t, slope, config, diag):
-    """Have ``sys.flow_op`` hold Phi_2(t)[:, S] on the support S of ``slope``, if it pays.
+    """Have ``sys.flow_op`` hold the column maps of t on the support S of ``slope``, if it pays.
 
     The columns are built only when S is not empty, |S| is at most the
     run's step count ``diag.steps`` (each column costs about one flow,
@@ -410,8 +407,8 @@ def _hold_columns(sys, t, slope, config, diag):
     j is the flow of the unit load e_j, ``krylov_flow(op, 0, t,
     loads=(None, e_j))`` at ``config.flow_tol`` and warm-started from
     the column before, recorded in ``diag``; its endpoint is projected
-    onto ker B and its error estimate is kept beside it
-    (``flow.StepColumns``).
+    onto ker B and its error estimate is kept beside it, in the column
+    maps ``flow.StepMaps`` with ``flow`` and ``phi1`` None.
     """
     support = np.flatnonzero(slope)
     count = support.size
@@ -429,7 +426,7 @@ def _hold_columns(sys, t, slope, config, diag):
         phi2[:, i] = result.state
         estimates[i] = result.residual_estimate
         hint = result.basis_size if result.substeps == 1 else None
-    op.columns[t] = StepColumns(t, support, phi2, estimates)
+    op.maps[t] = StepMaps(t, None, None, phi2, support, estimates)
 
 
 def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):

@@ -27,6 +27,7 @@ from expidae.errors import (
 from expidae.flow import (
     DEFAULT_TOL,
     DaeOperator,
+    StepMaps,
     flow,
     kernel_reduction,
     step_maps,
@@ -299,6 +300,17 @@ class TestFlow:
         x0[3] = value
         with pytest.raises(NonFinite, match="x0"):
             flow(op, x0, 0.01)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_finite_initial_value_is_measured_quietly(self):
+        # The squares of 2^996 z overflow, its scaled norm does not; through
+        # held maps the flow is the flow of z scaled by 2^996, bit for bit.
+        op, z, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        op.hold_maps(0.01)
+        scale = 2.0**996
+        result = flow(op, scale * z, 0.01)
+        assert result.mapped
+        np.testing.assert_array_equal(result.state, scale * flow(op, z, 0.01).state)
 
     @pytest.mark.parametrize("n_cells", [32, 64])
     @pytest.mark.parametrize("t", [0.01, 0.05])
@@ -774,15 +786,28 @@ class TestMappedFlow:
                 assert np.linalg.norm(op.constraint @ matrix) <= 1e-13 * np.linalg.norm(matrix)
 
     @pytest.mark.filterwarnings("error")
-    def test_an_overflowing_product_raises_non_finite_without_a_warning(self):
-        # Phi_1(1) has a row of absolute sum 5.0 on nonsym h=1/16, so a load
-        # of 1e308 with the signs of that row makes a product of 5e308.
-        op, z, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
-        phi1 = op.hold_maps(1.0).phi1
-        row = phi1[np.abs(phi1).sum(axis=1).argmax()]
-        assert np.abs(row).sum() > 2.0
+    @pytest.mark.parametrize("kind", ["full", "column"])
+    def test_an_overflowing_product_raises_non_finite_without_a_warning(self, kind):
+        if kind == "full":
+            # Phi_1(1) has a row of absolute sum 5.0 on nonsym h=1/16, so a
+            # load of 1e308 with the signs of that row makes a product of 5e308.
+            op, x0, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
+            phi1 = op.hold_maps(1.0).phi1
+            row = phi1[np.abs(phi1).sum(axis=1).argmax()]
+            assert np.abs(row).sum() > 2.0
+            loads = (1e308 * np.sign(row),)
+        else:
+            # Column maps of 1e300 on the 7 boundary unknowns of dynbc h=1/8.
+            op = build_problem("dynbc", n_cells=8).system.flow_op
+            support = np.arange(op.n - 7, op.n)
+            op.maps[1.0] = StepMaps(
+                1.0, None, None, np.full((op.n, 7), 1e300), support, np.zeros(7)
+            )
+            x0, slope = np.zeros(op.n), np.zeros(op.n)
+            slope[support] = 1e300
+            loads = (None, slope)
         with pytest.raises(NonFinite, match="mapped flow over t = 1 is not finite"):
-            flow(op, z, 1.0, loads=(1e308 * np.sign(row),))
+            flow(op, x0, 1.0, loads=loads)
 
     def test_zero_state_and_zero_loads_make_no_mapped_flow(self):
         op = build_problem("nonsym", n_cells=16).system.flow_op

@@ -20,7 +20,7 @@ from expidae.harness import (
     read_convergence_csv,
     run_convergence,
 )
-from expidae.flow import StepColumns
+from expidae.flow import StepMaps
 from expidae.integrators import ConstrainedSystem, SchemeConfig, integrate
 from expidae.problems import ToyConfig, build_problem, build_toy
 
@@ -311,27 +311,45 @@ class TestRunConvergence:
 
     def test_a_study_leaves_the_operator_columns_as_it_found_them(self, monkeypatch):
         # dynbc h=1/8 above the size bound: each second-order rung of 8 or
-        # more steps builds the Phi_2 columns of its step, the reference
+        # more steps builds the column maps of its step, the reference
         # runs through exact maps and builds none.
         integ_mod = sys.modules["expidae.integrators"]
         monkeypatch.setattr(integ_mod, "MAPPED_FLOW_MAX_N", 0)
         prob = build_problem("dynbc", n_cells=8)
         op = prob.system.flow_op
-        held = StepColumns(0.3, np.arange(0), np.empty((op.n, 0)), np.empty(0))
-        op.columns[0.3] = held
+        held = StepMaps(0.3, None, None, np.empty((op.n, 0)), np.arange(0), np.empty(0))
+        op.maps[0.3] = held
         build, built = integ_mod._hold_columns, []
 
         def spied(sys_, t, *args):
             build(sys_, t, *args)
-            built.append((t, t in sys_.flow_op.columns))
+            maps = sys_.flow_op.maps.get(t)
+            built.append((t, maps is not None and maps.support is not None))
 
         monkeypatch.setattr(integ_mod, "_hold_columns", spied)
         table = run_convergence(prob, SchemeConfig(scheme="second-order"), [0.004, 0.002],
                                 0.032, norm="energy", tau_ref=0.002 / 16)
         assert built == [(0.004, True), (0.002, True)]
         assert table.ladder_flows == "krylov"
-        assert op.columns == {0.3: held} and op.columns[0.3] is held
-        assert op.maps == {}
+        assert op.maps.keys() == {0.3} and op.maps[0.3] is held
+
+    def test_a_reference_over_a_step_with_column_maps_restores_them(self, monkeypatch):
+        # The reference run holds the full maps of its step in place of the
+        # column maps a direct run built there, and puts those back.
+        tau = 1 / 2560
+        integ_mod = sys.modules["expidae.integrators"]
+        monkeypatch.setattr(integ_mod, "MAPPED_FLOW_MAX_N", 0)
+        fresh = build_problem("dynbc", n_cells=8)
+        expected = build_reference(fresh, 8 * tau, tau)
+        prob = build_problem("dynbc", n_cells=8)
+        op = prob.system.flow_op
+        integrate(prob.system, SchemeConfig(scheme="second-order"), prob.u0, 0.0, 8 * tau, tau)
+        columns = op.maps[tau]
+        assert columns.support is not None
+        ref = build_reference(prob, 8 * tau, tau)
+        assert op.maps.keys() == {tau} and op.maps[tau] is columns
+        np.testing.assert_array_equal(ref.states, expected.states)
+        np.testing.assert_array_equal(ref.check_states, expected.check_states)
 
     def test_toy_against_integrated_reference(self, tmp_path):
         prob = toy_problem()

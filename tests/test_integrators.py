@@ -1,5 +1,4 @@
 import sys
-import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -27,7 +26,7 @@ from expidae.errors import (
     NonFinite,
     SingularSaddle,
 )
-from expidae.flow import DEFAULT_TOL, DaeOperator, StepColumns, flow
+from expidae.flow import DEFAULT_TOL, DaeOperator, flow
 from expidae.harness import REFERENCE_SCHEME
 from expidae.integrators import (
     SCHEME_IDS,
@@ -662,12 +661,17 @@ class TestNonFiniteConstraintData:
 
 
 class TestFiniteCheck:
-    """``_finite``: one sum, and the entrywise scan only when the sum is not finite."""
+    """``_finite``: one scaled norm, and the entrywise scan only when it is not finite."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_vector_whose_sum_overflows_is_accepted(self):
         v = np.array([1e308, 1e308])
-        with np.errstate(over="ignore"):  # numpy flags the overflow of the test sum
-            assert np.array_equal(_finite(v, 2, "forcing", 0.5), v)
+        assert np.array_equal(_finite(v, 2, "forcing", 0.5), v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_vector_whose_norm_overflows_is_accepted(self):
+        v = np.full(128, 1e308)
+        assert np.array_equal(_finite(v, 128, "forcing", 0.0), v)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -677,10 +681,10 @@ class TestFiniteCheck:
         with pytest.raises(NonFinite, match="forcing returned non-finite values at t=0.5"):
             _finite(np.array(value), 2, "forcing", 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opposite_infinities_are_reported(self):
-        with np.errstate(invalid="ignore"):  # inf - inf in the test sum
-            with pytest.raises(NonFinite, match="constraint_rhs returned non-finite"):
-                _finite(np.array([np.inf, -np.inf]), 2, "constraint_rhs", 0.5)
+        with pytest.raises(NonFinite, match="constraint_rhs returned non-finite"):
+            _finite(np.array([np.inf, -np.inf]), 2, "constraint_rhs", 0.5)
 
 
 class TestNoSparseDispatch:
@@ -1131,7 +1135,7 @@ class TestMappedStep:
 
 
 class TestPhi2Columns:
-    """The second flow of a second-order step through the operator's Phi_2 columns.
+    """The second flow of a second-order step through the operator's column maps.
 
     ``dynbc`` h=1/8 has n = 63 unknowns and its slopes live on the 7
     boundary unknowns p, the last 7; with ``MAPPED_FLOW_MAX_N`` at 0 it
@@ -1161,8 +1165,9 @@ class TestPhi2Columns:
         prob = self._large(monkeypatch)
         op = prob.system.flow_op
         traj, diag = self._run(prob, 20)
-        columns = op.columns[self.TAU]
+        columns = op.maps[self.TAU]
         n = op.n
+        assert columns.flow is None and columns.phi1 is None
         assert columns.support.tolist() == list(range(n - 7, n))
         assert columns.phi2.shape == (n, 7) and columns.estimates.shape == (7,)
         assert np.linalg.norm(op.constraint @ columns.phi2) <= 1e-12 * np.linalg.norm(columns.phi2)
@@ -1174,7 +1179,7 @@ class TestPhi2Columns:
             assert np.linalg.norm(a.u - b.u) <= 1e-9 * np.linalg.norm(b.u)
         again, again_diag = self._run(prob, 20)
         assert (again_diag.column_flows, again_diag.flow_substeps) == (20, 40)
-        assert op.columns[self.TAU] is columns
+        assert op.maps[self.TAU] is columns
         for a, b in zip(again, traj):
             np.testing.assert_array_equal(a.u, b.u)
 
@@ -1182,13 +1187,13 @@ class TestPhi2Columns:
         krylov, krylov_diag = self._krylov_run(monkeypatch, 6)
         prob = self._large(monkeypatch)
         traj, diag = self._run(prob, 6)
-        assert prob.system.flow_op.columns == {}
+        assert prob.system.flow_op.maps == {}
         assert diag == krylov_diag
         for a, b in zip(traj, krylov):
             np.testing.assert_array_equal(a.u, b.u)
         # A lone step counts no steps of a run, so it builds nothing either.
         second_order_step(prob.system, traj[-1], self.TAU)
-        assert prob.system.flow_op.columns == {}
+        assert prob.system.flow_op.maps == {}
 
     @pytest.mark.parametrize("config", [
         SchemeConfig(scheme="exp-euler"),
@@ -1199,7 +1204,7 @@ class TestPhi2Columns:
         krylov, krylov_diag = self._krylov_run(monkeypatch, 10, config)
         prob = self._large(monkeypatch)
         traj, diag = self._run(prob, 10, config)
-        assert prob.system.flow_op.columns == {} and diag == krylov_diag
+        assert prob.system.flow_op.maps == {} and diag == krylov_diag
         for a, b in zip(traj, krylov):
             np.testing.assert_array_equal(a.u, b.u)
 
@@ -1210,14 +1215,14 @@ class TestPhi2Columns:
         forcing = system._forcing
         system._forcing = lambda t, x: forcing(t, x) + np.full(system.n, t)
         _, diag = self._run(prob, 10)
-        assert system.flow_op.columns == {} and diag.column_flows == 0
+        assert system.flow_op.maps == {} and diag.column_flows == 0
         assert diag.arnoldi_steps > 0
 
     def test_loads_off_the_columns_take_the_krylov_flow(self, monkeypatch):
         prob = self._large(monkeypatch)
         traj, _ = self._run(prob, 8)
         op = prob.system.flow_op
-        columns = op.columns[self.TAU]
+        columns = op.maps[self.TAU]
         zero, n = np.zeros(op.n), op.n
         slope = np.zeros(n)
         slope[columns.support] = np.linspace(1e-3, 2e-3, 7)
@@ -1243,26 +1248,29 @@ class TestPhi2Columns:
             result = flow(op, x0, self.TAU, loads=loads)
             assert not result.column and result.arnoldi_steps > 0, label
         # The column flow agrees with the Krylov flow it stands for.
-        held = op.columns.pop(self.TAU)
+        held = op.maps.pop(self.TAU)
         krylov = flow(op, zero, self.TAU, tol=1e-13, loads=(None, slope))
-        op.columns[self.TAU] = held
+        op.maps[self.TAU] = held
         assert np.linalg.norm(through.state - krylov.state) <= 10 * DEFAULT_TOL
         # Another duration has no columns.
         assert not flow(op, zero, self.TAU / 2, loads=(None, slope)).column
 
-    def test_an_overflowing_column_product_raises_non_finite_without_a_warning(self):
-        prob = build_problem("dynbc", n_cells=8)
+    def test_hold_maps_replaces_the_column_maps_with_full_maps(self, monkeypatch):
+        prob = self._large(monkeypatch)
+        self._run(prob, 8)
         op = prob.system.flow_op
-        support = np.arange(op.n - 7, op.n)
-        op.columns[self.TAU] = StepColumns(
-            self.TAU, support, np.full((op.n, 7), 1e300), np.zeros(7)
-        )
+        columns = op.maps[self.TAU]
         slope = np.zeros(op.n)
-        slope[support] = 1e300
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match="column flow over t = 0.000390625"):
-                flow(op, np.zeros(op.n), self.TAU, loads=(None, slope))
+        slope[columns.support] = 1e-3
+        assert flow(op, np.zeros(op.n), self.TAU, loads=(None, slope)).column
+        full = op.hold_maps(self.TAU)
+        assert full is not columns and op.maps == {self.TAU: full}
+        assert full.support is None and full.estimates is None
+        assert full.flow.shape == full.phi1.shape == full.phi2.shape == (op.n, op.n)
+        assert op.hold_maps(self.TAU) is full
+        result = flow(op, np.zeros(op.n), self.TAU, loads=(None, slope))
+        assert result.mapped and not result.column
+        np.testing.assert_array_equal(result.state, full.phi2 @ slope)
 
 
 def _flows_of_run(monkeypatch, prob, nsteps, cold=False, tau=1 / 2560):

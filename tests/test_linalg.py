@@ -11,6 +11,7 @@ from expidae.linalg import (
     SaddleFactorization,
     canonical_csr,
     kernel_project,
+    norm2,
     require_spd,
     spmv,
 )
@@ -115,6 +116,21 @@ class TestSpmv:
             assert not column.flags.c_contiguous
             assert np.array_equal(spmv(mat, column), mat @ column)
             assert np.array_equal(spmv(mat, column), mat @ column.copy())
+
+
+class TestNorm2:
+    """``norm2``: the scaled BLAS norm of the finiteness and consistency checks."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quiet_where_the_squares_overflow(self):
+        assert norm2(np.full(4, 1e300)) == pytest.approx(2e300, rel=1e-15)
+        assert norm2(np.full(128, 1e308)) == np.inf
+        assert np.isnan(norm2(np.array([1.0, np.nan])))
+        assert norm2(np.array([1.0, -np.inf])) == np.inf
+
+    def test_empty_and_strided_vectors(self):
+        assert norm2(np.empty(0)) == 0.0
+        assert norm2(np.arange(6.0)[::2]) == pytest.approx(np.sqrt(20.0), rel=1e-15)
 
 
 class TestAssembleSaddle:
