@@ -53,10 +53,13 @@ round-off drift, by the rank-m update x - W (B x) of
 ``DaeOperator.project``; ``step_maps`` applies the same update to each
 column of the maps.  The products of the projection and the consistency
 check go through ``linalg.spmv`` too.  The norms of the Krylov flow are
-sqrt(x . x), the same bits as ``np.linalg.norm`` for less overhead;
-those of the consistency check are ``linalg.norm2`` (BLAS ``dnrm2``),
-which is scaled, so that a finite x0 whose squares overflow is measured
-without a warning.
+sqrt(x . x), the same bits as ``np.linalg.norm`` for less overhead,
+except where x . x is not finite: there the norm is ``linalg.norm2``
+(BLAS ``dnrm2``), which is scaled, so that a finite state whose squares
+overflow still flows.  The consistency check uses ``linalg.norm2``
+throughout, and every finiteness test of x0, a load or a result is
+``linalg.finite_norm``, that norm with the entrywise scan only when it
+is not finite; none of them raises a floating-point warning.
 """
 
 from __future__ import annotations
@@ -70,7 +73,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, InconsistentState, NoConvergence, NonFinite
-from .linalg import SaddleFactorization, as_vector, canonical_csr, kernel_project, norm2, spmv
+from .linalg import (
+    SaddleFactorization,
+    as_vector,
+    canonical_csr,
+    finite_norm,
+    kernel_project,
+    norm2,
+    spmv,
+)
 from .phi import expm
 
 __all__ = [
@@ -272,12 +283,13 @@ class _PhiForm:
 def _checked_load(op, load, k):
     """Load k (from 0) of a flow as a vector of length n, or None for a zero load.
 
-    A load that is not finite raises ``NonFinite`` naming it.
+    A load that is not finite raises ``NonFinite`` naming it
+    (``linalg.finite_norm``, so a finite load whose norm overflows passes).
     """
     if load is None:
         return None
     load = as_vector(load, op.n, "load")
-    if not np.isfinite(load).all():
+    if finite_norm(load) is None:
         raise NonFinite(f"flow load {k + 1} is not finite")
     return load
 
@@ -569,7 +581,10 @@ def _krylov_march(op, generator, x0, t, tol, basis_hint) -> KrylovFlowResult:
     first_check = 1 if basis_hint is None else max(1, basis_hint - 1)
     left, r, shot_estimate = t, 0, 0.0
     while left > 0.0:
-        beta = math.sqrt(state.dot(state))
+        # sqrt(x . x) keeps the bits of every ordinary flow; the scaled norm
+        # measures a finite state whose squares overflow.
+        sumsq = state.dot(state)
+        beta = math.sqrt(sumsq) if math.isfinite(sumsq) else norm2(state)
         if beta == 0.0:  # the rest of the flow of zero is zero
             break
         if substeps >= SUBSTEP_LIMIT:
@@ -587,7 +602,7 @@ def _krylov_march(op, generator, x0, t, tol, basis_hint) -> KrylovFlowResult:
         estimate += shot_estimate
         substeps += 1
     state = op.project(state[: op.n])
-    if not np.isfinite(state).all():
+    if finite_norm(state) is None:
         raise NonFinite("the endpoint overflowed")
     steps -= generator.shifts
     return KrylovFlowResult(state, basis_size, estimate, substeps, checks, steps)
@@ -630,8 +645,7 @@ def _mapped_flow(op, maps, x0, loads, tol) -> KrylovFlowResult | None:
                 state = phi_map.dot(load)
             else:
                 state += phi_map.dot(load)
-        finite = np.isfinite(state).all()
-    if not finite:
+    if finite_norm(state) is None:
         raise NonFinite(f"mapped flow over t = {maps.tau:.6g} is not finite")
     return KrylovFlowResult(state, 0, estimate, 1, mapped=not column, column=column)
 
@@ -640,12 +654,16 @@ def _require_consistent(op, x0) -> float:
     """|x0|, after raising ``NonFinite`` if x0 is not finite, or
     ``InconsistentState`` if |B x0| > 1e-8 (1 + |x0|).
 
-    Both norms are ``linalg.norm2``, so a finite x0 makes no overflow
-    warning; only a norm that is not finite costs the entrywise scan.
+    |x0| is ``linalg.finite_norm`` and |B x0| is ``linalg.norm2``, so a
+    finite x0 makes no overflow warning; only a norm that is not finite
+    costs the entrywise scan.  A zero x0, the state of every flow that
+    has loads alone, makes no product with B.
     """
-    norm0 = norm2(x0)
-    if not (math.isfinite(norm0) or np.isfinite(x0).all()):
-        raise NonFinite(f"flow initial value x0 is not finite: |x0| = {norm0}")
+    norm0 = finite_norm(x0)
+    if norm0 is None:
+        raise NonFinite("flow initial value x0 is not finite")
+    if not norm0:
+        return norm0
     defect = op.constraint_defect(x0)
     if defect > CONSISTENCY_RTOL * (1.0 + norm0):
         raise InconsistentState(

@@ -22,13 +22,16 @@ through the operator's column maps Phi_2(tau)[:, S] on the support S of
 the slope d instead, one n x |S| product, once an ``integrate`` of at
 least |S| steps has built them from |S| Krylov flows of unit loads
 (``_hold_columns``).  ``_exponential_step`` runs the
-exponential Euler step and the second-order family through it.  Every
-lift is the product L g with the n x m matrix
-L = [lift(e_1) ... lift(e_m)], and every load M lift(g') the product of
-g' with the n x m matrix M L, both built on first use
-(``ConstrainedSystem.lift_map`` and ``mass_lift_map``).  A step
-evaluates g once at each time it needs, and its consistency check
-reuses g(t_{n+1}).
+exponential Euler step and the second-order family through it.  The
+lift of a nonzero g is the product L g with the n x m matrix
+L = [lift(e_1) ... lift(e_m)], and the load M lift(g') of a nonzero g'
+the product of g' with the n x m matrix M L; L and M L are built at the
+first nonzero g or g' (``ConstrainedSystem.lift_map`` and
+``mass_lift_map``).  Zero data costs no product: its lift is the scalar
+0.0, and the zero test is the norm of the finiteness check of g or g'
+(``_checked``).  So a system whose g and g' vanish, such as ``dynbc``,
+never builds L.  A step evaluates g once at each time it needs, and its
+consistency check reuses g(t_{n+1}).
 
 Discrete right-hand-side convention: ``f(t, x)`` returns a load vector
 (already mass weighted), while constraint lifts are coefficient
@@ -55,7 +58,7 @@ from .errors import (
     NonFinite,
 )
 from .flow import DEFAULT_TOL, DaeOperator, StepMaps, flow as krylov_flow
-from .linalg import SaddleFactorization, as_vector, canonical_csr, norm2, require_spd, spmv
+from .linalg import SaddleFactorization, as_vector, canonical_csr, finite_norm, require_spd, spmv
 
 __all__ = [
     "ConstrainedSystem",
@@ -147,15 +150,18 @@ class ConstrainedSystem:
     ``mass``, ``stiffness`` and ``constraint`` are the matrices of
     ``flow_op``, the ``DaeOperator`` that holds them in canonical form,
     checks their shapes and factorizes the mass saddle matrix; the
-    stiffness saddle factorization is built here.  Each step forms every
-    lift it needs as L g, with the dense n x m lift matrix
-    L = [lift_constraint(e_1) ... lift_constraint(e_m)] (``lift_map``), and
-    each load M lift(g') as (M L) g' (``mass_lift_map``); no lift is
-    carried from one step to the next.  The steps project with
-    ``flow_op.project`` (x - W (B x), see ``DaeOperator``).  L and
-    W are built on first use, each from m saddle solves, and kept; both
-    are deterministic, so a run on a system whose maps are built gives
-    the same bits as a run on a fresh one.
+    stiffness saddle factorization is built here.  Each step forms the
+    lift of a nonzero g as L g, with the dense n x m lift matrix
+    L = [lift_constraint(e_1) ... lift_constraint(e_m)] (``lift_map``),
+    and the load M lift(g') of a nonzero g' as (M L) g'
+    (``mass_lift_map``); zero data costs no product, and no lift is
+    carried from one step to the next.  L and M L are built at the first
+    nonzero g or g', so a system whose g and g' vanish never builds
+    them.  The steps project with ``flow_op.project`` (x - W (B x), see
+    ``DaeOperator``).  L and W are built on first use, each from m
+    saddle solves, and kept; both are deterministic, so a run on a
+    system whose maps are built gives the same bits as a run on a fresh
+    one.
 
     On a system with at most ``MAPPED_FLOW_MAX_N`` unknowns the first
     propagation over each step duration has ``flow_op`` build the dense
@@ -205,6 +211,20 @@ class ConstrainedSystem:
         """g'(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rate``."""
         return _finite(self._gdot(t), self.m, "constraint_rate", t)
 
+    def _g_norm(self, t: float) -> tuple[np.ndarray, float]:
+        """g(t) and |g(t)|, the norm of its finiteness check."""
+        return _checked(self._g(t), self.m, "constraint_rhs", t)
+
+    def _lift(self, t: float) -> tuple[np.ndarray, np.ndarray | float]:
+        """g(t) and its lift L g(t), the scalar 0.0 when g(t) = 0."""
+        g, norm = self._g_norm(t)
+        return g, self.lift_map @ g if norm else 0.0
+
+    def _rate_load(self, t: float) -> np.ndarray | float:
+        """The load M lift(g'(t)) = (M L) g'(t), the scalar 0.0 when g'(t) = 0."""
+        gdot, norm = _checked(self._gdot(t), self.m, "constraint_rate", t)
+        return self.mass_lift_map @ gdot if norm else 0.0
+
     def constraint_residual(self, t: float, u) -> float:
         """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
         return _relative_defect(self, u, self.g(t))
@@ -230,16 +250,23 @@ def _relative_defect(sys, u, gval) -> float:
 
 
 def _finite(value, length, name, t) -> np.ndarray:
-    """``value`` of callback ``name`` at t as a vector, checked for finiteness.
+    """``value`` of callback ``name`` at t as a vector, checked for finiteness (``_checked``)."""
+    return _checked(value, length, name, t)[0]
 
-    The test is one ``linalg.norm2``, which raises no floating-point
-    warning, with the entrywise scan only when the norm is not finite
-    (also for a finite vector whose norm overflows).
+
+def _checked(value, length, name, t) -> tuple[np.ndarray, float]:
+    """``value`` of callback ``name`` at t as a vector v, and |v|.
+
+    The finiteness test is ``linalg.finite_norm``: one norm, which
+    raises no floating-point warning, with the entrywise scan only when
+    it is not finite (also for a finite vector whose norm overflows).
+    A non-finite entry raises ``NonFinite`` naming the callback.
     """
     v = as_vector(value, length, f"{name} value")
-    if not (math.isfinite(norm2(v)) or np.isfinite(v).all()):
+    norm = finite_norm(v)
+    if norm is None:
         raise NonFinite(f"{name} returned non-finite values at t={t}")
-    return v
+    return v, norm
 
 
 @dataclass
@@ -463,29 +490,28 @@ def _exponential_step(sys, state, tau, c2, config, diag, *, stage_only=False):
 
 
 def _stage_and_slope(sys, state, tau, c2, config, diag, stage_only):
-    """The body of ``_exponential_step``."""
+    """The body of ``_exponential_step``; zero g or g' costs no product."""
     t0, t1 = state.t, state.t + tau
     t_stage = t0 + c2 * tau  # t1 itself at c2 = 1
-    lift, mass_lift = sys.lift_map, sys.mass_lift_map
-    load0 = sys.load(t0, state.u) - mass_lift @ sys.gdot(t0)
-    z0 = state.u - lift @ sys.g(t0)
+    load0 = sys.load(t0, state.u) - sys._rate_load(t0)
+    z0 = state.u - sys._lift(t0)[1]
     z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
-    g_stage = sys.g(t_stage)
-    lift_g_stage = lift @ g_stage
+    g_stage, lift_g_stage = sys._lift(t_stage)
     u_stage = lift_g_stage + z_stage
     if stage_only:
         diag.rhs_evaluations += 1
         u1 = _finish_step(sys, t1, u_stage, lift_g_stage, g_stage, diag)
         return StepState(t1, u1, flow_bases=(basis0,))
 
-    load_stage = sys.load(t_stage, u_stage) - mass_lift @ sys.gdot(t_stage)
+    load_stage = sys.load(t_stage, u_stage) - sys._rate_load(t_stage)
     diag.rhs_evaluations += 2
-    slope = (load_stage - load0) / c2
+    slope = load_stage - load0
     if c2 == 1.0:  # u_s already holds lift(g_{n+1}) + E(tau) z_0 + Phi_1(tau) l_0
         g1, lift_g1, base, z0, load0 = g_stage, lift_g_stage, u_stage, None, None
     else:
-        g1 = sys.g(t1)
-        lift_g1 = base = lift @ g1
+        slope /= c2
+        g1, lift_g1 = sys._lift(t1)
+        base = lift_g1
     if c2 < 1.0 and not math.isfinite(slope.dot(slope)):
         raise NonFinite("stage slope (l(t_n + c2 tau) - l_0) / c2 overflows")
     z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
@@ -545,11 +571,12 @@ def alt_euler_step(
     """
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
-    g0, g1 = sys.g(t0), sys.g(t1)
+    (g0, norm0), (g1, norm1) = sys._g_norm(t0), sys._g_norm(t1)
     g_blend = config.theta * g0 + (1.0 - config.theta) * g1
     f0 = sys.load(t0, state.u)
     diag.rhs_evaluations += 1
-    lift_blend = sys.lift_map @ g_blend
+    # The lift of a blend of zero data is the scalar 0.0 (ConstrainedSystem._lift).
+    lift_blend = sys.lift_map @ g_blend if norm0 or norm1 else 0.0
     z = state.u - lift_blend
     if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
         z = sys.flow_op.project(z)
@@ -604,7 +631,7 @@ def integrate(
     for k in range(1, nsteps + 1):
         state = step(sys, state, tau, config, diag)
         state.t = t0 + k * tau
-        if not np.isfinite(state.u).all():
+        if finite_norm(state.u) is None:
             raise NonFinite(f"state became non-finite at t={state.t}")
         if k % snapshot_stride == 0 or k == nsteps:
             trajectory.append(state)

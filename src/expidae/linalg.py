@@ -17,10 +17,13 @@ SciPy's operator dispatch; ``spmv`` calls the kernel that ``A @ x``
 ends in, so it returns the same bits for the cost of the kernel and one
 shape check.  ``norm2`` is the 2-norm of the finiteness and consistency
 checks: BLAS ``dnrm2``, which is scaled and raises no floating-point
-warning.
+warning.  ``finite_norm`` is the one finiteness test of the package's
+vectors: that norm, with the entrywise scan only when it is not finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -111,6 +114,20 @@ def norm2(x) -> float:
     has norm 0.
     """
     return dnrm2(x) if x.shape[0] else 0.0
+
+
+def finite_norm(x) -> float | None:
+    """``norm2(x)`` if every entry of the float64 vector x is finite, else None.
+
+    The norm settles a finite x whose norm is finite; only a norm that
+    is not finite, which is inf for a finite x whose norm overflows,
+    costs the entrywise scan.  Neither raises a floating-point warning.
+    The norm is scaled, so it is 0 only for a zero vector.
+    """
+    norm = norm2(x)
+    if math.isfinite(norm) or np.isfinite(x).all():
+        return norm
+    return None
 
 
 class SaddleFactorization:

@@ -152,3 +152,5 @@ def test_traced_run_through_phi2_columns_keeps_the_count_identities(monkeypatch)
     assert first.flow_substeps == 8 + 7 + 8 and rerun.flow_substeps == 16
     assert tracer.calls["flow.arnoldi_step"] == first.arnoldi_steps + rerun.arnoldi_steps
     assert tracer.calls["integrators.kernel_solve"] == 0
+    # g = g' = 0 on dynbc: no lift matrix is built.
+    assert tracer.calls["integrators.lift"] == 0

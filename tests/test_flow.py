@@ -312,6 +312,19 @@ class TestFlow:
         assert result.mapped
         np.testing.assert_array_equal(result.state, scale * flow(op, z, 0.01).state)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_finite_initial_value_flows_on_the_krylov_path(self):
+        # The squares of 2^996 z overflow; the Krylov flow measures it by the
+        # scaled norm and, with the tolerance scaled alike, takes the bases of
+        # the flow of z.  Dividing by 2^996 is exact.
+        op, z, _, _ = _phi_form_case("nonsym", {"n_cells": 16})
+        scale = 2.0**996
+        result = flow(op, scale * z, 0.01, tol=scale * 1e-10)
+        assert op.maps == {} and not result.mapped
+        expected = flow(op, z, 0.01).state
+        assert np.isfinite(result.state).all()
+        assert np.linalg.norm(result.state / scale - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("n_cells", [32, 64])
     @pytest.mark.parametrize("t", [0.01, 0.05])
     def test_stiff_nonsym_flow_is_not_accepted_at_one_vector(self, n_cells, t):
@@ -840,6 +853,36 @@ def _saddle_matrix(op):
     saddle[n:, :n] = op.constraint.toarray()
     saddle[:n, n:] = saddle[n:, :n].T
     return saddle
+
+
+class TestFiniteChecks:
+    """The finiteness tests of ``flow``: one norm, the scan only when it is not finite."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("path", ["full", "column", "krylov"])
+    def test_a_nan_load_is_named_on_every_path(self, path):
+        # dynbc h=1/8: n = 63, the slopes live on the 7 boundary unknowns.
+        op = build_problem("dynbc", n_cells=8).system.flow_op
+        support = np.arange(op.n - 7, op.n)
+        if path == "full":
+            op.hold_maps(0.01)
+        elif path == "column":
+            op.maps[0.01] = StepMaps(
+                0.01, None, None, np.zeros((op.n, 7)), support, np.zeros(7)
+            )
+        x0, slope = np.zeros(op.n), np.zeros(op.n)
+        slope[support] = 1.0
+        result = flow(op, x0, 0.01, loads=(None, slope))
+        assert (result.mapped, result.column) == (path == "full", path == "column")
+        slope[support[3]] = np.nan
+        with pytest.raises(NonFinite, match="flow load 2 is not finite"):
+            flow(op, x0, 0.01, loads=(None, slope))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_finite_load_whose_norm_overflows_passes_the_load_check(self):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        load = np.full(op.n, 1e308)
+        assert flow_module._checked_load(op, load, 0) is load
 
 
 class TestMassSolve:

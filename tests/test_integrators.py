@@ -512,6 +512,23 @@ class TestIntegrate:
             integrate(prob.system, SchemeConfig(), bad, 0.0, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_step_that_returns_a_non_finite_state_is_reported(self, monkeypatch):
+        integ_mod = sys.modules["expidae.integrators"]
+        step = integ_mod.second_order_step
+
+        def spoiled(sys_, state, tau, config, diag):
+            new = step(sys_, state, tau, config, diag)
+            if new.t > 0.075:
+                new.u[3] = np.nan
+            return new
+
+        # integrate looks the step function up per call.
+        monkeypatch.setattr(integ_mod, "second_order_step", spoiled)
+        prob = build_problem("nonsym", n_cells=16)
+        with pytest.raises(NonFinite, match=r"state became non-finite at t=0\.1$"):
+            integrate(prob.system, SchemeConfig(scheme="second-order"), prob.u0, 0.0, 0.2, 0.05)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "name, overrides", [("toy", {}), ("nonsym", {"n_cells": 16}), ("dynbc", {"n_cells": 8})]
@@ -792,12 +809,54 @@ class TestTrajectoryExport:
         np.testing.assert_array_equal(data[-1], traj[-1].u)
 
 
+class TestZeroConstraintData:
+    """L and M L are built at the first nonzero g or g'; zero data makes no product."""
+
+    @pytest.mark.parametrize(
+        "scheme, max_n",
+        [(scheme, None) for scheme in SCHEME_IDS] + [("second-order", 0)],
+        ids=[*SCHEME_IDS, "second-order-columns"],
+    )
+    def test_a_dynbc_run_builds_no_lift_map(self, monkeypatch, scheme, max_n):
+        # dynbc couples the trace to the boundary variable, g = g' = 0.  Above
+        # the size bound (max_n = 0) the second flows go through the columns.
+        integ_mod = sys.modules["expidae.integrators"]
+        if max_n is not None:
+            monkeypatch.setattr(integ_mod, "MAPPED_FLOW_MAX_N", max_n)
+        lifts = []
+        lift = integ_mod.lift_constraint
+        monkeypatch.setattr(
+            integ_mod, "lift_constraint", lambda sys_, g: lifts.append(1) or lift(sys_, g)
+        )
+        config, tau = SchemeConfig(scheme=scheme, c2=0.5), 1 / 2560
+        prob = build_problem("dynbc", n_cells=8)
+        traj, diag = integrate(prob.system, config, prob.u0, 0.0, 8 * tau, tau)
+        assert "lift_map" not in vars(prob.system)
+        assert "mass_lift_map" not in vars(prob.system)
+        assert lifts == []
+        assert diag.column_flows == (8 if max_n == 0 else 0)
+        built = build_problem("dynbc", n_cells=8)
+        assert built.system.lift_map.shape == (built.system.n, built.system.m)
+        again, _ = integrate(built.system, config, built.u0, 0.0, 8 * tau, tau)
+        assert [s.u.tobytes() for s in traj] == [s.u.tobytes() for s in again]
+
+    def test_a_nonsym_run_builds_the_lift_map_at_its_first_nonzero_data(self):
+        prob = build_problem("nonsym", n_cells=16)
+        sys_ = prob.system
+        assert not sys_.g(0.0).any() and sys_.gdot(0.0).any()
+        state = StepState(0.0, prob.u0)
+        alt_euler_step(sys_, state, 1 / 2560, SchemeConfig(scheme="alt-euler"))
+        assert "lift_map" in vars(sys_) and "mass_lift_map" not in vars(sys_)
+        second_order_step(sys_, state, 1 / 2560)
+        assert "mass_lift_map" in vars(sys_)
+
+
 class TestSolveCounts:
     """Deterministic count gate: saddle and SuperLU solves of one step."""
 
     @staticmethod
     def _gate_step(monkeypatch, name, n_cells, step, config, projections):
-        """A step of ``step`` after the first one, which built L and W.
+        """A step of ``step`` after the first one, which built W (and L where g or g' is nonzero).
 
         It makes no lift solve and no kernel solve, ``projections``
         projections without a saddle solve, one SuperLU solve per Arnoldi
@@ -818,7 +877,7 @@ class TestSolveCounts:
         monkeypatch.setattr(linalg_mod, "splu", counting_splu)
         prob = build_problem(name, n_cells=n_cells)
         sys_, tau = prob.system, 1 / 2560
-        # The first step builds L and W.
+        # The first step builds W, and L where g or g' is nonzero.
         state = step(sys_, StepState(0.0, prob.u0), tau, config)
 
         counts = Counter()
@@ -894,7 +953,7 @@ class TestSolveCounts:
         prob = build_problem(name, n_cells=n_cells)
         sys_, tau = prob.system, 1 / 2560
         config = SchemeConfig(scheme="second-order-family", c2=c2)
-        # The first step builds L and W.
+        # The first step builds W, and L where g or g' is nonzero.
         state = second_order_family_step(sys_, StepState(0.0, prob.u0), tau, config)
         inside, solves, rhs_norms = [], [], []
         apply, solve = DaeOperator.apply, SaddleFactorization.solve
