@@ -83,17 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value file supplying defaults for flags")
         p.add_argument("--problem", help=f"problem name, one of {sorted(PROBLEMS)}")
         p.add_argument("--h", dest="h", help="mesh size as 1/N (mesh problems only)")
-        p.add_argument("--t-end", dest="t_end", type=float, help="final time")
+        p.add_argument("--t-end", dest="t_end", help="final time")
         p.add_argument("--scheme", choices=SCHEME_IDS, help="time integration scheme")
-        p.add_argument("--c2", type=float, help="stage parameter of the family scheme")
-        p.add_argument("--theta", type=float, help="consistency blend of alt-euler")
-        p.add_argument("--flow-tol", dest="flow_tol", type=float,
-                       help="Krylov flow tolerance")
+        p.add_argument("--c2", help="stage parameter of the family scheme")
+        p.add_argument("--theta", help="consistency blend of alt-euler")
+        p.add_argument("--flow-tol", dest="flow_tol", help="Krylov flow tolerance")
         p.add_argument("--out", help="output CSV path")
 
     p_solve = sub.add_parser("solve", help="integrate and write the trajectory")
     common(p_solve)
-    p_solve.add_argument("--tau", type=float, help="step size")
+    p_solve.add_argument("--tau", help="step size")
     p_solve.add_argument("--dump-state", dest="dump_state",
                          help="also write the full state history as binary")
 
@@ -101,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_conv)
     p_conv.add_argument("--taus", help="comma-separated step-size ladder")
     p_conv.add_argument("--norm", choices=NORMS, help="error norm")
-    p_conv.add_argument("--ref-tau", dest="ref_tau", type=float,
-                        help="reference step size")
+    p_conv.add_argument("--ref-tau", dest="ref_tau", help="reference step size")
     p_conv.add_argument("--sample", choices=("final", "max"), default=None,
                         help="error functional: at t-end only, or max over the grid")
     p_conv.add_argument("--cache-dir", dest="cache_dir",

@@ -59,7 +59,9 @@ except where x . x is not finite: there the norm is ``linalg.norm2``
 overflow still flows.  The consistency check uses ``linalg.norm2``
 throughout, and every finiteness test of x0, a load or a result is
 ``linalg.finite_norm``, that norm with the entrywise scan only when it
-is not finite; none of them raises a floating-point warning.
+is not finite; none of them raises a floating-point warning.  ``flow``
+checks x0 and its loads once, in its prologue, on every path, t = 0
+included; the mapped and the Krylov branch take the checked loads.
 """
 
 from __future__ import annotations
@@ -233,7 +235,8 @@ class DaeOperator:
 class _PhiForm:
     """The flow generator, [[X, S C], [0, J]] on (n + p)-vectors [x; c].
 
-    With loads l_1, ..., l_p (None for a zero load) and flow time t, the
+    With loads l_1, ..., l_p, each a vector that ``flow`` has checked
+    (``_checked_load``) or None for a zero load, and flow time t, the
     k-th column of C is l_k / t^(k-1), S is the mass solve on ker B and
     J shifts c down by one entry.  The generator holds C^T, the p x n
     array ``_columns``.  The flow of this matrix from [x0; e_1] over t
@@ -255,7 +258,6 @@ class _PhiForm:
         n, p = op.n, len(loads)
         columns = np.empty((p, n))
         for k, load in enumerate(loads):
-            load = _checked_load(op, load, k)
             if load is None:
                 columns[k] = 0.0
             else:
@@ -509,7 +511,10 @@ def flow(
     as coordinates of its Arnoldi vectors, so it makes no solve beyond
     its Arnoldi steps, with numpy's overflow warnings off: a flow that
     overflows raises ``NonFinite`` naming t, and so does a non-finite
-    endpoint.  Every path checks x0 and the loads alike.
+    endpoint.
+
+    The prologue checks x0 and then every load (``_checked_load``), on
+    every path, t = 0 and the zero-input return included.
 
     ``x0`` must satisfy the constraint, |B x0| <= 1e-8 (1 + |x0|), the
     ``1 +`` as in ``constraint_residual``: an x0 that cancels to
@@ -555,12 +560,12 @@ def flow(
     ):
         raise ValueError(f"basis_hint must be a positive integer, got {basis_hint!r}")
     norm0 = _require_consistent(op, x0)
-    loads = tuple(loads)
+    loads = tuple(_checked_load(op, load, k) for k, load in enumerate(loads))
     if t == 0.0 or (norm0 == 0.0 and all(load is None for load in loads)):
         return KrylovFlowResult(x0.copy(), 0, 0.0, 0)
     maps = op.maps.get(t)
     if maps is not None:
-        result = _mapped_flow(op, maps, x0 if norm0 else None, loads, tol)
+        result = _mapped_flow(maps, x0 if norm0 else None, loads, tol)
         if result is not None:
             return result
 
@@ -608,25 +613,24 @@ def _krylov_march(op, generator, x0, t, tol, basis_hint) -> KrylovFlowResult:
     return KrylovFlowResult(state, basis_size, estimate, substeps, checks, steps)
 
 
-def _mapped_flow(op, maps, x0, loads, tol) -> KrylovFlowResult | None:
+def _mapped_flow(maps, x0, loads, tol) -> KrylovFlowResult | None:
     """E x0 + Phi_1 loads[0] + Phi_2 loads[1] through ``maps``, or None for the Krylov flow.
 
-    Terms that are None drop out.  None if a nonzero term has no map
-    held (a state or a first load with column maps, or a third load),
-    before any load is checked.  ``flow`` has already returned a zero
-    state without loads, so column maps that pass this test have a
-    second load to take.  With column maps on a support S, the
-    Phi_2 term of the load d is the product Phi_2[:, S] d[S], and None
-    if d has a nonzero entry outside S or if the estimate
-    sum_j |d_j| est_j misses ``tol`` (a NaN one too).  The maps map
-    into ker B, so the sum needs no projection.  The products run with
-    numpy's overflow warnings off, and a result that is not finite
-    raises ``NonFinite``.
+    The loads are those ``flow`` has checked, and terms that are None
+    drop out.  None if a nonzero term has no map held (a state or a
+    first load with column maps, or a third load).  ``flow`` has
+    already returned a zero state without loads, so column maps that
+    pass this test have a second load to take.  With column maps on a
+    support S, the Phi_2 term of the load d is the product
+    Phi_2[:, S] d[S], and None if d has a nonzero entry outside S or if
+    the estimate sum_j |d_j| est_j misses ``tol`` (a NaN one too).  The
+    maps map into ker B, so the sum needs no projection.  The products
+    run with numpy's overflow warnings off, and a result that is not
+    finite raises ``NonFinite``.
     """
     column = maps.support is not None
     if len(loads) > 2 or (column and (x0 is not None or loads[0] is not None)):
         return None
-    loads = [_checked_load(op, load, k) for k, load in enumerate(loads)]
     estimate = 0.0
     if column:
         part = loads[1][maps.support]
@@ -635,7 +639,7 @@ def _mapped_flow(op, maps, x0, loads, tol) -> KrylovFlowResult | None:
         estimate = float(np.abs(part).dot(maps.estimates))
         if not estimate <= tol:
             return None
-        loads[1] = part
+        loads = (None, part)
     with np.errstate(over="ignore", invalid="ignore"):
         state = None if x0 is None else maps.flow.dot(x0)
         for phi_map, load in zip((maps.phi1, maps.phi2), loads):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NegativeEnergy, SelfCheckFailed
 from .integrators import ConstrainedSystem, SchemeConfig, integrate, step_count
-from .linalg import as_vector
+from .linalg import as_vector, finite_norm
 from .problems import Problem
 
 __all__ = [
@@ -152,8 +152,8 @@ class ConvergenceTable:
         taus = np.asarray(self.taus)
         if taus.size and not (np.diff(taus) < 0).all():
             raise ValueError("step sizes must be strictly decreasing")
-        errors = np.asarray(self.errors)
-        if errors.size and not (np.isfinite(errors).all() and (errors > 0).all()):
+        errors = np.asarray(self.errors, dtype=np.float64)
+        if finite_norm(errors) is None or not (errors > 0).all():
             raise ValueError("errors must be finite and positive")
 
 

@@ -201,23 +201,19 @@ class ConstrainedSystem:
         self._zero_dual = np.zeros(self.m)
 
     def load(self, t: float, x) -> np.ndarray:
-        return _finite(self._forcing(t, x), self.n, "forcing", t)
+        return _checked(self._forcing(t, x), self.n, "forcing", t)[0]
 
     def g(self, t: float) -> np.ndarray:
         """g(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rhs``."""
-        return _finite(self._g(t), self.m, "constraint_rhs", t)
+        return _checked(self._g(t), self.m, "constraint_rhs", t)[0]
 
     def gdot(self, t: float) -> np.ndarray:
         """g'(t); a non-finite entry raises ``NonFinite`` naming ``constraint_rate``."""
-        return _finite(self._gdot(t), self.m, "constraint_rate", t)
-
-    def _g_norm(self, t: float) -> tuple[np.ndarray, float]:
-        """g(t) and |g(t)|, the norm of its finiteness check."""
-        return _checked(self._g(t), self.m, "constraint_rhs", t)
+        return _checked(self._gdot(t), self.m, "constraint_rate", t)[0]
 
     def _lift(self, t: float) -> tuple[np.ndarray, np.ndarray | float]:
         """g(t) and its lift L g(t), the scalar 0.0 when g(t) = 0."""
-        g, norm = self._g_norm(t)
+        g, norm = _checked(self._g(t), self.m, "constraint_rhs", t)
         return g, self.lift_map @ g if norm else 0.0
 
     def _rate_load(self, t: float) -> np.ndarray | float:
@@ -247,11 +243,6 @@ def _relative_defect(sys, u, gval) -> float:
     """|B u - gval| / (1 + |gval|), ``constraint_residual`` with g(t) already evaluated."""
     defect = spmv(sys.constraint, u) - gval
     return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
-
-
-def _finite(value, length, name, t) -> np.ndarray:
-    """``value`` of callback ``name`` at t as a vector, checked for finiteness (``_checked``)."""
-    return _checked(value, length, name, t)[0]
 
 
 def _checked(value, length, name, t) -> tuple[np.ndarray, float]:
@@ -389,7 +380,7 @@ def _finish_step(sys, t1, u1, lift_g1, g1, diag):
     return u1
 
 
-def _propagate(sys, t, z, load, slope, config, diag, state, slot):
+def _propagate(sys, t, z, load, slope, config, diag, state):
     """E(t) z + Phi_1(t) load + Phi_2(t) slope on ker B, and the basis to record.
 
     A term that is None is dropped.  The sum is one flow with the loads
@@ -404,10 +395,12 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
     enough (``_hold_columns``); a slope on their support whose estimate
     meets the flow tolerance is then one product with them, with basis
     0.  Otherwise it is a Krylov flow, which makes one saddle solve per
-    Arnoldi step and no other; it is warm-started from flow ``slot`` of
-    the step that made ``state``, and the basis to record in that slot
-    of the next state's ``flow_bases`` is the accepted one, or 0 if the
-    flow took more than one substep.
+    Arnoldi step and no other.  Its slot in ``flow_bases`` follows from
+    the inputs: 1 for the flow with a slope, the second of a
+    second-order step, and 0 for any other.  It is warm-started from
+    that slot of the step that made ``state``, and the basis to record
+    in that slot of the next state's ``flow_bases`` is the accepted one,
+    or 0 if the flow took more than one substep.
     """
     op = sys.flow_op
     if sys.n <= MAPPED_FLOW_MAX_N:
@@ -416,7 +409,7 @@ def _propagate(sys, t, z, load, slope, config, diag, state, slot):
         _hold_columns(sys, t, slope, config, diag)
     x0 = np.zeros(sys.n) if z is None else z
     loads = (load,) if slope is None else (load, slope)
-    bases = state.flow_bases
+    bases, slot = state.flow_bases, 0 if slope is None else 1
     hint = bases[slot] if slot < len(bases) and bases[slot] > 0 else None
     result = krylov_flow(op, x0, t, tol=config.flow_tol, basis_hint=hint, loads=loads)
     diag.record_flow(result)
@@ -495,7 +488,7 @@ def _stage_and_slope(sys, state, tau, c2, config, diag, stage_only):
     t_stage = t0 + c2 * tau  # t1 itself at c2 = 1
     load0 = sys.load(t0, state.u) - sys._rate_load(t0)
     z0 = state.u - sys._lift(t0)[1]
-    z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state, 0)
+    z_stage, basis0 = _propagate(sys, c2 * tau, z0, load0, None, config, diag, state)
     g_stage, lift_g_stage = sys._lift(t_stage)
     u_stage = lift_g_stage + z_stage
     if stage_only:
@@ -514,7 +507,7 @@ def _stage_and_slope(sys, state, tau, c2, config, diag, stage_only):
         base = lift_g1
     if c2 < 1.0 and not math.isfinite(slope.dot(slope)):
         raise NonFinite("stage slope (l(t_n + c2 tau) - l_0) / c2 overflows")
-    z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state, 1)
+    z_end, basis1 = _propagate(sys, tau, z0, load0, slope, config, diag, state)
     u1 = _finish_step(sys, t1, base + z_end, lift_g1, g1, diag)
     return StepState(t1, u1, flow_bases=(basis0, basis1))
 
@@ -571,7 +564,8 @@ def alt_euler_step(
     """
     diag = Diagnostics() if diag is None else diag
     t0, t1 = state.t, state.t + tau
-    (g0, norm0), (g1, norm1) = sys._g_norm(t0), sys._g_norm(t1)
+    g0, norm0 = _checked(sys._g(t0), sys.m, "constraint_rhs", t0)
+    g1, norm1 = _checked(sys._g(t1), sys.m, "constraint_rhs", t1)
     g_blend = config.theta * g0 + (1.0 - config.theta) * g1
     f0 = sys.load(t0, state.u)
     diag.rhs_evaluations += 1
@@ -580,7 +574,7 @@ def alt_euler_step(
     z = state.u - lift_blend
     if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
         z = sys.flow_op.project(z)
-    z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state, 0)
+    z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state)
     u1 = lift_blend + z_end
     diag.record_residual(_relative_defect(sys, u1, g1))
     return StepState(t1, u1, flow_bases=(basis,))
@@ -609,7 +603,7 @@ def integrate(
     nsteps = step_count(t_end - t0, tau)
 
     u0 = as_vector(u0, sys.n, "u0")
-    if not np.isfinite(u0).all():
+    if finite_norm(u0) is None:
         raise NonFinite("initial value u0 has non-finite entries")
     initial_residual = sys.constraint_residual(t0, u0)
     if initial_residual > CONSISTENCY_RTOL:

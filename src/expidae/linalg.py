@@ -18,7 +18,9 @@ ends in, so it returns the same bits for the cost of the kernel and one
 shape check.  ``norm2`` is the 2-norm of the finiteness and consistency
 checks: BLAS ``dnrm2``, which is scaled and raises no floating-point
 warning.  ``finite_norm`` is the one finiteness test of the package's
-vectors: that norm, with the entrywise scan only when it is not finite.
+arrays, vectors and the entries of a matrix alike: that norm, with the
+entrywise scan only when it is not finite.  It is the only place the
+package calls ``np.isfinite``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def canonical_csr(matrix, copy: bool = True) -> sp.csr_matrix:
     out.sum_duplicates()
     out.eliminate_zeros()
     out.sort_indices()
-    if out.nnz and not np.isfinite(out.data).all():
+    if finite_norm(out.data) is None:
         raise ValueError("sparse matrix contains non-finite entries")
     return out
 
@@ -73,7 +75,7 @@ def _is_canonical(matrix) -> bool:
         and matrix.dtype == np.float64
         and matrix.has_canonical_format
         and bool(matrix.data.all())
-        and bool(np.isfinite(matrix.data).all())
+        and finite_norm(matrix.data) is not None
     )
 
 

@@ -21,12 +21,11 @@ every call goes to ``scipy.linalg.expm``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonFinite
+from .linalg import finite_norm
 
 __all__ = ["expm"]
 
@@ -83,17 +82,6 @@ else:
     _PADE_KERNELS = _bind_pade_kernels(_matfuncs_expm)
 
 
-def _finite(a) -> bool:
-    """Whether every entry of ``a`` is finite, by one dot product of its entries.
-
-    The sum of squares is finite for a finite matrix unless it overflows;
-    only then, or for a non-finite entry, are the entries scanned.  Call
-    with overflow warnings suppressed.
-    """
-    flat = a.ravel()
-    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
-
-
 def expm(a) -> np.ndarray:
     """Matrix exponential (SciPy's scaling-and-squaring Pade algorithm).
 
@@ -105,15 +93,16 @@ def expm(a) -> np.ndarray:
     they cost less than ``scipy.linalg.bandwidth``.
 
     Raises ``DimensionMismatch`` for a non-square argument and
-    ``NonFinite`` for non-finite input or an overflowing result.  Each
-    finiteness test is one dot product (``_finite``), with the entrywise
-    scan only when it is not finite; overflow warnings stay suppressed.
+    ``NonFinite`` for non-finite input or an overflowing result.  Both
+    finiteness tests are ``linalg.finite_norm`` of the entries, one
+    scaled norm with the entrywise scan only when it is not finite;
+    overflow warnings stay suppressed.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expm needs a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _finite(a):
+        if finite_norm(a.ravel()) is None:
             raise NonFinite("expm input has non-finite entries")
         result = None
         if (
@@ -125,6 +114,6 @@ def expm(a) -> np.ndarray:
             result = _pade_expm(a, _PADE_KERNELS)
         if result is None:
             result = scipy.linalg.expm(a)
-        if not _finite(result):
+        if finite_norm(result.ravel()) is None:
             raise NonFinite("matrix exponential overflowed")
     return result

@@ -344,6 +344,48 @@ class TestMalformedNumber:
         assert not (tmp_path / "out.csv").exists() and not (tmp_path / "cache").exists()
 
 
+SOLVE_TOY_TO = ["solve", "--problem", "toy", "--tau", "0.1", "--t-end", "0.2", "--out", "out.csv"]
+NUMERIC_FLAGS = {
+    "--t-end": SOLVE_TOY_TO + ["--scheme", "exp-euler"],
+    "--tau": SOLVE_TOY_TO + ["--scheme", "exp-euler"],
+    "--c2": SOLVE_TOY_TO + ["--scheme", "second-order-family", "--c2", "0.5"],
+    "--theta": SOLVE_TOY_TO + ["--scheme", "alt-euler", "--theta", "0.5"],
+    "--flow-tol": SOLVE_TOY_TO + ["--scheme", "exp-euler", "--flow-tol", "1e-10"],
+    "--ref-tau": ["converge", "--problem", "toy", "--taus", "0.1,0.05", "--t-end", "0.2",
+                  "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", "0.0125",
+                  "--cache-dir", "cache", "--out", "out.csv"],
+}
+
+
+class TestNumericFlags:
+    """Each number is parsed once, so a malformed one reads alike from argv and a config file."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize("value", ["abc", "1/0", ""], ids=["abc", "ratio", "empty"])
+    @pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+    def test_malformed_value_names_its_flag(self, tmp_path, capsys, monkeypatch, flag, value,
+                                            source):
+        monkeypatch.chdir(tmp_path)
+        argv = list(NUMERIC_FLAGS[flag])
+        at = argv.index(flag)
+        if source == "argv":
+            argv[at + 1] = value
+        else:
+            del argv[at : at + 2]
+            (tmp_path / "run.cfg").write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", "run.cfg"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert f"invalid configuration: {flag}: {value!r} is not a number" in err
+        assert "usage:" not in out + err
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "cache").exists()
+
+
 class TestConverge:
     def test_toy_study(self, tmp_path):
         out = tmp_path / "conv.csv"

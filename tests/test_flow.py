@@ -879,6 +879,18 @@ class TestFiniteChecks:
             flow(op, x0, 0.01, loads=(None, slope))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_load_is_named_at_t_zero(self):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        with pytest.raises(NonFinite, match="flow load 1 is not finite"):
+            flow(op, np.zeros(op.n), 0.0, loads=(np.full(op.n, np.nan),))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_load_of_the_wrong_length_is_rejected_at_t_zero(self):
+        op = build_problem("nonsym", n_cells=16).system.flow_op
+        with pytest.raises(DimensionMismatch, match="load has length 3"):
+            flow(op, np.zeros(op.n), 0.0, loads=(np.ones(3),))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_finite_load_whose_norm_overflows_passes_the_load_check(self):
         op = build_problem("nonsym", n_cells=16).system.flow_op
         load = np.full(op.n, 1e308)

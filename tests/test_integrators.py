@@ -34,7 +34,7 @@ from expidae.integrators import (
     Diagnostics,
     SchemeConfig,
     StepState,
-    _finite,
+    _checked,
     alt_euler_step,
     exponential_euler_step,
     integrate,
@@ -678,17 +678,17 @@ class TestNonFiniteConstraintData:
 
 
 class TestFiniteCheck:
-    """``_finite``: one scaled norm, and the entrywise scan only when it is not finite."""
+    """``_checked``: one scaled norm, and the entrywise scan only when it is not finite."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_vector_whose_sum_overflows_is_accepted(self):
         v = np.array([1e308, 1e308])
-        assert np.array_equal(_finite(v, 2, "forcing", 0.5), v)
+        assert np.array_equal(_checked(v, 2, "forcing", 0.5)[0], v)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_vector_whose_norm_overflows_is_accepted(self):
         v = np.full(128, 1e308)
-        assert np.array_equal(_finite(v, 128, "forcing", 0.0), v)
+        assert np.array_equal(_checked(v, 128, "forcing", 0.0)[0], v)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -696,12 +696,12 @@ class TestFiniteCheck:
     )
     def test_non_finite_vector_is_reported_by_callback_name(self, value):
         with pytest.raises(NonFinite, match="forcing returned non-finite values at t=0.5"):
-            _finite(np.array(value), 2, "forcing", 0.5)
+            _checked(np.array(value), 2, "forcing", 0.5)[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_opposite_infinities_are_reported(self):
         with pytest.raises(NonFinite, match="constraint_rhs returned non-finite"):
-            _finite(np.array([np.inf, -np.inf]), 2, "constraint_rhs", 0.5)
+            _checked(np.array([np.inf, -np.inf]), 2, "constraint_rhs", 0.5)[0]
 
 
 class TestNoSparseDispatch:

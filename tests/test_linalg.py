@@ -1,3 +1,7 @@
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +9,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expidae
 from conftest import CountingLU, random_spd
 from expidae.errors import DimensionMismatch, SingularSaddle
 from expidae.linalg import (
     SaddleFactorization,
     canonical_csr,
+    finite_norm,
     kernel_project,
     norm2,
     require_spd,
@@ -131,6 +137,68 @@ class TestNorm2:
     def test_empty_and_strided_vectors(self):
         assert norm2(np.empty(0)) == 0.0
         assert norm2(np.arange(6.0)[::2]) == pytest.approx(np.sqrt(20.0), rel=1e-15)
+
+
+def _finiteness_cases():
+    """Vectors and matrices with a NaN, an infinite or a 1e308 entry, and empty arrays."""
+    cases = {}
+    for shape in ((5,), (3, 4)):
+        base = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        name = "x".join(map(str, shape))
+        cases[f"{name}-finite"] = base
+        cases[f"{name}-all-1e308"] = np.full(shape, 1e308)
+        for label, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf), ("1e308", 1e308)):
+            spoiled = base.copy()
+            spoiled.flat[2] = value
+            cases[f"{name}-{label}"] = spoiled
+    cases["3x4-transposed-nan"] = cases["3x4-nan"].T
+    cases["3x4-inf-and-minus-inf"] = np.where(np.eye(3, 4) > 0, np.inf, -np.inf)
+    for shape in ((0,), (0, 3), (3, 0)):
+        cases["x".join(map(str, shape)) + "-empty"] = np.empty(shape)
+    return cases
+
+
+FINITENESS_CASES = _finiteness_cases()
+
+
+def _numpy_isfinite_scopes(path):
+    """The function around every use of numpy's ``isfinite`` in the module at ``path``.
+
+    ``math.isfinite``, the scalar test, is not counted.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    scopes = []
+    for node in ast.walk(tree):
+        attribute = isinstance(node, ast.Attribute) and node.attr == "isfinite"
+        if attribute and isinstance(node.value, ast.Name) and node.value.id == "math":
+            continue
+        if attribute or (isinstance(node, ast.Name) and node.id == "isfinite"):
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            scopes.append(getattr(scope, "name", "<module>"))
+    return scopes
+
+
+class TestFiniteNorm:
+    """``finite_norm``: the one finiteness test of the package's arrays."""
+
+    @pytest.mark.parametrize("a", FINITENESS_CASES.values(), ids=FINITENESS_CASES.keys())
+    def test_is_none_exactly_when_an_entry_is_not_finite(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rejected = finite_norm(a.ravel()) is None
+        assert rejected == (not np.isfinite(a).all())
+
+    def test_is_the_only_numpy_isfinite_in_the_package(self):
+        package = Path(expidae.__file__).resolve().parent
+        uses = {
+            (path.stem, scope)
+            for path in sorted(package.glob("*.py"))
+            for scope in _numpy_isfinite_scopes(path)
+        }
+        assert uses == {("linalg", "finite_norm")}
 
 
 class TestAssembleSaddle:
