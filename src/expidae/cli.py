@@ -147,9 +147,9 @@ def _scheme_config(args) -> SchemeConfig:
 
 def _cmd_solve(args) -> int:
     _require(args, "problem", "tau", "t_end", "scheme", "out")
-    problem = _build(args)
     config = _scheme_config(args)
     t_end, tau = _number(args.t_end, "t_end"), _number(args.tau, "tau")
+    problem = _build(args)
     trajectory, diag = integrate(problem.system, config, problem.u0, 0.0, t_end, tau)
     # A failed write removes the output files this command created.
     created = [p for p in (args.out, args.dump_state) if p and not os.path.lexists(p)]
@@ -174,16 +174,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_converge(args) -> int:
     _require(args, "problem", "taus", "t_end", "scheme", "norm", "ref_tau", "out")
-    problem = _build(args)
     config = _scheme_config(args)
     taus = _parse_taus(str(args.taus))
+    t_end, ref_tau = _number(args.t_end, "t_end"), _number(args.ref_tau, "ref_tau")
+    problem = _build(args)
     table = run_convergence(
         problem,
         config,
         taus,
-        _number(args.t_end, "t_end"),
+        t_end,
         norm=args.norm,
-        tau_ref=_number(args.ref_tau, "ref_tau"),
+        tau_ref=ref_tau,
         cache_dir=args.cache_dir,
         sample=args.sample or "final",
     )

@@ -58,7 +58,9 @@ from .errors import (
     NonFinite,
 )
 from .flow import DEFAULT_TOL, DaeOperator, StepMaps, flow as krylov_flow
-from .linalg import SaddleFactorization, as_vector, canonical_csr, finite_norm, require_spd, spmv
+from .linalg import (
+    SaddleFactorization, as_vector, canonical_csr, finite_norm, norm2, require_spd, spmv,
+)
 
 __all__ = [
     "ConstrainedSystem",
@@ -240,9 +242,11 @@ class ConstrainedSystem:
 
 
 def _relative_defect(sys, u, gval) -> float:
-    """|B u - gval| / (1 + |gval|), ``constraint_residual`` with g(t) already evaluated."""
-    defect = spmv(sys.constraint, u) - gval
-    return math.sqrt(defect.dot(defect)) / (1.0 + math.sqrt(gval.dot(gval)))
+    """|B u - gval| / (1 + |gval|), ``constraint_residual`` with g(t) already evaluated.
+
+    Both norms are ``linalg.norm2``: quiet where the squares overflow.
+    """
+    return norm2(spmv(sys.constraint, u) - gval) / (1.0 + norm2(gval))
 
 
 def _checked(value, length, name, t) -> tuple[np.ndarray, float]:
@@ -572,7 +576,7 @@ def alt_euler_step(
     # The lift of a blend of zero data is the scalar 0.0 (ConstrainedSystem._lift).
     lift_blend = sys.lift_map @ g_blend if norm0 or norm1 else 0.0
     z = state.u - lift_blend
-    if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + np.linalg.norm(z)):
+    if sys.flow_op.constraint_defect(z) > 1e-12 * (1.0 + norm2(z)):
         z = sys.flow_op.project(z)
     z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state)
     u1 = lift_blend + z_end

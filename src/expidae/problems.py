@@ -5,9 +5,11 @@ Three semidiscrete constrained systems are provided:
 ``dynbc``
     Heat equation on the unit square with a nonlinear dynamic boundary
     condition on the bottom edge, written as a coupled bulk/boundary
-    system with the trace constraint u|_edge = p.  Bilinear elements on
-    a uniform N x N grid; homogeneous Dirichlet data on the remaining
-    boundary (corners included).
+    system with the trace constraint u|_edge = p.  Bilinear (Q1)
+    elements on a uniform N x N grid, whose mass and stiffness matrices
+    are Kronecker products of the 1-d P1 matrices (exact on a tensor
+    grid); homogeneous Dirichlet data on the remaining boundary
+    (corners included).
 
 ``nonsym``
     Two coupled 1-d diffusion equations whose spatial operator is
@@ -102,44 +104,6 @@ def stiffness_matrix_1d(n_cells: int) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-# Q1 element matrices on a square of side h, nodes ordered
-# (0,0), (h,0), (h,h), (0,h).  The stiffness block is h-independent.
-_Q1_STIFFNESS = np.array(
-    [[4, -1, -2, -1], [-1, 4, -1, -2], [-2, -1, 4, -1], [-1, -2, -1, 4]]
-) / 6.0
-_Q1_MASS = np.array(
-    [[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]]
-) / 36.0
-
-
-def grid_matrices_2d(n_cells: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Q1 stiffness and mass matrices on the uniform grid of (0,1)^2.
-
-    All (n_cells + 1)^2 nodes are kept; boundary conditions are imposed
-    by slicing afterwards.
-    """
-    n = n_cells
-    h = 1.0 / n
-    node = lambda i, j: j * (n + 1) + i
-
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ex = ex.ravel()
-    ey = ey.ravel()
-    conn = np.stack(
-        [node(ex, ey), node(ex + 1, ey), node(ex + 1, ey + 1), node(ex, ey + 1)],
-        axis=1,
-    )
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    nel = conn.shape[0]
-    k_vals = np.tile(_Q1_STIFFNESS.ravel(), nel)
-    m_vals = np.tile((_Q1_MASS * h * h).ravel(), nel)
-    size = (n + 1) * (n + 1)
-    K = sp.coo_matrix((k_vals, (rows, cols)), shape=(size, size)).tocsr()
-    M = sp.coo_matrix((m_vals, (rows, cols)), shape=(size, size)).tocsr()
-    return K, M
-
-
 def build_dynbc(cfg: MeshConfig = MeshConfig()) -> Problem:
     """Heat equation with a nonlinear dynamic boundary condition.
 
@@ -147,26 +111,25 @@ def build_dynbc(cfg: MeshConfig = MeshConfig()) -> Problem:
     and the boundary variable p on the bottom-edge nodes; the corner
     nodes belong to the Dirichlet part.  The constraint couples the
     trace of u to p row by row, so g vanishes identically.
+
+    On the tensor grid the Q1 matrices are exactly Kronecker products
+    of the 1-d P1 matrices: M = M_y (x) M_x and K = M_y (x) K_x +
+    K_y (x) M_x.
     """
     n = cfg.n_cells
     h = 1.0 / n
 
-    K_full, M_full = grid_matrices_2d(n)
-    # Free bulk nodes: 1 <= i <= n-1 (x-direction), 0 <= j <= n-1
-    # (bottom edge included, top edge Dirichlet).  Bottom-edge dofs
-    # come first because j runs slowest.
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(0, n), indexing="ij")
-    free = (jj.ravel(order="F") * (n + 1) + ii.ravel(order="F"))
-    K_bulk = K_full[free][:, free]
-    M_bulk = M_full[free][:, free]
-    n_bulk = free.size
+    # Free bulk nodes: 1 <= i <= n-1 in x, 0 <= j <= n-1 in y (bottom
+    # edge included, top edge Dirichlet), x running fastest, so the
+    # bottom-edge dofs come first.  The x blocks are the edge blocks.
+    M_1d = mass_matrix_1d(n)
+    K_1d = stiffness_matrix_1d(n)
+    M_edge, K_edge = M_1d[1:n, 1:n], K_1d[1:n, 1:n]
+    M_y, K_y = M_1d[:n, :n], K_1d[:n, :n]
+    M_bulk = sp.kron(M_y, M_edge, format="csr")
+    K_bulk = sp.kron(M_y, K_edge, format="csr") + sp.kron(K_y, M_edge, format="csr")
     n_edge = n - 1
-
-    M_edge_full = mass_matrix_1d(n)
-    K_edge_full = stiffness_matrix_1d(n)
-    interior = slice(1, n)
-    M_edge = sp.csr_matrix(M_edge_full[interior, interior])
-    K_edge = sp.csr_matrix(K_edge_full[interior, interior])
+    n_bulk = n * n_edge
 
     mass = sp.block_diag([M_bulk, M_edge], format="csr")
     stiffness = sp.block_diag([KAPPA * K_bulk, ALPHA * M_edge], format="csr")
@@ -197,8 +160,8 @@ def build_dynbc(cfg: MeshConfig = MeshConfig()) -> Problem:
         mass, stiffness, constraint, forcing, g, gdot, h1_form=h1_form
     )
 
-    xs = h * ii.ravel(order="F")
-    ys = h * jj.ravel(order="F")
+    xs = np.tile(edge_x, n)
+    ys = np.repeat(h * np.arange(n), n_edge)
     u_bulk0 = np.sin(np.pi * xs) * np.cos(2.5 * np.pi * ys)
     p0 = u_bulk0[:n_edge].copy()  # trace of the bulk field, consistent by construction
     u0 = np.concatenate([u_bulk0, p0])
@@ -241,8 +204,8 @@ def build_nonsym(cfg: MeshConfig = MeshConfig()) -> Problem:
     M_full = mass_matrix_1d(n)
     K_full = stiffness_matrix_1d(n)
     free = slice(1, n + 1)  # Dirichlet node at x = 0 only
-    M1 = sp.csr_matrix(M_full[free, free])
-    K1 = sp.csr_matrix(K_full[free, free])
+    M1 = M_full[free, free]
+    K1 = K_full[free, free]
 
     mass = canonical_csr(sp.block_diag([M1, M1], format="csr"))
     stiffness = sp.bmat([[K1, K1], [M1, K1]], format="csr")

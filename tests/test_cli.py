@@ -385,6 +385,24 @@ class TestNumericFlags:
         assert "usage:" not in out + err
         assert not (tmp_path / "out.csv").exists() and not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("flag", [*NUMERIC_FLAGS, "--taus"])
+    def test_malformed_value_fails_before_the_build(self, tmp_path, capsys, monkeypatch, flag):
+        import expidae.cli as cli_mod
+
+        builds = []
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return build_problem(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "build_problem", spy)
+        monkeypatch.chdir(tmp_path)
+        argv = list(NUMERIC_FLAGS.get(flag, NUMERIC_FLAGS["--ref-tau"]))
+        argv[argv.index(flag) + 1] = "abc"
+        assert main(argv) == 2
+        assert f"invalid configuration: {flag}: 'abc' is not a number" in capsys.readouterr().err
+        assert builds == []
+
 
 class TestConverge:
     def test_toy_study(self, tmp_path):

@@ -458,6 +458,14 @@ class TestAltEulerStep:
         z0 = prob.u0 - w_bar
         assert np.linalg.norm(sys_.constraint @ z0) <= 1e-11 * np.linalg.norm(z0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_finite_state_steps_quietly(self):
+        # The squares of a state of size 1e200 overflow; the consistency
+        # test and the residual take scaled norms instead.
+        prob = build_toy(ToyConfig())
+        state = alt_euler_step(prob.system, StepState(0.0, 1e200 * prob.u0), 0.05)
+        assert np.isfinite(state.u).all()
+
 
 class TestIntegrate:
     @pytest.mark.parametrize(
@@ -510,6 +518,17 @@ class TestIntegrate:
         bad = prob.u0 + 1.0
         with pytest.raises(InconsistentInitialData):
             integrate(prob.system, SchemeConfig(), bad, 0.0, 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_inconsistent_initial_value_is_measured_quietly(self):
+        # |B u0| = 2e200 is finite, but its square overflows.
+        prob = build_problem("nonsym", n_cells=16)
+        u0 = np.full(prob.system.n, 1e200)
+        u0[-1] = -1e200
+        residual = prob.system.constraint_residual(0.0, u0)
+        assert residual == pytest.approx(2e200)
+        with pytest.raises(InconsistentInitialData, match="residual 2.000e[+]200 exceeds"):
+            integrate(prob.system, SchemeConfig(), u0, 0.0, 0.01, 0.01)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_step_that_returns_a_non_finite_state_is_reported(self, monkeypatch):

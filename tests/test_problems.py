@@ -6,6 +6,7 @@ import pytest
 from expidae.harness import error_norm
 from expidae.integrators import ConstrainedSystem, SchemeConfig, integrate
 from expidae.problems import (
+    KAPPA,
     PROBLEMS,
     MeshConfig,
     ToyConfig,
@@ -41,20 +42,6 @@ class TestAssemblyHelpers:
         M8, M16 = mass_matrix_1d(8), mass_matrix_1d(16)
         assert K16[3, 3] == pytest.approx(2.0 * K8[3, 3])
         assert M16[3, 3] == pytest.approx(0.5 * M8[3, 3])
-
-    def test_grid_matrices_2d_scaling(self):
-        # 2-d bilinear: stiffness entries are h-independent, mass ~ h^2.
-        from expidae.problems import grid_matrices_2d
-
-        K8, M8 = grid_matrices_2d(8)
-        K16, M16 = grid_matrices_2d(16)
-        center8 = 4 * 9 + 4
-        center16 = 8 * 17 + 8
-        assert K16[center16, center16] == pytest.approx(K8[center8, center8])
-        assert M16[center16, center16] == pytest.approx(M8[center8, center8] / 4.0)
-        # stiffness annihilates constants, mass sums to the area
-        assert abs(K8 @ np.ones(81)).max() <= 1e-12
-        assert M8.sum() == pytest.approx(1.0)
 
 
 class TestDynBc:
@@ -154,6 +141,39 @@ class TestDynBc:
         p8 = np.array([vals[8][x] for x in shared])
         p16 = np.array([vals[16][x] for x in shared])
         assert np.linalg.norm(p8 - p16) <= 0.02 * np.linalg.norm(p16)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_bulk_rows_are_the_q1_stencils(self, n):
+        # Q1 on squares of side h: the stiffness is h-independent and the
+        # mass scales as h^2.  Each stencil lists rows y - h, y, y + h of
+        # columns x - h, x, x + h: the mass in units of h^2 / 36 and the
+        # stiffness over KAPPA in units of 1/3.  An interior node sums
+        # four elements; a bottom-edge node sums the two above it.
+        stencils = {
+            n // 2: ([[1, 4, 1], [4, 16, 4], [1, 4, 1]],
+                     [[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]]),
+            0: ([[0, 0, 0], [2, 8, 2], [1, 4, 1]],
+                [[0, 0, 0], [-0.5, 4, -0.5], [-1, -1, -1]]),
+        }
+        s = build_dynbc(MeshConfig(n_cells=n)).system
+        n_bulk = s.n - s.m
+        dof = lambda i, j: j * (n - 1) + i - 1  # x runs fastest
+        i = n // 2
+        for j, (mass_stencil, stiff_stencil) in stencils.items():
+            expected_mass, expected_stiff = np.zeros(n_bulk), np.zeros(n_bulk)
+            for dj in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    if mass_stencil[dj + 1][di + 1]:
+                        expected_mass[dof(i + di, j + dj)] = mass_stencil[dj + 1][di + 1]
+                        expected_stiff[dof(i + di, j + dj)] = stiff_stencil[dj + 1][di + 1]
+            row = dof(i, j)
+            np.testing.assert_allclose(
+                s.mass[row, :n_bulk].toarray().ravel(), expected_mass / (36 * n * n), rtol=1e-14
+            )
+            np.testing.assert_allclose(
+                s.stiffness[row, :n_bulk].toarray().ravel() / KAPPA, expected_stiff / 3,
+                rtol=1e-14,
+            )
 
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
