@@ -27,6 +27,7 @@ from .integrators import (
     integrate,
     save_trajectory_binary,
     save_trajectory_csv,
+    step_count,
 )
 from .problems import PROBLEMS, MeshConfig, build_problem, parse_config_file
 
@@ -149,6 +150,7 @@ def _cmd_solve(args) -> int:
     _require(args, "problem", "tau", "t_end", "scheme", "out")
     config = _scheme_config(args)
     t_end, tau = _number(args.t_end, "t_end"), _number(args.tau, "tau")
+    step_count(t_end, tau)  # a bad grid fails before the build
     problem = _build(args)
     trajectory, diag = integrate(problem.system, config, problem.u0, 0.0, t_end, tau)
     # A failed write removes the output files this command created.

@@ -142,9 +142,11 @@ class DaeOperator:
     forms: X x is ``apply(-A x)``.
     ``project`` is the M-orthogonal projection onto ker B as the rank-m
     update x - W (B x), with the dense n x m matrix
-    W = M^{-1} B^T (B M^{-1} B^T)^{-1}.  W is built on the first
-    projection from m ``kernel_project`` solves, as W = Y - P(Y)
-    for the right inverse Y = B^+ of B.
+    W = M^{-1} B^T (B M^{-1} B^T)^{-1}, the M-orthogonal right inverse
+    of B.  W is built on the first projection, column i as the
+    ``kernel_project`` of 0 onto {p : B p = e_i} on the mass saddle:
+    m solves, each refined once if it misses e_i by more than
+    ``linalg.LIFT_RTOL``, the rule of the constraint lifts.
 
     ``maps``, the one cache of propagators, is a dict from a flow
     duration t to the ``StepMaps`` of t, all projected onto ker B, which
@@ -177,7 +179,7 @@ class DaeOperator:
 
     def __init__(self, mass, stiffness, constraint):
         self.stiffness = canonical_csr(stiffness)
-        self._saddle = SaddleFactorization(canonical_csr(mass), canonical_csr(constraint))
+        self._saddle = SaddleFactorization(mass, constraint)
         self.n = self._saddle.n
         self.m = self._saddle.m
         if self.stiffness.shape != (self.n, self.n):
@@ -199,12 +201,11 @@ class DaeOperator:
 
     @functools.cached_property
     def _projector(self) -> np.ndarray:
-        """W, built by the first ``project``."""
-        # P(Y) = Y - W B Y = Y - W for any Y with B Y = I.
-        Y = np.linalg.pinv(self.constraint.toarray())
+        """W, built by the first ``project``: column i is ``kernel_project(0, e_i)``."""
+        zero = np.zeros(self.n)
         W = np.empty((self.n, self.m), order="F")
-        for i in range(self.m):
-            W[:, i] = Y[:, i] - kernel_project(self._saddle, Y[:, i])
+        for i, e in enumerate(np.eye(self.m)):
+            W[:, i] = kernel_project(self._saddle, zero, e)
         return W
 
     @functools.cached_property

@@ -59,7 +59,8 @@ from .errors import (
 )
 from .flow import DEFAULT_TOL, DaeOperator, StepMaps, flow as krylov_flow
 from .linalg import (
-    SaddleFactorization, as_vector, canonical_csr, finite_norm, norm2, require_spd, spmv,
+    SaddleFactorization, as_vector, canonical_csr, finite_norm, kernel_project, norm2,
+    relative_defect, require_spd,
 )
 
 __all__ = [
@@ -86,14 +87,6 @@ SCHEME_IDS = ("exp-euler", "second-order", "second-order-family", "alt-euler")
 
 CONSISTENCY_RTOL = 1e-9
 
-# A lift whose relative constraint defect |B x - g| / (1 + |g|) exceeds this
-# is refined once (``lift_constraint``).  The LU factors' backward error is
-# relative to the largest entry of the saddle block, so a stiffness some 100
-# times larger than B can leave defects near 1e-12 in the direct solution;
-# on dynbc up to h = 1/64 and nonsym up to h = 1/256 they stay below 1e-14,
-# and no lift there is refined.
-LIFT_RTOL = 1e-13
-
 # Systems with at most this many unknowns propagate through the dense step
 # maps of each duration (``DaeOperator.hold_maps``), built on first need and
 # kept.  On nonsym (one OpenBLAS thread, 2-vCPU VM), building the maps of one
@@ -115,16 +108,17 @@ def step_count(span: float, tau: float) -> int:
     """Whole number n of steps of ``tau`` in ``span``, the one grid rule of the package.
 
     Raises ``ValueError`` (a configuration error) unless ``tau`` is finite
-    and positive, ``span`` finite and nonnegative, ``span / tau`` finite
-    and |n tau - span| <= 1e-9 tau.
+    and positive, ``span`` finite and nonnegative, ``span / tau`` at most
+    2**53 and |n tau - span| <= 1e-9 tau.  Above 2**53 steps float64
+    no longer holds every integer, so the step times t0 + k tau repeat.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step {tau!r} must be finite and positive")
     if not (math.isfinite(span) and span >= 0.0):
         raise ValueError(f"span {span!r} must be finite and nonnegative")
     ratio = span / tau
-    if not math.isfinite(ratio):
-        raise ValueError(f"span {span!r} / step {tau!r} overflows")
+    if not ratio <= 2**53:
+        raise ValueError(f"span {span!r} / step {tau!r} is more than 2**53 steps")
     n = int(round(ratio))
     if abs(n * tau - span) > 1e-9 * tau:
         raise ValueError(f"span {span!r} is not a whole number of steps {tau!r}")
@@ -225,7 +219,7 @@ class ConstrainedSystem:
 
     def constraint_residual(self, t: float, u) -> float:
         """Relative defect |B u - g(t)| / (1 + |g(t)|)."""
-        return _relative_defect(self, u, self.g(t))
+        return relative_defect(self.constraint, u, self.g(t))
 
     @functools.cached_property
     def lift_map(self) -> np.ndarray:
@@ -239,14 +233,6 @@ class ConstrainedSystem:
     def mass_lift_map(self) -> np.ndarray:
         """M L, the dense n x m matrix that takes g' to the load M lift(g')."""
         return self.mass @ self.lift_map
-
-
-def _relative_defect(sys, u, gval) -> float:
-    """|B u - gval| / (1 + |gval|), ``constraint_residual`` with g(t) already evaluated.
-
-    Both norms are ``linalg.norm2``: quiet where the squares overflow.
-    """
-    return norm2(spmv(sys.constraint, u) - gval) / (1.0 + norm2(gval))
 
 
 def _checked(value, length, name, t) -> tuple[np.ndarray, float]:
@@ -346,18 +332,14 @@ class Diagnostics:
 def lift_constraint(sys: ConstrainedSystem, rhs_g) -> np.ndarray:
     """A-orthogonal lift of constraint data into the state space.
 
-    Solves A x + B^T nu = 0, B x = rhs_g, refined once if the relative
-    constraint defect exceeds ``LIFT_RTOL``; the result satisfies the
-    constraint exactly (up to solver accuracy) and <A x, w> = 0 for all
-    w in ker B, which makes it the discrete right-inverse of B used
-    throughout the schemes.
+    The ``kernel_project`` of 0 onto {x : B x = rhs_g} on the stiffness
+    saddle: it solves A x + B^T nu = 0, B x = rhs_g, refined once if the
+    relative constraint defect exceeds ``linalg.LIFT_RTOL``.  The result
+    satisfies the constraint exactly (up to solver accuracy) and
+    <A x, w> = 0 for all w in ker B, which makes it the discrete
+    right-inverse of B used throughout the schemes.
     """
-    rhs_g = as_vector(rhs_g, sys.m, "constraint data")
-    zero = np.zeros(sys.n)
-    x, nu = sys.stiffness_saddle.solve(zero, rhs_g)
-    if _relative_defect(sys, x, rhs_g) > LIFT_RTOL:
-        x, _ = sys.stiffness_saddle.refine(zero, rhs_g, x, nu)
-    return x
+    return kernel_project(sys.stiffness_saddle, np.zeros(sys.n), rhs_g)
 
 
 def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
@@ -372,14 +354,14 @@ def kernel_solve(sys: ConstrainedSystem, load) -> np.ndarray:
 
 def _finish_step(sys, t1, u1, lift_g1, g1, diag):
     """Consistency check with kernel-projection repair on violation; g1 is g(t1)."""
-    res = _relative_defect(sys, u1, g1)
+    res = relative_defect(sys.constraint, u1, g1)
     if res > CONSISTENCY_RTOL:
         log.warning(
             "constraint residual %.3e above tolerance at t=%.6g; reprojecting", res, t1
         )
         u1 = lift_g1 + sys.flow_op.project(u1 - lift_g1)
         diag.repairs += 1
-        res = _relative_defect(sys, u1, g1)
+        res = relative_defect(sys.constraint, u1, g1)
     diag.record_residual(res)
     return u1
 
@@ -580,7 +562,7 @@ def alt_euler_step(
         z = sys.flow_op.project(z)
     z_end, basis = _propagate(sys, tau, z, f0, None, config, diag, state)
     u1 = lift_blend + z_end
-    diag.record_residual(_relative_defect(sys, u1, g1))
+    diag.record_residual(relative_defect(sys.constraint, u1, g1))
     return StepState(t1, u1, flow_bases=(basis,))
 
 
@@ -639,6 +621,10 @@ def integrate(
 def save_trajectory_csv(trajectory, diagnostics, path) -> None:
     """Write step index, time, constraint residual and state norm per row.
 
+    The norm is sqrt(u . u), the bits of ``np.linalg.norm``, except where
+    u . u overflows: there it is ``linalg.norm2``, which is scaled, so a
+    finite state whose squares overflow is written finite and quietly.
+
     Row k is step k, so the trajectory must hold every step
     (``snapshot_stride=1``); otherwise a ``ValueError`` is raised before
     the file is opened.
@@ -646,13 +632,13 @@ def save_trajectory_csv(trajectory, diagnostics, path) -> None:
     residuals = diagnostics.constraint_residuals
     if len(trajectory) != len(residuals) + 1:
         raise ValueError(f"{len(trajectory)} states for {len(residuals)} steps: strided")
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii") as fh, np.errstate(over="ignore"):
         fh.write("step,t,constraint_residual,solution_norm\n")
         for k, state in enumerate(trajectory):
             res = 0.0 if k == 0 else residuals[k - 1]
-            fh.write(
-                f"{k},{state.t:.17g},{res:.17g},{np.linalg.norm(state.u):.17g}\n"
-            )
+            norm = math.sqrt(state.u.dot(state.u))
+            norm = norm if math.isfinite(norm) else norm2(state.u)
+            fh.write(f"{k},{state.t:.17g},{res:.17g},{norm:.17g}\n")
 
 
 def save_trajectory_binary(trajectory, path) -> None:

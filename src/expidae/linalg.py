@@ -7,8 +7,11 @@ factorization of the indefinite block matrix
     [ B   0  ]
 
 which every stationary subproblem and the constrained flow evaluation
-reduce to.  Matrices are carried as scipy CSR, vectors as 1-d numpy
-arrays of float64.
+reduce to.  ``kernel_project`` is its one constrained solve, the
+projection onto {p : B p = g} refined once by ``LIFT_RTOL``: the
+constraint lifts and the projector W of the flow are its columns.
+Matrices are carried as scipy CSR, vectors as 1-d numpy arrays of
+float64.
 
 ``spmv`` is the matrix-vector product of every step.  At the sizes of
 the benchmark problems (n of a hundred to a thousand) the CSR kernel
@@ -49,17 +52,23 @@ PIVOT_RTOL = 1e-13
 # Largest |M - M^T| entry, relative to max(1, max |M|), that require_spd accepts.
 SYMMETRY_RTOL = 1e-12
 
+# A ``kernel_project`` solution whose relative constraint defect
+# |B p - g| / (1 + |g|) exceeds this is refined once.  The LU factors'
+# backward error is relative to the largest entry of the saddle block, so a
+# stiffness some 100 times larger than B can leave defects near 1e-12 in the
+# direct solution of a lift; on dynbc up to h = 1/64 and nonsym up to
+# h = 1/256 the lifts and the columns of W stay below 1e-14, and none of
+# them is refined.
+LIFT_RTOL = 1e-13
 
-def canonical_csr(matrix, copy: bool = True) -> sp.csr_matrix:
-    """Return ``matrix`` as a canonical CSR matrix.
+
+def canonical_csr(matrix) -> sp.csr_matrix:
+    """Return a new canonical float64 CSR copy of ``matrix``.
 
     Canonical means: duplicates summed, explicit zeros dropped, column
-    indices sorted within each row, all entries finite.  The result is a
-    new matrix, except that with ``copy=False`` a float64 ``csr_matrix``
-    that is canonical already is returned itself.
+    indices sorted within each row, all entries finite.  The argument is
+    never modified, and the result shares no array with it.
     """
-    if not copy and _is_canonical(matrix):
-        return matrix
     out = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
@@ -67,16 +76,6 @@ def canonical_csr(matrix, copy: bool = True) -> sp.csr_matrix:
     if finite_norm(out.data) is None:
         raise ValueError("sparse matrix contains non-finite entries")
     return out
-
-
-def _is_canonical(matrix) -> bool:
-    return (
-        type(matrix) is sp.csr_matrix
-        and matrix.dtype == np.float64
-        and matrix.has_canonical_format
-        and bool(matrix.data.all())
-        and finite_norm(matrix.data) is not None
-    )
 
 
 def as_vector(x, length: int, name: str = "vector") -> np.ndarray:
@@ -138,16 +137,16 @@ class SaddleFactorization:
     The factorization is computed once (fill-reducing column ordering,
     partial pivoting) and reused for every solve; it is read-only after
     construction, so concurrent solves against one factorization are
-    fine.  The object keeps references to S and B so projections can
-    be formed without re-assembly; a canonical float64 CSR argument is
-    kept itself, not copied (``canonical_csr(..., copy=False)``), so a
-    caller must not modify it afterwards.
+    fine.  The object keeps its own canonical copies of S and B
+    (``canonical_csr``) as ``S`` and ``B``, so projections and
+    refinements can be formed without re-assembly, whatever the caller
+    later does with its arguments.
 
     Every solve is one SuperLU solve.  LU with partial pivoting is
     normwise backward stable, and every step checks and repairs its
-    constraint residual (``integrators._finish_step``).  A lift of
-    constraint data that misses the constraint is corrected by
-    ``refine`` (``integrators.lift_constraint``).
+    constraint residual (``integrators._finish_step``).  A constrained
+    solve that misses its constraint data is corrected by ``refine``
+    (``kernel_project``).
 
     Raises SingularSaddle if the block matrix is structurally singular
     or a pivot falls below the module constant ``PIVOT_RTOL`` times
@@ -156,8 +155,8 @@ class SaddleFactorization:
     """
 
     def __init__(self, S, B):
-        self.S = canonical_csr(S, copy=False)
-        self.B = canonical_csr(B, copy=False)
+        self.S = canonical_csr(S)
+        self.B = canonical_csr(B)
         n = self.S.shape[0]
         m = self.B.shape[0]
         if self.S.shape[1] != n:
@@ -218,17 +217,30 @@ class SaddleFactorization:
         return x + correction[:n], mult + correction[n:]
 
 
-def kernel_project(fact: SaddleFactorization, x) -> np.ndarray:
-    """S-orthogonal projection of ``x`` onto the kernel of B.
+def kernel_project(fact: SaddleFactorization, x, g=None) -> np.ndarray:
+    """S-orthogonal projection of ``x`` onto {p : B p = g}, the one constrained solve.
 
-    ``fact`` must have been assembled from the inner-product matrix
-    (typically the mass matrix) and B.  Solves S p + B^T mu = S x,
-    B p = 0; with no constraints (m = 0) that is S p = S x, so p is x
-    up to round-off.
+    Solves S p + B^T mu = S x, B p = g, with g = 0 when it is None, and
+    refines once (``SaddleFactorization.refine``) when the relative
+    defect of p exceeds ``LIFT_RTOL``.  With x = 0 the result is the
+    S-orthogonal right inverse of B applied to g: a constraint lift on
+    the stiffness saddle (``integrators.lift_constraint``), a column of
+    W = M^{-1} B^T (B M^{-1} B^T)^{-1} on the mass saddle
+    (``flow.DaeOperator``).  With no constraints (m = 0) p is x up to
+    round-off.
     """
     x = as_vector(x, fact.n, "x")
-    p, _ = fact.solve(fact.S @ x, np.zeros(fact.m))
+    g = np.zeros(fact.m) if g is None else as_vector(g, fact.m, "constraint data")
+    rhs = spmv(fact.S, x)
+    p, mu = fact.solve(rhs, g)
+    if relative_defect(fact.B, p, g) > LIFT_RTOL:
+        p, _ = fact.refine(rhs, g, p, mu)
     return p
+
+
+def relative_defect(B, x, g) -> float:
+    """|B x - g| / (1 + |g|), both norms by ``norm2``: quiet where the squares overflow."""
+    return norm2(spmv(B, x) - g) / (1.0 + norm2(g))
 
 
 def require_spd(mat, name: str = "matrix") -> None:

@@ -106,7 +106,7 @@ class TestSolve:
         assert code == 0
         assert " repairs=1 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("h", ["1/0", "0.25/0", "nan"])
+    @pytest.mark.parametrize("h", ["1/0", "0.25/0", "nan", "0.03"])
     def test_bad_mesh_size_is_config_error(self, tmp_path, capsys, h):
         out = tmp_path / "traj.csv"
         cfg = tmp_path / "solve.cfg"
@@ -286,6 +286,25 @@ class TestSolve:
             err = capsys.readouterr().err
             assert "step" in err or "span" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("tau, t_end", [("1e-300", "0.02"), ("0.3", "1.0")])
+    def test_grid_is_checked_before_the_build(self, tmp_path, capsys, monkeypatch, tau, t_end):
+        # 1e-300 divides 0.02 into some 2e298 steps, more than float64 can count.
+        import expidae.cli as cli_mod
+
+        builds = []
+        monkeypatch.setattr(cli_mod, "build_problem", lambda *a, **k: builds.append(a))
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "solve", "--problem", "toy", "--tau", tau, "--t-end", t_end,
+                "--scheme", "exp-euler", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step" in err and tau in err
+        assert builds == [] and not out.exists()
 
     def test_non_finite_c2_is_config_error(self, tmp_path, capsys):
         code = main(
@@ -502,6 +521,19 @@ class TestConverge:
         expected = "span inf must be finite" if t_end == "inf" else f"step {bad} must be finite"
         assert expected in capsys.readouterr().err
         assert not cache.exists() or list(cache.iterdir()) == []
+        assert not (tmp_path / "conv.csv").exists()
+
+    @pytest.mark.parametrize("taus", [",", " , ,"])
+    def test_empty_ladder_is_config_error(self, tmp_path, capsys, taus):
+        code = main(
+            [
+                "converge", "--problem", "toy", "--taus", taus, "--t-end", "0.5",
+                "--scheme", "exp-euler", "--norm", "l2", "--ref-tau", "0.003125",
+                "--out", str(tmp_path / "conv.csv"),
+            ]
+        )
+        assert code == 2
+        assert "empty step-size list" in capsys.readouterr().err
         assert not (tmp_path / "conv.csv").exists()
 
     def test_ladder_is_checked_before_the_reference_is_built(self, tmp_path, capsys):

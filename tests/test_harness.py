@@ -90,6 +90,12 @@ class TestFitOrder:
         errors[0] = 8.0  # garbage coarse point, above half the scale
         assert fit_order(taus, errors, 10.0) == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("reference_scale", [1e-12, 0.0])
+    def test_every_point_is_kept_when_fewer_than_two_are_asymptotic(self, reference_scale):
+        taus = np.array([0.1 / 2**k for k in range(5)])
+        errors = 3.0 * taus**1.7
+        assert fit_order(taus, errors, reference_scale) == pytest.approx(1.7, abs=1e-12)
+
 
 class TestBuildReference:
     def test_matches_manufactured_solution(self, tmp_path):
@@ -124,6 +130,21 @@ class TestBuildReference:
         mid = ref.states[2]
         exact = prob.exact(0.25)
         assert np.linalg.norm(mid - exact) <= 1e-5 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("stored_key", ["another key", ""])
+    def test_a_cache_file_of_another_key_is_a_miss_and_is_rebuilt(self, tmp_path, stored_key):
+        # Another key at the same path, as after a collision of the digests.
+        prob = toy_problem()
+        first = build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        harness._write_cache(path, stored_key, first.times, 2 * first.states, first.check_states)
+        assert harness._read_cache(path, stored_key) is not None
+        rebuilt = build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path)
+        assert not rebuilt.from_cache
+        np.testing.assert_array_equal(rebuilt.states, first.states)
+        again = build_reference(prob, 0.5, 1.0 / 256, cache_dir=tmp_path)
+        assert again.from_cache
+        np.testing.assert_array_equal(again.states, first.states)
 
     def test_unreadable_cache_file_is_closed(self, tmp_path, monkeypatch):
         # A truncated file makes np.load raise after the file was opened.
@@ -384,6 +405,19 @@ class TestRunConvergence:
                 prob, SchemeConfig(), [0.1, 0.05], 1.0, tau_ref=0.05 / 8
             )
 
+    @pytest.mark.parametrize(
+        "taus, sample, message",
+        [
+            ([0.1], "final", "at least two step sizes"),
+            ([0.1, 0.05, 0.1], "final", "duplicate step sizes"),
+            ([0.1, 0.05], "mean", "unknown sample mode 'mean'"),
+        ],
+        ids=["one-step", "duplicate", "sample-mode"],
+    )
+    def test_malformed_study_is_rejected(self, taus, sample, message):
+        with pytest.raises(ValueError, match=message):
+            run_convergence(toy_problem(), SchemeConfig(), taus, 0.5, sample=sample)
+
     def test_ladder_must_be_whole_multiples_of_its_smallest_step(self):
         with pytest.raises(ValueError, match="whole number"):
             run_convergence(toy_problem(), SchemeConfig(), [0.1, 0.03], 1.0)
@@ -408,8 +442,8 @@ class TestRunConvergence:
             run_convergence(prob, SchemeConfig(), [0.1, 0.05], 1.0)
 
     def test_cold_study_builds_the_lift_matrix_once(self, tmp_path, monkeypatch):
-        # The reference runs on shallow copies of the system; they share
-        # L with the ladder instead of building their own.
+        # The reference runs and the ladder integrate the same system, so
+        # they share its L instead of building their own.
         integ_mod = sys.modules["expidae.integrators"]
         lifts = []
         lift_constraint = integ_mod.lift_constraint

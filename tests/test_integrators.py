@@ -46,7 +46,7 @@ from expidae.integrators import (
     second_order_step,
     step_count,
 )
-from expidae.linalg import SaddleFactorization, kernel_project
+from expidae.linalg import LIFT_RTOL, SaddleFactorization, kernel_project
 from expidae.problems import ToyConfig, build_problem, build_toy
 
 
@@ -102,10 +102,14 @@ class TestConstrainedSystem:
         assert sys_.constraint is op.constraint
         assert (sys_.n, sys_.m) == (op.n, op.m) == (8, 2)
 
-    def test_stiffness_saddle_shares_the_operator_matrices(self):
+    def test_stiffness_saddle_holds_its_own_copies_of_the_operator_matrices(self):
         sys_ = build_problem("dynbc", n_cells=32).system
-        assert sys_.stiffness_saddle.S is sys_.stiffness
-        assert sys_.stiffness_saddle.B is sys_.constraint
+        for own, shared in ((sys_.stiffness_saddle.S, sys_.stiffness),
+                            (sys_.stiffness_saddle.B, sys_.constraint)):
+            assert own is not shared
+            for attr in ("indptr", "indices", "data"):
+                mine, theirs = getattr(own, attr), getattr(shared, attr)
+                assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
 
     def test_forcing_validated(self):
         sys_ = make_system(
@@ -128,7 +132,7 @@ class TestStepCount:
         "span, tau",
         [(0.5, tau) for tau in (0.0, -0.1, np.inf, np.nan, 1e-320)]
         + [(span, 0.1) for span in (-0.1, np.inf, np.nan)]
-        + [(1.0, 0.3)],
+        + [(1.0, 0.3), (0.02, 1e-300), (1.0, 2.0**-54)],
     )
     def test_rejection_is_a_configuration_error(self, span, tau):
         # A ValueError is not an ExpidaeError, so the CLI exits with 2.
@@ -192,6 +196,10 @@ class TestLinearMaps:
         x, ref = sys_.lift_map @ g, lift_constraint(sys_, g)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(B @ x - g) <= 1e-12 * (1.0 + np.linalg.norm(g))
+        # W is the right inverse of B that README's projection relies on: each
+        # column meets e_i within the refinement rule, |B w_i - e_i| / (1 + 1).
+        defects = np.linalg.norm(B @ op._projector - np.eye(m), axis=0)
+        assert (defects <= 2.0 * LIFT_RTOL).all()
 
         # A random vector, and a raw flow endpoint built from unrefined
         # Arnoldi solves over about one time constant of the system.
@@ -513,6 +521,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(prob.system, SchemeConfig(), prob.u0, 0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_snapshot_stride_rejected(self, stride):
+        prob = build_toy(ToyConfig(n=8, m=1, seed=0))
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            integrate(prob.system, SchemeConfig(), prob.u0, 0.0, 1.0, 0.1, snapshot_stride=stride)
+
     def test_inconsistent_initial_data_rejected(self):
         prob = build_toy(ToyConfig(n=8, m=1, seed=0))
         bad = prob.u0 + 1.0
@@ -802,6 +816,16 @@ class TestTrajectoryExport:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[3]) == pytest.approx(np.linalg.norm(prob.u0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_csv_norm_of_a_huge_finite_state_is_finite_and_quiet(self, tmp_path):
+        # |u| = 2e200 is finite, but its square overflows.
+        traj = [StepState(0.1 * k, np.full(4, 1e200)) for k in range(2)]
+        diag = Diagnostics(constraint_residuals=[0.0])
+        path = tmp_path / "traj.csv"
+        save_trajectory_csv(traj, diag, path)
+        norms = [float(row.split(",")[3]) for row in path.read_text().splitlines()[1:]]
+        assert norms == [pytest.approx(2e200, rel=1e-15)] * 2
 
     def test_strided_trajectory_is_rejected_before_writing(self, tmp_path):
         prob = build_problem("toy")

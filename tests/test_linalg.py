@@ -10,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expidae
-from conftest import CountingLU, random_spd
+from conftest import CountingLU, random_constrained, random_spd
 from expidae.errors import DimensionMismatch, SingularSaddle
 from expidae.linalg import (
+    LIFT_RTOL,
     SaddleFactorization,
     canonical_csr,
     finite_norm,
     kernel_project,
     norm2,
+    relative_defect,
     require_spd,
     spmv,
 )
@@ -58,16 +60,13 @@ class TestCanonicalCsr:
         with pytest.raises(ValueError):
             canonical_csr(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_copy_false_passes_a_canonical_matrix_through(self):
-        mat = canonical_csr(sp.random(6, 6, density=0.4, random_state=1))
-        assert canonical_csr(mat) is not mat
-        assert canonical_csr(mat, copy=False) is mat
-
-    @pytest.mark.parametrize("kind", ["duplicate", "zero", "nonfinite", "float32", "csc"])
-    def test_copy_false_converts_the_rest_without_touching_it(self, kind):
+    @pytest.mark.parametrize(
+        "kind", ["canonical", "duplicate", "zero", "nonfinite", "float32", "csc"]
+    )
+    def test_converts_to_a_new_matrix_without_touching_the_input(self, kind):
         indices, data = [1, 1, 0], [1.0, 2.0, 3.0]
-        if kind == "zero":
-            indices, data = [1, 0, 0], [0.0, 2.0, 3.0]
+        if kind in ("canonical", "zero"):
+            indices, data = [1, 0, 0], [0.0 if kind == "zero" else 1.0, 2.0, 3.0]
         if kind == "nonfinite":
             indices, data = [1, 0, 0], [np.inf, 2.0, 3.0]
         mat = sp.csr_matrix((data, indices, [0, 2, 3]), shape=(2, 2))
@@ -75,14 +74,18 @@ class TestCanonicalCsr:
             mat = sp.csr_matrix([[1.0, 2.0], [3.0, 0.0]], dtype=np.float32)
         if kind == "csc":
             mat = sp.csc_matrix([[1.0, 2.0], [3.0, 0.0]])
+        if kind == "canonical":
+            mat.sort_indices()
+            assert mat.has_canonical_format
         before = (mat.data.copy(), mat.indices.copy())
         if kind == "nonfinite":
             with pytest.raises(ValueError):
-                canonical_csr(mat, copy=False)
+                canonical_csr(mat)
         else:
-            out = canonical_csr(mat, copy=False)
-            assert out is not mat
-            np.testing.assert_array_equal(out.toarray(), canonical_csr(mat).toarray())
+            out = canonical_csr(mat)
+            assert out is not mat and not np.shares_memory(out.data, mat.data)
+            assert out.dtype == np.float64 and out.has_canonical_format and out.data.all()
+            np.testing.assert_array_equal(out.toarray(), mat.toarray())
         np.testing.assert_array_equal(mat.data, before[0])
         np.testing.assert_array_equal(mat.indices, before[1])
 
@@ -238,6 +241,27 @@ class TestAssembleSaddle:
         with pytest.raises(DimensionMismatch):
             SaddleFactorization(sp.eye(2, format="csr"), sp.eye(3, 2, format="csr"))
 
+    @pytest.mark.parametrize(
+        "S, B, error, message",
+        [
+            (sp.eye(3, 2), sp.csr_matrix((1, 3)), DimensionMismatch, "S must be square"),
+            (sp.csr_matrix((2, 2)), sp.csr_matrix((1, 2)), SingularSaddle, "all zero"),
+        ],
+        ids=["non-square-S", "all-zero-block"],
+    )
+    def test_malformed_block_rejected(self, S, B, error, message):
+        with pytest.raises(error, match=message):
+            SaddleFactorization(S, B)
+
+    def test_keeps_its_own_canonical_copies(self):
+        S, B = sp.eye(2, format="csr"), sp.csr_matrix([[1.0, 0.0]])
+        fact = SaddleFactorization(S, B)
+        assert fact.S is not S and fact.B is not B
+        S.data[:] = 5.0
+        B.data[:] = 7.0
+        assert np.array_equal(fact.S.toarray(), np.eye(2))
+        assert np.array_equal(fact.B.toarray(), [[1.0, 0.0]])
+
 
 class TestSaddleSolve:
     def test_homogeneous(self):
@@ -329,6 +353,24 @@ class TestRefinement:
         assert fact._lu.solves == 1
         assert np.array_equal(np.concatenate([x, nu]), direct)
 
+    @pytest.mark.parametrize("stiff_exp, solves", [(-1.0, 1), (2.25, 2)])
+    def test_kernel_project_refines_once_what_misses_g(self, stiff_exp, solves):
+        # A stiffness some 180 times larger than B: the direct solutions
+        # miss e_i by 2e-13 to 1.3e-12, above LIFT_RTOL.
+        rng = np.random.default_rng(1369)
+        _, A, B = random_constrained(rng, 4, 3, symmetric=False)
+        fact = SaddleFactorization(10.0**stiff_exp * A, B)
+        fact._lu = CountingLU(fact._lu)
+        for i, g in enumerate(np.eye(3)):
+            direct, mu = fact.solve(np.zeros(4), g)
+            before = fact._lu.solves
+            p = kernel_project(fact, np.zeros(4), g)
+            assert fact._lu.solves - before == solves
+            assert (relative_defect(fact.B, direct, g) > LIFT_RTOL) == (solves == 2)
+            assert relative_defect(fact.B, p, g) <= LIFT_RTOL
+            expected = fact.refine(np.zeros(4), g, direct, mu)[0] if solves == 2 else direct
+            assert np.array_equal(p, expected)
+
 
 def scipy_null_space(B):
     import scipy.linalg
@@ -347,6 +389,24 @@ class TestKernelProject:
     def test_fixed_point_on_kernel(self):
         x = np.array([0.0, 2.5])
         np.testing.assert_allclose(kernel_project(self.fact, x), x, atol=1e-14)
+
+    def test_affine_projection_meets_g_and_is_orthogonal_to_the_kernel(self):
+        # p - x is S-orthogonal to ker B, and B p = g; x = 0 gives the right inverse.
+        rng = np.random.default_rng(12)
+        n, m = 15, 3
+        S = random_spd(rng, n)
+        B = rng.standard_normal((m, n))
+        fact = SaddleFactorization(S, B)
+        kernel = scipy_null_space(B)
+        for x in (np.zeros(n), rng.standard_normal(n)):
+            g = rng.standard_normal(m)
+            p = kernel_project(fact, x, g)
+            assert np.linalg.norm(B @ p - g) <= 1e-13 * (1.0 + np.linalg.norm(g))
+            assert np.linalg.norm(kernel.T @ (S @ (p - x))) <= 1e-12 * np.linalg.norm(S @ x + p)
+
+    def test_g_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(DimensionMismatch, match="constraint data"):
+            kernel_project(self.fact, np.zeros(2), np.zeros(2))
 
     def test_idempotent_and_in_kernel(self):
         rng = np.random.default_rng(11)
